@@ -61,6 +61,10 @@ class BudgetTooSmall(EmbinvertError):
     """Query budget does not cover the mandatory selection phase."""
 
 
+class LedgerOverrun(EmbinvertError, RuntimeError):
+    """A charge would take the query ledger past q_max (a bookkeeping bug)."""
+
+
 class AllCandidatesFailed(EmbinvertError):
     """Every candidate refinement aborted with a non-finite objective."""
 

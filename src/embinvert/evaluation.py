@@ -54,11 +54,12 @@ def compute_eer_threshold(cal: CalibrationSet) -> Tuple[float, float]:
     """
     if not cal.genuine_scores or not cal.impostor_scores:
         raise EmptyCalibration("both genuine and impostor scores are required")
-    gen = np.asarray(cal.genuine_scores)
-    imp = np.asarray(cal.impostor_scores)
+    gen = np.sort(cal.genuine_scores)
+    imp = np.sort(cal.impostor_scores)
     grid = np.unique(np.concatenate([gen, imp]))
-    far = np.array([np.mean(imp >= t) for t in grid])
-    frr = np.array([np.mean(gen < t) for t in grid])
+    # Counts below each grid point: imp >= t is the complement of imp < t.
+    far = (imp.size - np.searchsorted(imp, grid, side="left")) / imp.size
+    frr = np.searchsorted(gen, grid, side="left") / gen.size
     diff = np.abs(far - frr)
     best = diff.min()
     optimal = np.flatnonzero(diff == best)

@@ -24,6 +24,7 @@ from .errors import (
     ConfigInvalid,
     DimensionMismatch,
     GradientUnavailable,
+    LedgerOverrun,
     ShapeMismatch,
     ZeroNormEmbedding,
 )
@@ -55,6 +56,14 @@ class EmbedderHandle:
 
     def embed(self, image: ImageSample) -> EmbeddingVector:
         raise NotImplementedError
+
+    def embed_batch(self, images: np.ndarray) -> np.ndarray:
+        """Embed a (B, C, H, W) stack of images; row i is ``embed(images[i])``.
+
+        This default calls ``embed`` once per image, so an adapter that
+        implements only ``embed`` works unchanged; override it to batch.
+        """
+        return np.stack([self.embed(ImageSample(image)).values for image in images])
 
     def vjp(self, image: ImageSample, embedding_cotangent: np.ndarray) -> np.ndarray:
         raise GradientUnavailable(f"embedder {self.model_id!r} has no gradient")
@@ -141,6 +150,20 @@ class SyntheticEmbedder(EmbedderHandle):
         if norm == 0.0:
             raise ZeroNormEmbedding(f"embedder {self.model_id}: raw embedding is zero")
         return EmbeddingVector(raw / norm)
+
+    def embed_batch(self, images: np.ndarray) -> np.ndarray:
+        """One matmul for the whole stack; the same checks as ``embed``."""
+        if images.ndim != 4 or images.shape[1:] != self.input_shape:
+            raise ShapeMismatch(
+                f"embedder {self.model_id}: image stack shape {images.shape} != "
+                f"(B,) + {self.input_shape}")
+        raw = images.reshape(len(images), -1) @ self.weight.T
+        norms = np.linalg.norm(raw, axis=1)
+        if np.any(norms == 0.0):
+            raise ZeroNormEmbedding(f"embedder {self.model_id}: raw embedding is zero")
+        if not np.all(np.isfinite(norms)):
+            raise ValueError("embedding entries must be finite")
+        return raw / norms[:, None]
 
     def vjp(self, image: ImageSample, embedding_cotangent: np.ndarray) -> np.ndarray:
         _check_image(self.input_shape, image, f"embedder {self.model_id}")
@@ -410,7 +433,7 @@ class QueryLedger:
 
     def _check(self, n: int):
         if self.q_max is not None and self.total + n > self.q_max:
-            raise RuntimeError(
+            raise LedgerOverrun(
                 f"query ledger overrun: {self.total} + {n} > q_max {self.q_max}"
             )
 

@@ -23,6 +23,7 @@ pools hold float32-representable values, so round-trips are lossless.
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -94,6 +95,17 @@ class LatentPool:
     @property
     def image_shape(self) -> Tuple[int, int, int]:
         return self.entries[0].image.shape
+
+    @cached_property
+    def image_stack(self) -> np.ndarray:
+        """Every cached generation as one read-only (V, C, H, W) array.
+
+        Stacked on first use and kept, so selection reuses it for every
+        target instead of restacking the pool.
+        """
+        stack = np.stack([e.image.values for e in self.entries])
+        stack.flags.writeable = False
+        return stack
 
 
 def sample_latent(d_lat: int, seed: int) -> LatentCode:

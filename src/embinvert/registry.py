@@ -10,7 +10,7 @@ images for threshold calibration when a backend has no built-in identities.
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .errors import UnknownModel
+from .errors import ConfigInvalid, UnknownModel
 from .models import DetectorHandle, EmbedderHandle, GeneratorHandle
 
 _generator_factories: Dict[str, Callable] = {}
@@ -47,7 +47,12 @@ def create_generator(generator_id: str, config) -> GeneratorHandle:
 
 
 def create_embedder(model_id: str, config) -> EmbedderHandle:
-    return _create(_embedder_factories, "embedder", model_id, config)
+    embedder = _create(_embedder_factories, "embedder", model_id, config)
+    if not isinstance(embedder, EmbedderHandle):
+        raise ConfigInvalid(
+            f"embedder factory {model_id!r} returned a {type(embedder).__name__}, "
+            "not an EmbedderHandle")
+    return embedder
 
 
 def create_detector(detector_id: str, config) -> DetectorHandle:

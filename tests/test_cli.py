@@ -222,6 +222,17 @@ class TestAttackCommand:
         assert len(records) == 3
         assert all("BudgetTooSmall" in r["error"] for r in records)
 
+    def test_ledger_overrun_becomes_a_failure_record(self, tmp_path):
+        # a budget below the selection cost overruns the ledger while V is
+        # charged; each target fails alone instead of killing the run
+        cfg_path, config = write_config(tmp_path, mode="blackbox", t_max=None,
+                                        q_max=10, num_targets=2)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        assert main(["attack", "--config", str(cfg_path)]) == 5
+        records = read_results(config.results_path)
+        assert len(records) == 2
+        assert all(r["error"].startswith("LedgerOverrun") for r in records)
+
     def test_pool_from_other_generator_exits_2(self, tmp_path):
         cfg_path, config = write_config(tmp_path)
         assert main(["build-pool", "--config", str(cfg_path)]) == 0

@@ -47,6 +47,26 @@ def eer_sweep_oracle(genuine, impostor):
     return threshold, eer
 
 
+def eer_loop_reference(cal):
+    """The per-grid-point numpy loop that compute_eer_threshold replaced."""
+    gen = np.asarray(cal.genuine_scores)
+    imp = np.asarray(cal.impostor_scores)
+    grid = np.unique(np.concatenate([gen, imp]))
+    far = np.array([np.mean(imp >= t) for t in grid])
+    frr = np.array([np.mean(gen < t) for t in grid])
+    diff = np.abs(far - frr)
+    optimal = np.flatnonzero(diff == diff.min())
+    run_start = run_end = optimal[0]
+    for idx in optimal[1:]:
+        if idx != run_end + 1:
+            break
+        run_end = idx
+    lower = grid[run_start - 1] if run_start > 0 else -1.0
+    threshold = (lower + grid[run_end]) / 2.0
+    eer = (far[run_start] + frr[run_start]) / 2.0
+    return float(threshold), float(eer)
+
+
 class TestComputeEerThreshold:
     def test_separable_scores_give_midpoint(self):
         cal = CalibrationSet(genuine_scores=(0.9, 0.8), impostor_scores=(0.1, 0.2))
@@ -90,6 +110,19 @@ class TestComputeEerThreshold:
                     seed=[seed, 4, k])
                 assert compute_eer_threshold(cal) == eer_sweep_oracle(
                     list(cal.genuine_scores), list(cal.impostor_scores))
+
+    def test_equals_loop_reference_on_tie_heavy_sets(self):
+        # Scores on a coarse grid: many exact ties within and across sets.
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n_g = int(rng.integers(1, 60))
+            n_i = int(rng.integers(1, 60))
+            levels = int(rng.integers(2, 12))
+            genuine = rng.integers(0, levels + 1, n_g) / levels * 1.6 - 0.6
+            impostor = rng.integers(0, levels + 1, n_i) / levels * 1.6 - 1.0
+            cal = CalibrationSet(tuple(np.clip(genuine, -1, 1)),
+                                 tuple(np.clip(impostor, -1, 1)))
+            assert compute_eer_threshold(cal) == eer_loop_reference(cal)
 
     def test_score_domain_validated(self):
         with pytest.raises(ValueError):

@@ -7,12 +7,16 @@ from embinvert.core import EmbeddingVector, ImageSample, LatentCode, cosine_simi
 from embinvert.errors import (
     ConfigInvalid,
     DimensionMismatch,
+    EmbinvertError,
     GradientUnavailable,
+    LedgerOverrun,
     ShapeMismatch,
+    ZeroNormEmbedding,
 )
 from embinvert.evaluation import calibration_set_from_images, compute_eer_threshold
 from embinvert.models import (
     AttackSession,
+    EmbedderHandle,
     QueryLedger,
     WorldConfig,
     loss_eval,
@@ -82,6 +86,52 @@ class TestSyntheticEmbedder:
                                   f.embed(desk_world.identities[j].images[b]))
             hits += s < f.tau_F
         assert hits / trials >= 0.95
+
+
+def identity_image_stack(world):
+    return np.stack([img.values for rec in world.identities for img in rec.images])
+
+
+class TestEmbedBatch:
+    def test_rows_equal_per_sample_embeds(self, desk_world):
+        stack = identity_image_stack(desk_world)
+        for f in desk_world.embedders:
+            batch = f.embed_batch(stack)
+            looped = np.stack([f.embed(ImageSample(img)).values for img in stack])
+            assert batch.shape == (len(stack), f.d_emb)
+            np.testing.assert_allclose(batch, looped, rtol=0, atol=1e-12)
+
+    def test_wrong_image_shape_rejected(self, desk_world):
+        f = desk_world.embedders[0]
+        with pytest.raises(ShapeMismatch):
+            f.embed_batch(np.zeros((2, 3, 4, 4)))
+        with pytest.raises(ShapeMismatch):
+            f.embed_batch(np.zeros(desk_world.config.image_shape))
+
+    def test_zero_image_rejected(self, desk_world):
+        f = desk_world.embedders[0]
+        stack = identity_image_stack(desk_world)[:3].copy()
+        stack[1] = 0.0
+        with pytest.raises(ZeroNormEmbedding):
+            f.embed_batch(stack)
+
+    def test_default_calls_embed_once_per_image(self, desk_world):
+        inner = desk_world.embedders[0]
+
+        class EmbedOnly(EmbedderHandle):
+            d_emb = inner.d_emb
+            calls = 0
+
+            def embed(self, image):
+                self.calls += 1
+                return inner.embed(image)
+
+        stack = identity_image_stack(desk_world)[:5]
+        f = EmbedOnly()
+        out = f.embed_batch(stack)
+        assert f.calls == len(stack)
+        assert np.array_equal(
+            out, np.stack([inner.embed(ImageSample(img)).values for img in stack]))
 
 
 class TestSyntheticDetector:
@@ -242,6 +292,13 @@ class TestQueryLedger:
         assert ledger.remaining() == 0
         with pytest.raises(RuntimeError):
             ledger.charge_adv(1)
+
+    def test_overrun_is_a_framework_error(self):
+        ledger = QueryLedger(q_max=5)
+        with pytest.raises(LedgerOverrun) as info:
+            ledger.charge_topn(6)
+        assert isinstance(info.value, EmbinvertError)
+        assert ledger.total == 0
 
     def test_session_loss_charges_one_query(self, desk_world):
         g, f = desk_world.generator, desk_world.embedders[0]

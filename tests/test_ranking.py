@@ -3,14 +3,18 @@ import hashlib
 import numpy as np
 import pytest
 
-from embinvert.core import EmbeddingVector
-from embinvert.errors import ConfigInvalid, DimensionMismatch
-from embinvert.models import QueryLedger
+from embinvert.core import EmbeddingVector, cosine_similarity
+from embinvert.errors import ConfigInvalid, DimensionMismatch, ZeroNormEmbedding
+from embinvert.models import EmbedderHandle, QueryLedger
 from embinvert.ranking import rank_candidates, top_n
 
 
-class ScriptedEmbedder:
-    """Maps images to prescribed embeddings keyed by image bytes."""
+class ScriptedEmbedder(EmbedderHandle):
+    """Maps images to prescribed embeddings keyed by image bytes.
+
+    Implements only ``embed``; selection reaches it through the inherited
+    per-image ``embed_batch``.
+    """
 
     model_id = "scripted"
     tau_F = 0.5
@@ -37,6 +41,14 @@ def scripted_for(pool, sims):
 
 
 TARGET = EmbeddingVector(np.array([1.0, 0.0, 0.0]))
+
+
+def looped_ranking(pool, target, embedder):
+    """Reference: one embed and one cosine_similarity per pool entry."""
+    sims = np.array([cosine_similarity(embedder.embed(entry.image), target)
+                     for entry in pool.entries])
+    order = np.lexsort((np.arange(len(sims)), -sims))
+    return [int(j) for j in order], sims
 
 
 class TestRankCandidates:
@@ -78,6 +90,43 @@ class TestRankCandidates:
         embedder = desk_world.embedders[0]
         with pytest.raises(DimensionMismatch):
             rank_candidates(quick_pool, EmbeddingVector(np.ones(5)), embedder)
+
+    def test_zero_norm_target_rejected(self, quick_pool, desk_world):
+        embedder = desk_world.embedders[0]
+        with pytest.raises(ZeroNormEmbedding):
+            rank_candidates(quick_pool, EmbeddingVector(np.zeros(embedder.d_emb)),
+                            embedder)
+
+    def test_zero_norm_embedding_rejected(self, quick_pool):
+        sims = np.zeros(len(quick_pool.entries))
+        embedder = scripted_for(quick_pool, sims)
+        digest = hashlib.sha256(
+            quick_pool.entries[3].image.values.tobytes()).hexdigest()
+        embedder.table[digest] = np.zeros(3)
+        with pytest.raises(ZeroNormEmbedding):
+            rank_candidates(quick_pool, TARGET, embedder)
+
+    def test_non_unit_embeddings_match_looped_reference(self, quick_pool):
+        sims = np.linspace(0.9, -0.9, len(quick_pool.entries))
+        embedder = scripted_for(quick_pool, sims)
+        for k, digest in enumerate(embedder.table):
+            embedder.table[digest] = embedder.table[digest] * (k % 5 + 0.5)
+        ranked = rank_candidates(quick_pool, TARGET, embedder)
+        order, ref = looped_ranking(quick_pool, TARGET, embedder)
+        assert [c.pool_index for c in ranked] == order
+        np.testing.assert_allclose([c.initial_similarity for c in ranked],
+                                   ref[order], rtol=0, atol=1e-12)
+
+    def test_matches_looped_reference(self, desk_pool, desk_world):
+        for embedder in desk_world.embedders:
+            for rec in desk_world.identities[:5]:
+                target = embedder.embed(rec.images[1])
+                ranked = rank_candidates(desk_pool, target, embedder)
+                order, sims = looped_ranking(desk_pool, target, embedder)
+                assert [c.pool_index for c in ranked] == order
+                np.testing.assert_allclose(
+                    [c.initial_similarity for c in ranked], sims[order],
+                    rtol=0, atol=1e-12)
 
 
 class TestTopN:

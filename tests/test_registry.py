@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from embinvert import registry
-from embinvert.errors import UnknownModel
+from embinvert.errors import ConfigInvalid, UnknownModel
 from embinvert.models import SyntheticEmbedder, SyntheticGenerator
 
 
@@ -45,6 +45,17 @@ class TestRegistry:
         assert backend.embedder_by_id("unit-emb").model_id == "unit-emb"
         with pytest.raises(UnknownModel, match="ghost"):
             backend.embedder_by_id("ghost")
+
+    def test_embedder_factory_must_return_a_handle(self):
+        class DuckEmbedder:
+            model_id = "duck-emb"
+
+            def embed(self, image):
+                raise AssertionError("never reached")
+
+        registry.register_embedder("duck-emb", lambda config: DuckEmbedder())
+        with pytest.raises(ConfigInvalid, match="duck-emb"):
+            registry.create_embedder("duck-emb", config=None)
 
     def test_factory_receives_the_config(self):
         seen = []
