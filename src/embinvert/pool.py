@@ -36,6 +36,7 @@ from .errors import (
     IoFailure,
     PoolExhausted,
 )
+from .fileio import replace_file
 from .models import DetectorHandle, GeneratorHandle
 from .normality import k2_test
 
@@ -281,8 +282,7 @@ def save_pool(pool: LatentPool, path):
         buf += entry
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
     try:
-        with open(path, "wb") as fh:
-            fh.write(bytes(buf))
+        replace_file(path, bytes(buf))
     except OSError as exc:
         raise IoFailure(f"cannot write pool file {path}: {exc}") from exc
 

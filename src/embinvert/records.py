@@ -10,6 +10,7 @@ from typing import Dict, List, Sequence
 
 from .errors import IoFailure
 from .evaluation import EvaluationReport
+from .fileio import replace_file
 from .pipeline import AttackResult
 
 RESULT_SCHEMA = "embinvert-result-v1"
@@ -70,9 +71,9 @@ def failure_record(*, target_id: str, target_model_id: str, identity_id: str,
 
 def write_results(path, records: Sequence[dict]):
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        replace_file(path, "".join(
+            json.dumps(rec, sort_keys=True) + "\n" for rec in records
+        ).encode("utf-8"))
     except OSError as exc:
         raise IoFailure(f"cannot write results {path}: {exc}") from exc
 
@@ -97,9 +98,8 @@ def read_results(path) -> List[dict]:
 def write_thresholds(path, by_model: Dict[str, dict]):
     payload = {"schema": THRESHOLDS_SCHEMA, "models": by_model}
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        replace_file(path, (json.dumps(payload, sort_keys=True, indent=2)
+                            + "\n").encode("utf-8"))
     except OSError as exc:
         raise IoFailure(f"cannot write thresholds {path}: {exc}") from exc
 
@@ -150,7 +150,6 @@ def format_report(report: EvaluationReport) -> str:
 
 def write_report(path, report: EvaluationReport):
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(format_report(report))
+        replace_file(path, format_report(report).encode("utf-8"))
     except OSError as exc:
         raise IoFailure(f"cannot write report {path}: {exc}") from exc

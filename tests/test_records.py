@@ -5,6 +5,7 @@ import pytest
 
 from embinvert.errors import IoFailure
 from embinvert.evaluation import EvaluationCase, cross_model_report
+from embinvert.fileio import replace_file
 from embinvert.pipeline import AttackSettings, MODE_WHITEBOX, run_attack
 from embinvert.records import (
     failure_record,
@@ -74,6 +75,34 @@ class TestResultRecords:
     def test_missing_results_file(self, tmp_path):
         with pytest.raises(IoFailure):
             read_results(tmp_path / "absent.ndjson")
+
+
+class TestReplaceFile:
+    def test_rewrite_leaves_only_the_new_bytes(self, tmp_path):
+        path = tmp_path / "out.csv"
+        replace_file(path, b"a much longer first version\n")
+        replace_file(path, b"short\n")
+        assert path.read_bytes() == b"short\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_rewrite_is_a_new_file_not_a_truncation(self, tmp_path):
+        path = tmp_path / "out.csv"
+        replace_file(path, b"old\n")
+        with open(path, "rb") as held:
+            replace_file(path, b"new\n")
+            assert held.read() == b"old\n"
+        assert path.read_bytes() == b"new\n"
+
+    def test_failure_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "a-directory"
+        target.mkdir()
+        with pytest.raises(OSError):
+            replace_file(target, b"data")
+        assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
+
+    def test_writer_maps_failure_to_io_failure(self, tmp_path):
+        with pytest.raises(IoFailure):
+            write_results(tmp_path / "absent-dir" / "r.ndjson", [])
 
 
 class TestThresholdsFile:
