@@ -34,9 +34,6 @@ from .models import (
     QueryLedger,
     SyntheticWorld,
     WorldConfig,
-    detect,
-    embed,
-    generate,
     loss_eval,
     loss_gradient,
     make_synthetic_world,

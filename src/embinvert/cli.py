@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 from .config import RunConfig, config_checksum, load_config
 from .core import LatentCode, TargetSpec
 from .errors import (
-    AllCandidatesFailed,
     BudgetTooSmall,
     ChecksumMismatch,
     ConfigInvalid,
@@ -36,7 +35,7 @@ from .evaluation import (
     cross_model_report,
 )
 from .models import SyntheticWorld, WorldConfig, make_synthetic_world
-from .pipeline import AttackSettings, run_attack
+from .pipeline import MODE_BLACKBOX, AttackSettings, compute_tmax, run_attack
 from .pool import build_pool, load_pool, save_pool
 from .records import (
     failure_record,
@@ -195,6 +194,9 @@ def cmd_attack(config: RunConfig) -> int:
         q_max=config.q_max,
     )
     settings.validate()
+    if settings.mode == MODE_BLACKBOX:
+        # Fail before the first target is charged its V selection queries.
+        compute_tmax(settings.q_max, pool.V, min(settings.n_top, pool.V))
     checksum = config_checksum(config)
     targets = _make_targets(config, backend, embedder)
 
@@ -206,7 +208,7 @@ def cmd_attack(config: RunConfig) -> int:
                 result, target_id=target_id, target_model_id=config.target_model,
                 identity_id=identity_id, image_index=image_index,
                 config_checksum=checksum)
-        except (AllCandidatesFailed, BudgetTooSmall, EmbinvertError) as exc:
+        except EmbinvertError as exc:
             return failure_record(
                 target_id=target_id, target_model_id=config.target_model,
                 identity_id=identity_id, image_index=image_index,

@@ -11,12 +11,12 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple, Union
 
 from .errors import ConfigInvalid
+from .pipeline import MODE_BLACKBOX, MODE_WHITEBOX
+from .refine import NORM_L2, NORM_LINF
 
 ENV_PREFIX = "EMBINVERT_"
 
-MODE_WHITEBOX = "whitebox"
-MODE_BLACKBOX = "blackbox"
-NORMS = ("l2", "linf")
+NORMS = (NORM_L2, NORM_LINF)
 
 
 def _parse_shape(text: str) -> Tuple[int, int, int]:
@@ -68,7 +68,7 @@ class RunConfig:
     # attack
     top_n: int = 3
     mode: str = MODE_WHITEBOX
-    norm: str = "l2"
+    norm: str = NORM_L2
     epsilon: float = 35.0
     tau_c: Union[float, str] = 0.95
     t_max: Optional[int] = 200

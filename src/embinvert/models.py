@@ -358,21 +358,6 @@ def _calibrate_thresholds(embedders, identities, master_seed: int,
         emb.tau_F = tau_F
 
 
-def generate(g: GeneratorHandle, latent: LatentCode) -> ImageSample:
-    """Deterministic latent-to-image map of the given generator."""
-    return g.generate(latent)
-
-
-def embed(f: EmbedderHandle, image: ImageSample) -> EmbeddingVector:
-    """Deterministic image-to-embedding map of the given embedder."""
-    return f.embed(image)
-
-
-def detect(d: DetectorHandle, image: ImageSample) -> float:
-    """Face-detection confidence in [0, 1]."""
-    return d.detect(image)
-
-
 def loss_eval(g: GeneratorHandle, f: EmbedderHandle, latent: LatentCode,
               target: EmbeddingVector) -> float:
     """Objective value: cosine similarity of the generated image's embedding

@@ -9,7 +9,7 @@ mode the per-candidate iteration cap is derived from the global budget so
 the total can never overrun it.
 """
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .core import EmbeddingVector, ImageSample, LatentCode, TargetSpec
@@ -45,12 +45,18 @@ class AttackResult:
 
 def compute_tmax(q_max: int, v: int, n: int) -> int:
     """Per-candidate iteration cap that keeps N refinements plus the
-    V selection queries inside the global budget: floor((q_max - v) / n)."""
+    V selection queries inside the global budget: floor((q_max - v) / n).
+
+    Raises BudgetTooSmall when that cap would be 0."""
     if n < 1:
         raise ConfigInvalid(f"N must be >= 1, got {n}")
     if q_max <= v:
         raise BudgetTooSmall(
             f"query budget {q_max} does not exceed the selection cost V = {v}")
+    if q_max - v < n:
+        raise BudgetTooSmall(
+            f"budget {q_max} leaves no refinement queries for {n} candidates "
+            f"after V = {v}")
     return (q_max - v) // n
 
 
@@ -140,22 +146,29 @@ class AttackSettings:
 
 
 def run_attack(target_spec: TargetSpec, pool: LatentPool,
-               settings: AttackSettings, backend,
-               sink=None) -> AttackResult:
+               settings: AttackSettings, backend) -> AttackResult:
     """Full attack on one target: rank, select, refine.
 
     ``backend`` provides ``generator`` and ``embedder_by_id``; the target
     model is looked up from ``target_spec.target_model_id``.  Only the
     target embedding and model id are ever read from ``target_spec``; the
     identity annotation is evaluation-side metadata that the attack must
-    stay blind to.  When ``sink`` is given the finished result is handed
-    to it (the CLI uses this to persist records).
+    stay blind to.  A black-box budget that leaves no refinement queries
+    raises BudgetTooSmall before any query is charged.
     """
     settings.validate()
     started = time.perf_counter()
     embedder = backend.embedder_by_id(target_spec.target_model_id)
     generator = backend.generator
     target = target_spec.target_embedding
+    if settings.mode == MODE_BLACKBOX:
+        refine_args = dict(
+            query_cap=compute_tmax(settings.q_max, pool.V,
+                                   min(settings.n_top, pool.V)),
+            greedy_config=settings.greedy_config)
+    else:
+        refine_args = dict(t_max=settings.t_max,
+                           step_config=settings.step_config)
 
     ledger = QueryLedger(q_max=settings.q_max)
     session = AttackSession(generator, embedder, ledger,
@@ -163,33 +176,6 @@ def run_attack(target_spec: TargetSpec, pool: LatentPool,
 
     ranked = rank_candidates(pool, target, embedder, ledger)
     selected = top_n(ranked, settings.n_top)
-
-    if settings.mode == MODE_BLACKBOX:
-        per_candidate_cap = compute_tmax(settings.q_max, len(pool.entries),
-                                         len(selected))
-        if per_candidate_cap < 1:
-            raise BudgetTooSmall(
-                f"budget {settings.q_max} leaves no refinement queries for "
-                f"{len(selected)} candidates after V = {len(pool.entries)}")
-        result = ranked_adversary(pool, selected, target, session,
-                                  settings.budget, settings.tau_C,
-                                  MODE_BLACKBOX, query_cap=per_candidate_cap,
-                                  greedy_config=settings.greedy_config)
-    else:
-        result = ranked_adversary(pool, selected, target, session,
-                                  settings.budget, settings.tau_C,
-                                  MODE_WHITEBOX, t_max=settings.t_max,
-                                  step_config=settings.step_config)
-    result = AttackResult(
-        reconstruction=result.reconstruction,
-        refined_latent=result.refined_latent,
-        chosen_rank=result.chosen_rank,
-        final_similarity=result.final_similarity,
-        ledger=result.ledger,
-        candidates=result.candidates,
-        candidate_traces=result.candidate_traces,
-        wall_time=time.perf_counter() - started,
-    )
-    if sink is not None:
-        sink(result)
-    return result
+    result = ranked_adversary(pool, selected, target, session, settings.budget,
+                              settings.tau_C, settings.mode, **refine_args)
+    return replace(result, wall_time=time.perf_counter() - started)

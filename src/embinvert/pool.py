@@ -2,9 +2,11 @@
 
 Built once per generator and reused across targets: candidates are drawn
 from sequential seeds, screened for Gaussian normality first (cheap, no
-generation needed), then generated and screened for face presence.  Both
-the latent and its generation are cached so later selection stages never
-regenerate.
+generation needed), then generated and screened for face presence.  The
+normality screen is one batched K^2 test per chunk of candidates, with the
+same code and bits as k2_test, so each survivor's stored p_K is the batch
+value.  Both the latent and its generation are cached so later selection
+stages never regenerate.
 
 Pool entries are target-agnostic by construction; nothing embedding- or
 identity-specific is stored.
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .fileio import replace_file
 from .models import DetectorHandle, GeneratorHandle
-from .normality import k2_test
+from .normality import k2_pvalues, k2_test
 
 _MAGIC = b"LPOOL"
 _FORMAT_VERSION = 1
@@ -46,9 +48,6 @@ _CHECKSUM_CRC32 = 1
 
 DEFAULT_MAX_DRAW_FACTOR = 10_000
 
-# Candidates whose batch-prefilter p-value is within this slack of tau_K are
-# re-tested with the scalar path, whose result is authoritative.
-_PREFILTER_SLACK = 1e-6
 _BATCH = 4096
 
 
@@ -157,46 +156,6 @@ def screen_face(image: ImageSample, detector: DetectorHandle,
     return p_D >= tau_D, p_D
 
 
-def _batch_normality_pvalues(matrix: np.ndarray) -> np.ndarray:
-    """Vectorized prefilter: the same transforms as k2_test along axis 1.
-
-    Used only to skip obvious rejections; every acceptance is confirmed by
-    the scalar test so stored p_K values are exactly reproducible.
-    """
-    n = matrix.shape[1]
-    d = matrix - matrix.mean(axis=1, keepdims=True)
-    m2 = np.mean(d * d, axis=1)
-    m3 = np.mean(d * d * d, axis=1)
-    m4 = np.mean(d ** 4, axis=1)
-    nf = float(n)
-
-    g1 = m3 / m2 ** 1.5
-    y = g1 * np.sqrt((nf + 1.0) * (nf + 3.0) / (6.0 * (nf - 2.0)))
-    beta2 = (3.0 * (nf * nf + 27.0 * nf - 70.0) * (nf + 1.0) * (nf + 3.0)
-             / ((nf - 2.0) * (nf + 5.0) * (nf + 7.0) * (nf + 9.0)))
-    w2 = -1.0 + np.sqrt(2.0 * (beta2 - 1.0))
-    delta = 1.0 / np.sqrt(0.5 * np.log(w2))
-    alpha = np.sqrt(2.0 / (w2 - 1.0))
-    z_skew = delta * np.arcsinh(y / alpha)
-
-    b2 = m4 / (m2 * m2)
-    mean_b2 = 3.0 * (nf - 1.0) / (nf + 1.0)
-    var_b2 = (24.0 * nf * (nf - 2.0) * (nf - 3.0)
-              / ((nf + 1.0) ** 2 * (nf + 3.0) * (nf + 5.0)))
-    x = (b2 - mean_b2) / np.sqrt(var_b2)
-    sqrt_beta1 = (6.0 * (nf * nf - 5.0 * nf + 2.0) / ((nf + 7.0) * (nf + 9.0))
-                  * np.sqrt(6.0 * (nf + 3.0) * (nf + 5.0)
-                            / (nf * (nf - 2.0) * (nf - 3.0))))
-    a = 6.0 + 8.0 / sqrt_beta1 * (2.0 / sqrt_beta1
-                                  + np.sqrt(1.0 + 4.0 / sqrt_beta1 ** 2))
-    denom = 1.0 + x * np.sqrt(2.0 / (a - 4.0))
-    safe = np.where(denom == 0.0, 1.0, denom)
-    term = np.sign(denom) * np.cbrt((1.0 - 2.0 / a) / np.abs(safe))
-    z_kurt = ((1.0 - 2.0 / (9.0 * a)) - term) / np.sqrt(2.0 / (9.0 * a))
-
-    return np.exp(-0.5 * (z_skew ** 2 + z_kurt ** 2))
-
-
 def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
                tau_K: float, tau_D: float, build_seed: int,
                max_draw_factor: int = DEFAULT_MAX_DRAW_FACTOR,
@@ -226,15 +185,10 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
         chunk = min(_BATCH, cap - drawn)
         codes = [sample_latent(generator.d_lat, build_seed + drawn + i)
                  for i in range(chunk)]
-        matrix = np.stack([c.values for c in codes])
-        prefilter = _batch_normality_pvalues(matrix)
-        for i, code in enumerate(codes):
-            if prefilter[i] < tau_K - _PREFILTER_SLACK:
-                continue
-            accepted, code = screen_normality(code, tau_K)
-            if not accepted:
-                continue
+        p_K = k2_pvalues(np.stack([c.values for c in codes]))
+        for i in np.flatnonzero(p_K >= tau_K).tolist():
             n_norm += 1
+            code = codes[i].with_screening(p_K=float(p_K[i]))
             image = generator.generate(code)
             image = ImageSample(
                 image.values.astype(np.float32).astype(np.float64))

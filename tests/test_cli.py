@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from embinvert import registry
+from embinvert import cli, registry
 from embinvert.cli import main
 from embinvert.config import (
     RunConfig,
@@ -13,8 +13,13 @@ from embinvert.config import (
     emit_config,
     parse_config,
 )
-from embinvert.errors import ConfigInvalid
-from embinvert.models import SyntheticDetector, SyntheticEmbedder, SyntheticGenerator
+from embinvert.errors import AllCandidatesFailed, ConfigInvalid
+from embinvert.models import (
+    QueryLedger,
+    SyntheticDetector,
+    SyntheticEmbedder,
+    SyntheticGenerator,
+)
 from embinvert.records import read_results, read_thresholds
 
 
@@ -211,27 +216,52 @@ class TestAttackCommand:
         cfg_path, _ = write_config(tmp_path)  # pool never built
         assert main(["attack", "--config", str(cfg_path)]) == 4
 
-    def test_every_target_failing_exits_5(self, tmp_path):
-        # a budget equal to the selection cost leaves nothing for refinement,
-        # so every target fails and is recorded in-line
-        cfg_path, config = write_config(tmp_path, mode="blackbox", t_max=None,
-                                        q_max=20, num_targets=3)
+    def test_every_target_failing_exits_5(self, tmp_path, monkeypatch):
+        # every refinement aborting fails every target; each is recorded
+        # in-line and the run exits 5
+        cfg_path, config = write_config(tmp_path, num_targets=3)
         assert main(["build-pool", "--config", str(cfg_path)]) == 0
+
+        def all_fail(*args, **kwargs):
+            raise AllCandidatesFailed("all 3 candidate refinements aborted")
+
+        monkeypatch.setattr(cli, "run_attack", all_fail)
         assert main(["attack", "--config", str(cfg_path)]) == 5
         records = read_results(config.results_path)
         assert len(records) == 3
-        assert all("BudgetTooSmall" in r["error"] for r in records)
+        assert all(r["error"].startswith("AllCandidatesFailed")
+                   for r in records)
 
-    def test_ledger_overrun_becomes_a_failure_record(self, tmp_path):
-        # a budget below the selection cost overruns the ledger while V is
-        # charged; each target fails alone instead of killing the run
-        cfg_path, config = write_config(tmp_path, mode="blackbox", t_max=None,
-                                        q_max=10, num_targets=2)
+    def test_ledger_overrun_becomes_a_failure_record(self, tmp_path,
+                                                     monkeypatch):
+        # a bookkeeping bug that overruns a ledger fails its target alone
+        # instead of killing the run
+        cfg_path, config = write_config(tmp_path, num_targets=2)
         assert main(["build-pool", "--config", str(cfg_path)]) == 0
+
+        def overrun(*args, **kwargs):
+            QueryLedger(q_max=10).charge_topn(11)
+
+        monkeypatch.setattr(cli, "run_attack", overrun)
         assert main(["attack", "--config", str(cfg_path)]) == 5
         records = read_results(config.results_path)
         assert len(records) == 2
         assert all(r["error"].startswith("LedgerOverrun") for r in records)
+
+    @pytest.mark.parametrize("q_max", [10, 20, 21])
+    def test_budget_without_refinement_queries_exits_2(self, tmp_path,
+                                                       monkeypatch, q_max):
+        # V = 20 and N = 3: below V, exactly V, and V plus fewer than N
+        cfg_path, config = write_config(tmp_path, mode="blackbox", t_max=None,
+                                        q_max=q_max, num_targets=3)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+
+        def trap(*args, **kwargs):
+            raise AssertionError("a target was attacked")
+
+        monkeypatch.setattr(cli, "run_attack", trap)
+        assert main(["attack", "--config", str(cfg_path)]) == 2
+        assert not (tmp_path / "results.ndjson").exists()
 
     def test_pool_from_other_generator_exits_2(self, tmp_path):
         cfg_path, config = write_config(tmp_path)

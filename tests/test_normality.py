@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embinvert.errors import DegenerateSample, SampleTooSmall
-from embinvert.normality import k2_test, kurtosis_transform, skewness_transform
+from embinvert.normality import (
+    k2_pvalues,
+    k2_test,
+    kurtosis_transform,
+    skewness_transform,
+)
+from embinvert.pool import sample_latent
 
 from oracle_normality import oracle_k2, oracle_kurt_z, oracle_skew_z
 
@@ -126,3 +132,60 @@ class TestAgainstOracleSweep:
                 assert res.z_skew == pytest.approx(zs, abs=1e-9)
                 assert res.z_kurt == pytest.approx(zk, abs=1e-9)
                 assert res.p_value == pytest.approx(p, abs=1e-9)
+
+
+class TestK2PValues:
+    # Rows per sample size; the sizes straddle the n >= 20 kurtosis floor
+    # and the pairwise-summation block of numpy's reductions.
+    SIZES = {20: 25_000, 21: 25_000, 64: 25_000, 129: 12_000, 512: 8_000,
+             1000: 4_000, 4096: 1_500}
+
+    def test_equals_k2_test_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        total = 0
+        for n, count in self.SIZES.items():
+            third = count // 3
+            batches = (
+                # what sample_latent draws: normals rounded to float32
+                rng.standard_normal((count - 2 * third, n))
+                .astype(np.float32).astype(np.float64),
+                rng.standard_normal((third, n)),
+                rng.exponential(1.0, (third, n)),
+            )
+            for rows in batches:
+                p = k2_pvalues(rows)
+                expected = np.array([k2_test(row).p_value for row in rows])
+                mismatched = np.flatnonzero(p != expected)
+                assert mismatched.size == 0, (n, mismatched[:5])
+                total += len(rows)
+        assert total >= 100_000
+
+    def test_p_values_pinned_to_the_last_bit(self):
+        # Frozen p-values of four pool latents.  Stored p_K values, and so
+        # pool bytes, must not move; numpy's array pow in the skewness
+        # denominator would change every one of these.
+        pinned = {151: "0x1.44c9a177c0671p-2", 186: "0x1.d43f6a34dc79bp-1",
+                  212: "0x1.6c1f9ad2fa6a5p-2", 246: "0x1.b5ca44692be10p-3"}
+        rows = np.stack([sample_latent(64, seed).values for seed in pinned])
+        expected = [float.fromhex(h) for h in pinned.values()]
+        assert k2_pvalues(rows).tolist() == expected
+        assert [k2_test(row).p_value for row in rows] == expected
+
+    @pytest.mark.parametrize("n, floor", [
+        (19, "kurtosis_transform requires n >= 20"),
+        (7, "skewness_transform requires n >= 8"),
+    ])
+    def test_rows_below_the_floors_rejected(self, n, floor):
+        rows = np.random.default_rng(3).standard_normal((5, n))
+        with pytest.raises(SampleTooSmall, match=floor):
+            k2_pvalues(rows)
+
+    def test_any_constant_row_rejected(self):
+        rows = np.random.default_rng(3).standard_normal((5, 64))
+        rows[2] = 1.5
+        with pytest.raises(DegenerateSample):
+            k2_pvalues(rows)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            k2_pvalues(np.random.default_rng(3).standard_normal(64))

@@ -27,6 +27,10 @@ class TestComputeTmax:
         with pytest.raises(BudgetTooSmall):
             compute_tmax(1000, 1000, 3)
 
+    def test_budget_leaving_a_zero_cap_rejected(self):
+        with pytest.raises(BudgetTooSmall, match="no refinement queries"):
+            compute_tmax(102, 100, 3)
+
     def test_floor_division(self):
         assert compute_tmax(107, 100, 3) == 2
         assert compute_tmax(109, 100, 3) == 3
@@ -204,13 +208,6 @@ class TestRunAttack:
         result = run_attack(trapped, desk_pool, WHITEBOX_SETTINGS, desk_world)
         assert result.final_similarity > 0
 
-    def test_result_sink_receives_result(self, desk_world, desk_pool):
-        seen = []
-        run_attack(make_spec(desk_world), desk_pool, WHITEBOX_SETTINGS,
-                   desk_world, sink=seen.append)
-        assert len(seen) == 1
-        assert seen[0].ledger.q_topn == 100
-
     def test_settings_validation(self):
         with pytest.raises(ConfigInvalid):
             AttackSettings(mode=MODE_WHITEBOX,
@@ -264,3 +261,21 @@ class TestRunAttack:
         )
         with pytest.raises(BudgetTooSmall):
             run_attack(make_spec(desk_world), desk_pool, settings, desk_world)
+
+    @pytest.mark.parametrize("q_max", [50, 100, 102])
+    def test_budget_rejected_before_any_embedding(self, desk_world, desk_pool,
+                                                  monkeypatch, q_max):
+        # V = 100 and N = 3: below V, exactly V, and V plus fewer than N
+        embedder = desk_world.embedders[0]
+        spec = make_spec(desk_world)
+
+        def trap(*args, **kwargs):
+            raise AssertionError("selection ran before the budget check")
+
+        monkeypatch.setattr(type(embedder), "embed_batch", trap)
+        monkeypatch.setattr(type(embedder), "embed", trap)
+        settings = AttackSettings(mode=MODE_BLACKBOX,
+                                  budget=PerturbationBudget("l2", 35.0),
+                                  tau_C=0.95, n_top=3, q_max=q_max)
+        with pytest.raises(BudgetTooSmall):
+            run_attack(spec, desk_pool, settings, desk_world)

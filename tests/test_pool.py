@@ -121,6 +121,10 @@ class TestBuildPool:
             assert entry.latent.p_K >= 0.999
             assert entry.latent.p_D >= 0.999
 
+    def test_stored_p_k_is_k2_test_bit_for_bit(self, desk_pool):
+        for entry in desk_pool.entries:
+            assert entry.latent.p_K == k2_test(entry.latent.values).p_value
+
     def test_trivial_thresholds_accept_first_draw(self, desk_world):
         calls = []
         generator = _CountingGenerator(desk_world.generator, calls)
@@ -166,7 +170,7 @@ class TestBuildPool:
     def test_production_volume_at_paper_thresholds(self, desk_world):
         # The full-scale operating point: a thousand entries, both screens
         # at 0.999.  The normality screen's null tail mass makes this cost
-        # about a million draws, which the batch prefilter absorbs.
+        # about a million draws, which the batched normality screen absorbs.
         pool = build_pool(desk_world.generator, desk_world.detector, V=1000,
                           tau_K=0.999, tau_D=0.999, build_seed=7)
         assert len(pool.entries) == 1000
