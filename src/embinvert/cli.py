@@ -2,9 +2,12 @@
 
 Every command is driven by one config file (see config.py) plus a few
 overriding flags, and is deterministic given (config, seed) apart from
-wall-clock fields.  Exit codes: 0 success, 2 invalid configuration or
-unknown model, 3 pool exhaustion or insufficient calibration images,
-4 file I/O or corruption, 5 all attack targets failed.
+wall-clock fields.  Exit codes (README.md lists the error class behind
+each): 0 success, 1 any other error (empty calibration, zero-norm
+embedding, target leak, non-finite objective, ...), 2 invalid
+configuration or unknown model, 3 pool exhaustion or insufficient
+calibration images, 4 file I/O, corruption or a malformed results or
+thresholds file, 5 all attack targets failed.
 """
 import argparse
 import os
@@ -34,7 +37,7 @@ from .evaluation import (
     compute_eer_threshold,
     cross_model_report,
 )
-from .models import SyntheticWorld, WorldConfig, make_synthetic_world
+from .models import WorldConfig, make_synthetic_world
 from .pipeline import MODE_BLACKBOX, AttackSettings, compute_tmax, run_attack
 from .pool import build_pool, load_pool, save_pool
 from .records import (
@@ -79,9 +82,7 @@ def build_backend(config: RunConfig):
 
 
 def _identity_groups(backend) -> List[Tuple[str, tuple]]:
-    if isinstance(backend, SyntheticWorld):
-        return [(rec.identity_id, rec.images) for rec in backend.identities]
-    if getattr(backend, "identity_images", None) is not None:
+    if backend.identity_images is not None:
         return [(f"id{i:03d}", tuple(group))
                 for i, group in enumerate(backend.identity_images)]
     raise ConfigInvalid(
@@ -264,6 +265,10 @@ def cmd_report(config: RunConfig) -> int:
                 f"results reference unknown identity {rec['identity_id']!r}")
         images = groups[rec["identity_id"]]
         image_index = rec["image_index"]
+        if image_index >= len(images):
+            raise ConfigInvalid(
+                f"results reference image {image_index} of identity "
+                f"{rec['identity_id']!r}, which has {len(images)} images")
         reconstruction = backend.generator.generate(
             LatentCode(rec["refined_latent"]))
         alternates = tuple(img for j, img in enumerate(images) if j != image_index)

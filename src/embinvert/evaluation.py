@@ -10,6 +10,14 @@ target image in embedding space) and Type II (reconstruction matches the
 identity's other images, the target itself excluded).  Cross-model rows
 evaluate every reconstruction under every configured model, target model
 included, and averages span all of them.
+
+Evaluation is batch-first: each function embeds all of its images with one
+``embed_batch`` call per model, normalises the rows, and scores pairs as
+row dot products (same-identity pairs are the upper triangle of each
+identity's Gram block), clamped to [-1, 1] like ``cosine_similarity``.
+Scores differ from a per-pair loop over ``embed`` by float rounding only;
+impostor pairs are still drawn one at a time, so a seed names the same
+pairs as before.
 """
 import hashlib
 from dataclasses import dataclass
@@ -17,13 +25,16 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ImageSample, cosine_similarity, decide_match
+from .core import ImageSample, decide_match
 from .errors import (
     ConfigInvalid,
+    DimensionMismatch,
     EmptyCalibration,
     InsufficientImages,
     LengthMismatch,
+    ShapeMismatch,
     TargetLeak,
+    ZeroNormEmbedding,
 )
 
 
@@ -77,6 +88,62 @@ def compute_eer_threshold(cal: CalibrationSet) -> Tuple[float, float]:
     return float(threshold), float(eer)
 
 
+# Pairs scored per gather: keeps the two gathered row blocks a few MB each.
+_SCORE_BLOCK = 2048
+
+
+def _unit_embeddings(groups: Sequence[Sequence[ImageSample]],
+                     embedder) -> Tuple[np.ndarray, np.ndarray]:
+    """Embed grouped images with one ``embed_batch`` call.
+
+    Returns the unit-norm embedding rows, group after group, and each
+    group's start row with the total row count appended.  At least one
+    image is required.
+    """
+    images = [img for group in groups for img in group]
+    starts = np.cumsum([0] + [len(group) for group in groups])
+    shapes = {img.shape for img in images}
+    if len(shapes) != 1:
+        raise ShapeMismatch(f"images of differing shapes {sorted(shapes)}")
+    rows = np.asarray(embedder.embed_batch(np.stack([img.values for img in images])),
+                      dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] != len(images):
+        raise DimensionMismatch(
+            f"embeddings of shape {rows.shape} for {len(images)} images; "
+            "expected one row per image")
+    norms = np.linalg.norm(rows, axis=1)
+    if np.any(norms == 0.0):
+        raise ZeroNormEmbedding("cosine similarity undefined for zero-norm embedding")
+    return rows / norms[:, None], starts
+
+
+def _pair_scores(unit: np.ndarray, rows_a, rows_b) -> np.ndarray:
+    """Cosine of each (rows_a[k], rows_b[k]) pair, clamped to [-1, 1]."""
+    rows_a = np.asarray(rows_a, dtype=np.intp)
+    rows_b = np.asarray(rows_b, dtype=np.intp)
+    scores = np.empty(rows_a.size)
+    for lo in range(0, rows_a.size, _SCORE_BLOCK):
+        hi = lo + _SCORE_BLOCK
+        scores[lo:hi] = np.einsum("ij,ij->i", unit[rows_a[lo:hi]],
+                                  unit[rows_b[lo:hi]])
+    return np.clip(scores, -1.0, 1.0)
+
+
+def _genuine_scores(unit: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Scores of every same-group pair: group by group, (a, b) with a < b in
+    row-major order, the upper triangle of each group's Gram block."""
+    triu = {}
+    rows_a, rows_b = [], []
+    for start, stop in zip(starts[:-1], starts[1:]):
+        m = int(stop - start)
+        if m not in triu:
+            triu[m] = np.triu_indices(m, 1)
+        a, b = triu[m]
+        rows_a.append(a + start)
+        rows_b.append(b + start)
+    return _pair_scores(unit, np.concatenate(rows_a), np.concatenate(rows_b))
+
+
 def calibration_set_from_images(images_by_identity: Sequence[Sequence[ImageSample]],
                                 embedder, seed,
                                 impostor_factor: int = 1) -> CalibrationSet:
@@ -88,24 +155,24 @@ def calibration_set_from_images(images_by_identity: Sequence[Sequence[ImageSampl
     """
     if len(images_by_identity) < 2:
         raise EmptyCalibration("impostor pairs need at least two identities")
-    embeddings = [[embedder.embed(img) for img in group]
-                  for group in images_by_identity]
-    genuine = [
-        cosine_similarity(group[a], group[b])
-        for group in embeddings
-        for a in range(len(group)) for b in range(a + 1, len(group))
-    ]
-    if not genuine:
+    if all(len(group) < 2 for group in images_by_identity):
         raise EmptyCalibration("no identity has two images; no genuine pairs")
+    if any(len(group) == 0 for group in images_by_identity):
+        raise InsufficientImages("impostor pairs need an image of every identity")
+    unit, starts = _unit_embeddings(images_by_identity, embedder)
+    genuine = _genuine_scores(unit, starts)
+    # Impostor pairs are drawn one at a time, as when each was scored on
+    # the spot, so a seed keeps naming the same pairs; only scoring is batched.
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    impostor = []
-    n_id = len(embeddings)
-    while len(impostor) < impostor_factor * len(genuine):
-        i, j = rng.choice(n_id, size=2, replace=False)
-        a = rng.integers(0, len(embeddings[i]))
-        b = rng.integers(0, len(embeddings[j]))
-        impostor.append(cosine_similarity(embeddings[i][a], embeddings[j][b]))
-    return CalibrationSet(genuine_scores=genuine, impostor_scores=impostor)
+    first = starts.tolist()
+    sizes = [len(group) for group in images_by_identity]
+    rows_a, rows_b = [], []
+    for _ in range(impostor_factor * genuine.size):
+        i, j = rng.choice(len(sizes), size=2, replace=False)
+        rows_a.append(first[i] + rng.integers(0, sizes[i]))
+        rows_b.append(first[j] + rng.integers(0, sizes[j]))
+    return CalibrationSet(genuine_scores=genuine,
+                          impostor_scores=_pair_scores(unit, rows_a, rows_b))
 
 
 def compute_confidence_threshold(images_by_identity: Sequence[Sequence[ImageSample]],
@@ -116,31 +183,47 @@ def compute_confidence_threshold(images_by_identity: Sequence[Sequence[ImageSamp
     Default pairs are same-identity, distinct images.  The cross-identity
     variant (all distinct image pairs) is available behind the flag.
     """
-    embeddings = [[embedder.embed(img) for img in group] for group in images_by_identity]
-    best = None
     if include_cross_identity:
-        flat = [e for group in embeddings for e in group]
-        for a in range(len(flat)):
-            for b in range(a + 1, len(flat)):
-                s = cosine_similarity(flat[a], flat[b])
-                best = s if best is None else max(best, s)
-    else:
-        for group in embeddings:
-            for a in range(len(group)):
-                for b in range(a + 1, len(group)):
-                    s = cosine_similarity(group[a], group[b])
-                    best = s if best is None else max(best, s)
-    if best is None:
+        images_by_identity = [[img for group in images_by_identity for img in group]]
+    if all(len(group) < 2 for group in images_by_identity):
         raise InsufficientImages(
             "confidence threshold needs at least one identity with two images"
             if not include_cross_identity else
             "confidence threshold needs at least two images"
         )
-    return float(best)
+    unit, starts = _unit_embeddings(images_by_identity, embedder)
+    return float(_genuine_scores(unit, starts).max())
 
 
 def _image_digest(image: ImageSample) -> str:
     return hashlib.sha256(image.values.tobytes()).hexdigest()
+
+
+def _scores_to_first(unit: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each row's score against the first row of its group."""
+    firsts = np.repeat(starts[:-1], np.diff(starts))
+    return _pair_scores(unit, firsts, np.arange(len(unit)))
+
+
+def _check_alternates(alt_images: Sequence[Sequence[ImageSample]],
+                      targets: Sequence[ImageSample]):
+    """Every target needs an alternate, and no alternate may be the target
+    image itself (detected by checksum)."""
+    for i, (group, tgt) in enumerate(zip(alt_images, targets)):
+        if len(group) < 1:
+            raise LengthMismatch("need at least one alternate image per target")
+        tgt_digest = _image_digest(tgt)
+        for alt in group:
+            if _image_digest(alt) == tgt_digest:
+                raise TargetLeak(f"alternate of target {i} equals the target image")
+
+
+def _type2_hits(scores: np.ndarray, starts: np.ndarray, first_alt: int,
+                tau_F: float) -> np.ndarray:
+    """Per group, how many alternates (rows ``first_alt`` onwards within the
+    group) match the group's reconstruction (its first row)."""
+    matched = np.concatenate(([0], np.cumsum(decide_match(scores, tau_F))))
+    return matched[starts[1:]] - matched[starts[:-1] + first_alt]
 
 
 def type1_accuracy(reconstructions: Sequence[ImageSample],
@@ -152,11 +235,9 @@ def type1_accuracy(reconstructions: Sequence[ImageSample],
             f"{len(reconstructions)} reconstructions vs {len(targets)} targets")
     if not reconstructions:
         raise LengthMismatch("empty evaluation")
-    hits = 0
-    for rec, tgt in zip(reconstructions, targets):
-        s = cosine_similarity(embedder.embed(rec), embedder.embed(tgt))
-        hits += decide_match(s, tau_F)
-    return hits / len(reconstructions)
+    unit, starts = _unit_embeddings(list(zip(reconstructions, targets)), embedder)
+    hits = decide_match(_scores_to_first(unit, starts)[starts[:-1] + 1], tau_F)
+    return int(hits.sum()) / len(reconstructions)
 
 
 def type2_accuracy(reconstructions: Sequence[ImageSample],
@@ -177,19 +258,11 @@ def type2_accuracy(reconstructions: Sequence[ImageSample],
     j_counts = {len(group) for group in alt_images}
     if len(j_counts) != 1:
         raise LengthMismatch(f"alternate counts differ across identities: {sorted(j_counts)}")
-    j = j_counts.pop()
-    if j < 1:
-        raise LengthMismatch("need at least one alternate image per target")
-    hits = 0
-    for i, (rec, group, tgt) in enumerate(zip(reconstructions, alt_images, targets)):
-        tgt_digest = _image_digest(tgt)
-        rec_emb = embedder.embed(rec)
-        for alt in group:
-            if _image_digest(alt) == tgt_digest:
-                raise TargetLeak(f"alternate of target {i} equals the target image")
-            s = cosine_similarity(rec_emb, embedder.embed(alt))
-            hits += decide_match(s, tau_F)
-    return hits / (len(reconstructions) * j)
+    _check_alternates(alt_images, targets)
+    unit, starts = _unit_embeddings(
+        [(rec, *group) for rec, group in zip(reconstructions, alt_images)], embedder)
+    hits = _type2_hits(_scores_to_first(unit, starts), starts, 1, tau_F)
+    return int(hits.sum()) / (len(reconstructions) * j_counts.pop())
 
 
 @dataclass(frozen=True)
@@ -259,21 +332,28 @@ def cross_model_report(cases: Sequence[EvaluationCase],
             raise ConfigInvalid(f"no tau_F for eval model {model.model_id!r}")
         thresholds[model.model_id] = float(tau)
 
+    alt_images = [case.alt_images for case in cases]
+    _check_alternates(alt_images, [case.target_image for case in cases])
+    # One group per case: reconstruction, target, then the alternates.
+    groups = [(case.reconstruction, case.target_image, *case.alt_images)
+              for case in cases]
+    scored = []
+    for model in eval_models:
+        unit, starts = _unit_embeddings(groups, model)
+        scores = _scores_to_first(unit, starts)
+        scored.append((scores[starts[:-1] + 1],
+                       _type2_hits(scores, starts, 2, thresholds[model.model_id])))
     rows = []
-    for case in cases:
-        for model in eval_models:
-            tau = thresholds[model.model_id]
-            sim = cosine_similarity(model.embed(case.reconstruction),
-                                    model.embed(case.target_image))
-            t2 = type2_accuracy([case.reconstruction], [list(case.alt_images)],
-                                model, tau, [case.target_image])
+    for i, case in enumerate(cases):
+        for model, (sims, hits) in zip(eval_models, scored):
+            sim = float(sims[i])
             rows.append(ReportRow(
                 target_id=case.target_id,
                 target_model_id=case.target_model_id,
                 eval_model_id=model.model_id,
                 similarity=sim,
-                type1_hit=decide_match(sim, tau),
-                type2_rate=t2,
+                type1_hit=decide_match(sim, thresholds[model.model_id]),
+                type2_rate=int(hits[i]) / len(alt_images[i]),
                 queries=case.queries,
                 wall_time=case.wall_time,
             ))

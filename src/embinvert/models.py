@@ -15,7 +15,7 @@ white-box loss gradient composes generically:
 """
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     GradientUnavailable,
     LedgerOverrun,
     ShapeMismatch,
+    UnknownModel,
     ZeroNormEmbedding,
 )
 
@@ -251,8 +252,28 @@ class WorldConfig:
             raise ConfigInvalid("identity_noise must be > 0")
 
 
+class Backend:
+    """What the pipeline and the CLI use of a backend.
+
+    ``generator``, ``embedders`` and ``detector`` (None when there is none)
+    are the handles; ``identity_images`` holds images grouped by identity
+    for calibration and evaluation, or None when there are none.
+    """
+
+    generator: GeneratorHandle
+    embedders: Tuple[EmbedderHandle, ...]
+    detector: Optional[DetectorHandle]
+    identity_images: Optional[Sequence[Sequence[ImageSample]]]
+
+    def embedder_by_id(self, model_id: str) -> EmbedderHandle:
+        for e in self.embedders:
+            if e.model_id == model_id:
+                return e
+        raise UnknownModel(f"no embedder with model_id {model_id!r}")
+
+
 @dataclass(frozen=True, eq=False)
-class SyntheticWorld:
+class SyntheticWorld(Backend):
     config: WorldConfig
     master_seed: int
     generator: SyntheticGenerator
@@ -260,12 +281,9 @@ class SyntheticWorld:
     detector: SyntheticDetector
     identities: Tuple[IdentityRecord, ...]
 
-    def embedder_by_id(self, model_id: str) -> SyntheticEmbedder:
-        for e in self.embedders:
-            if e.model_id == model_id:
-                return e
-        from .errors import UnknownModel
-        raise UnknownModel(f"no embedder with model_id {model_id!r}")
+    @property
+    def identity_images(self) -> Tuple[Tuple[ImageSample, ...], ...]:
+        return tuple(rec.images for rec in self.identities)
 
 
 # Stream ids for deriving independent RNGs from the master seed.

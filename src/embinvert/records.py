@@ -6,6 +6,7 @@ are comma-separated values in a fixed column order followed by average
 rows and a commented summary block.
 """
 import json
+import math
 from typing import Dict, List, Sequence
 
 from .errors import IoFailure
@@ -78,20 +79,62 @@ def write_results(path, records: Sequence[dict]):
         raise IoFailure(f"cannot write results {path}: {exc}") from exc
 
 
+def _is_real(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def check_result_record(rec, where: str):
+    """Raise IoFailure unless ``rec`` is a result or failure record with
+    every field that ``report`` reads, of the right type."""
+    def bad(problem):
+        raise IoFailure(f"{where}: {problem}")
+
+    if not isinstance(rec, dict):
+        bad(f"expected a JSON object, got {type(rec).__name__}")
+    if rec.get("schema") != RESULT_SCHEMA:
+        bad(f"schema {rec.get('schema')!r} is not {RESULT_SCHEMA!r}")
+    for key in ("target_id", "target_model_id", "identity_id"):
+        if not isinstance(rec.get(key), str):
+            bad(f"{key!r} must be a string")
+    if not _is_count(rec.get("image_index")):
+        bad("'image_index' must be a non-negative integer")
+    if "error" not in rec or not isinstance(rec["error"], (str, type(None))):
+        bad("'error' must be null or a string")
+    if rec["error"] is not None:
+        return
+    latent = rec.get("refined_latent")
+    if not (isinstance(latent, list) and latent and all(map(_is_real, latent))):
+        bad("'refined_latent' must be a non-empty list of finite numbers")
+    ledger = rec.get("ledger")
+    if not (isinstance(ledger, dict) and _is_count(ledger.get("total"))):
+        bad("'ledger.total' must be a non-negative integer")
+    if not _is_real(rec.get("wall_time")):
+        bad("'wall_time' must be a finite number")
+
+
 def read_results(path) -> List[dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoFailure(f"cannot read results {path}: {exc}") from exc
+    except ValueError as exc:
+        raise IoFailure(f"results {path} is not UTF-8 text: {exc}") from exc
     records = []
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+            rec = json.loads(line)
+        except (ValueError, RecursionError) as exc:
             raise IoFailure(f"corrupt results line in {path}: {exc}") from exc
+        check_result_record(rec, f"{path} line {number}")
+        records.append(rec)
     return records
 
 
@@ -110,11 +153,19 @@ def read_thresholds(path) -> Dict[str, dict]:
             payload = json.load(fh)
     except OSError as exc:
         raise IoFailure(f"cannot read thresholds {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise IoFailure(f"corrupt thresholds file {path}: {exc}") from exc
-    if payload.get("schema") != THRESHOLDS_SCHEMA:
+    if not isinstance(payload, dict) or payload.get("schema") != THRESHOLDS_SCHEMA:
         raise IoFailure(f"{path} is not a thresholds file")
-    return payload["models"]
+    models = payload.get("models")
+    if not isinstance(models, dict):
+        raise IoFailure(f"{path}: 'models' must be a JSON object")
+    for model_id, entry in models.items():
+        if not (isinstance(entry, dict)
+                and all(_is_real(entry.get(key)) for key in ("tau_F", "tau_C", "eer"))):
+            raise IoFailure(
+                f"{path}: model {model_id!r} needs finite numbers tau_F, tau_C and eer")
+    return models
 
 
 def format_report(report: EvaluationReport) -> str:

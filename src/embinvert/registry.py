@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import ConfigInvalid, UnknownModel
-from .models import DetectorHandle, EmbedderHandle, GeneratorHandle
+from .models import Backend, DetectorHandle, EmbedderHandle, GeneratorHandle
 
 _generator_factories: Dict[str, Callable] = {}
 _embedder_factories: Dict[str, Callable] = {}
@@ -64,7 +64,7 @@ def create_calibration_source(source_id: str, config):
 
 
 @dataclass(frozen=True)
-class AdapterBackend:
+class AdapterBackend(Backend):
     """Backend assembled from registered components.
 
     ``identity_images`` is the calibration source's output (images grouped
@@ -75,12 +75,6 @@ class AdapterBackend:
     embedders: Tuple[EmbedderHandle, ...]
     detector: Optional[DetectorHandle]
     identity_images: Optional[Sequence[Sequence]] = None
-
-    def embedder_by_id(self, model_id: str) -> EmbedderHandle:
-        for e in self.embedders:
-            if e.model_id == model_id:
-                return e
-        raise UnknownModel(f"no embedder with model_id {model_id!r}")
 
 
 def build_adapter_backend(config, generator_id: str,

@@ -1,10 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from embinvert import cli, registry
+from embinvert import cli, errors, registry
 from embinvert.cli import main
 from embinvert.config import (
     RunConfig,
@@ -398,3 +400,76 @@ class TestAdapterRegistry:
                                    adapter_generator="nobody-home",
                                    adapter_embedders=("toy-emb-a",))
         assert main(["build-pool", "--config", str(cfg_path)]) == 2
+
+
+def documented_exit_codes():
+    """{error class name: exit code} from README.md's exit-code table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("### Exit codes", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in table.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].isdigit():
+            for name in re.findall(r"`(\w+)`", cells[2]):
+                assert name not in documented, f"{name} documented twice"
+                documented[name] = int(cells[0])
+    return documented
+
+
+class TestExitCodes:
+    def test_every_error_class_has_its_documented_code(self):
+        documented = documented_exit_codes()
+        classes = [obj for obj in vars(errors).values()
+                   if isinstance(obj, type) and issubclass(obj, errors.EmbinvertError)]
+        assert {cls.__name__ for cls in classes} == set(documented)
+        for cls in classes:
+            assert (cls.__name__, cli._exit_code(cls("x"))) == \
+                (cls.__name__, documented[cls.__name__])
+
+
+THRESHOLDS_OK = {"schema": "embinvert-thresholds-v1",
+                 "models": {"synthetic-embedder-0":
+                            {"tau_F": 0.3, "eer": 0.01, "tau_C": 0.95}}}
+
+
+class TestMalformedInputsExit4:
+    @pytest.mark.parametrize("payload", [
+        {"schema": "embinvert-thresholds-v1"},
+        [THRESHOLDS_OK],
+        {"schema": "embinvert-thresholds-v1", "models": {"m": {"tau_F": "high"}}},
+    ], ids=["no-models", "json-list", "non-numeric"])
+    def test_thresholds(self, attacked, capsys, payload):
+        cfg_path, config = attacked
+        with open(config.thresholds_path, "w") as fh:
+            json.dump(payload, fh)
+        assert main(["report", "--config", str(cfg_path)]) == 4
+        tau_cfg, _ = write_config(Path(config.pool_path).parent,
+                                  tau_c="calibrate", num_targets=1)
+        assert main(["attack", "--config", str(tau_cfg)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "missing-target-model", '"a json string"', "[1, 2]", "negative-index",
+    ], ids=["missing-target-model", "json-string", "json-list", "negative-index"])
+    def test_results(self, attacked, capsys, line):
+        cfg_path, config = attacked
+        records = read_results(config.results_path)
+        if line == "missing-target-model":
+            del records[1]["target_model_id"]
+        elif line == "negative-index":
+            records[1]["image_index"] = -1
+        lines = [json.dumps(rec) for rec in records]
+        if line.startswith(('"', "[")):
+            lines[1] = line
+        Path(config.results_path).write_text("\n".join(lines) + "\n")
+        assert main(["report", "--config", str(cfg_path)]) == 4
+        assert "line 2" in capsys.readouterr().err
+
+    def test_image_index_beyond_the_identity_exits_2(self, attacked, capsys):
+        cfg_path, config = attacked
+        records = read_results(config.results_path)
+        records[0]["image_index"] = config.images_per_identity
+        Path(config.results_path).write_text(
+            "".join(json.dumps(rec) + "\n" for rec in records))
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        assert "has 4 images" in capsys.readouterr().err

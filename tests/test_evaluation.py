@@ -3,13 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from embinvert.core import EmbeddingVector, ImageSample
+from embinvert.core import EmbeddingVector, ImageSample, cosine_similarity, decide_match
 from embinvert.errors import (
     ConfigInvalid,
+    DimensionMismatch,
     EmptyCalibration,
     InsufficientImages,
     LengthMismatch,
     TargetLeak,
+    ZeroNormEmbedding,
 )
 from embinvert.evaluation import (
     CalibrationSet,
@@ -21,7 +23,7 @@ from embinvert.evaluation import (
     type1_accuracy,
     type2_accuracy,
 )
-from embinvert.models import WorldConfig, make_synthetic_world
+from embinvert.models import EmbedderHandle, SyntheticEmbedder, WorldConfig, make_synthetic_world
 
 from conftest import DESK_SEED
 
@@ -129,8 +131,11 @@ class TestComputeEerThreshold:
             CalibrationSet(genuine_scores=(1.5,), impostor_scores=(0.1,))
 
 
-class GramEmbedder:
-    """Embedder whose images carry their own embedding in the table."""
+class GramEmbedder(EmbedderHandle):
+    """Embedder whose images carry their own embedding in the table.
+
+    It implements only ``embed``; ``embed_batch`` is the inherited default.
+    """
 
     model_id = "gram"
     tau_F = 0.5
@@ -346,3 +351,286 @@ class TestCrossModelReport:
     def test_no_cases_rejected(self, desk_world):
         with pytest.raises(LengthMismatch):
             cross_model_report([], desk_world.embedders)
+
+
+# The per-image, per-pair loops that the batched evaluation replaced, kept
+# here as the reference it must reproduce.
+
+def calibration_loop_reference(images_by_identity, embedder, seed, impostor_factor=1):
+    embeddings = [[embedder.embed(img) for img in group]
+                  for group in images_by_identity]
+    genuine = [
+        cosine_similarity(group[a], group[b])
+        for group in embeddings
+        for a in range(len(group)) for b in range(a + 1, len(group))
+    ]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    impostor = []
+    n_id = len(embeddings)
+    while len(impostor) < impostor_factor * len(genuine):
+        i, j = rng.choice(n_id, size=2, replace=False)
+        a = rng.integers(0, len(embeddings[i]))
+        b = rng.integers(0, len(embeddings[j]))
+        impostor.append(cosine_similarity(embeddings[i][a], embeddings[j][b]))
+    return CalibrationSet(genuine_scores=genuine, impostor_scores=impostor)
+
+
+def confidence_loop_reference(images_by_identity, embedder,
+                              include_cross_identity=False):
+    embeddings = [[embedder.embed(img) for img in group]
+                  for group in images_by_identity]
+    groups = ([[e for group in embeddings for e in group]]
+              if include_cross_identity else embeddings)
+    return max(cosine_similarity(group[a], group[b])
+               for group in groups
+               for a in range(len(group)) for b in range(a + 1, len(group)))
+
+
+def report_rows_loop_reference(cases, eval_models):
+    rows = []
+    for case in cases:
+        for model in eval_models:
+            rec_emb = model.embed(case.reconstruction)
+            sim = cosine_similarity(rec_emb, model.embed(case.target_image))
+            hits = sum(decide_match(cosine_similarity(rec_emb, model.embed(alt)),
+                                    model.tau_F)
+                       for alt in case.alt_images)
+            rows.append((sim, decide_match(sim, model.tau_F),
+                         hits / len(case.alt_images)))
+    return rows
+
+
+# Seeds 7, 19 and 23 at desk size; 1009 at the paper-point size of
+# 200 identities x 8 images with 128-d embeddings.
+REFERENCE_WORLDS = [
+    (7, WorldConfig()),
+    (19, WorldConfig(n_identities=12, images_per_identity=5, identity_noise=1.0)),
+    (23, WorldConfig(n_identities=9, images_per_identity=3, embedder_dims=(16, 48))),
+    (1009, WorldConfig(n_identities=200, images_per_identity=8,
+                       embedder_dims=(128, 128))),
+]
+
+
+@pytest.fixture(scope="module", params=REFERENCE_WORLDS, ids=lambda p: f"seed{p[0]}")
+def reference_world(request):
+    seed, config = request.param
+    return seed, make_synthetic_world(config, seed)
+
+
+class CountingEmbedder(SyntheticEmbedder):
+    """A synthetic embedder that counts its ``embed``/``embed_batch`` calls."""
+
+    def __init__(self, inner):
+        self.__dict__.update(inner.__dict__)
+        self.embed_calls = 0
+        self.batch_calls = 0
+
+    def embed(self, image):
+        self.embed_calls += 1
+        return super().embed(image)
+
+    def embed_batch(self, images):
+        self.batch_calls += 1
+        return super().embed_batch(images)
+
+
+class BrokenBatchEmbedder(EmbedderHandle):
+    """Returns ``embed_batch`` output of the wrong shape."""
+
+    model_id = "broken"
+    tau_F = 0.5
+    d_emb = 4
+
+    def __init__(self, trim_rows):
+        self.trim_rows = trim_rows
+
+    def embed_batch(self, images):
+        rows = np.ones((len(images), self.d_emb))
+        return rows[1:] if self.trim_rows else rows.reshape(-1)
+
+
+def evaluation_cases(world, n, n_alts=None):
+    """Reconstructions from the next identity, so that some rows miss."""
+    ids = world.identities
+    cases = []
+    for t in range(n):
+        own, other = ids[t % len(ids)], ids[(t + 1) % len(ids)]
+        alts = own.images[1:] if n_alts is None else own.images[1:1 + n_alts(t)]
+        cases.append(EvaluationCase(
+            target_id=f"t{t}", target_model_id=world.embedders[0].model_id,
+            reconstruction=(own.images[1] if t % 3 else other.images[0]),
+            target_image=own.images[0], alt_images=tuple(alts),
+            queries=t, wall_time=0.0))
+    return cases
+
+
+class TestBatchedEvaluationMatchesLoops:
+    def test_calibration_scores_and_thresholds(self, reference_world):
+        seed, world = reference_world
+        groups = [rec.images for rec in world.identities]
+        for k, emb in enumerate(world.embedders):
+            cal = calibration_set_from_images(groups, emb, seed=[seed, 4, k])
+            ref = calibration_loop_reference(groups, emb, seed=[seed, 4, k])
+            assert len(cal.genuine_scores) == len(ref.genuine_scores)
+            assert len(cal.impostor_scores) == len(ref.impostor_scores)
+            np.testing.assert_allclose(cal.genuine_scores, ref.genuine_scores,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cal.impostor_scores, ref.impostor_scores,
+                                       rtol=0, atol=1e-12)
+            tau_f, eer = compute_eer_threshold(cal)
+            ref_tau_f, ref_eer = compute_eer_threshold(ref)
+            assert abs(tau_f - ref_tau_f) <= 1e-12
+            assert abs(eer - ref_eer) <= 1e-12
+            assert abs(emb.tau_F - ref_tau_f) <= 1e-12  # set at world build
+            tau_c = compute_confidence_threshold(groups, emb)
+            assert abs(tau_c - confidence_loop_reference(groups, emb)) <= 1e-12
+
+    def test_impostor_factor_keeps_the_draws(self, desk_world):
+        groups = [rec.images for rec in desk_world.identities]
+        emb = desk_world.embedders[1]
+        cal = calibration_set_from_images(groups, emb, seed=3, impostor_factor=3)
+        ref = calibration_loop_reference(groups, emb, seed=3, impostor_factor=3)
+        np.testing.assert_allclose(cal.impostor_scores, ref.impostor_scores,
+                                   rtol=0, atol=1e-12)
+
+    def test_unequal_groups(self, desk_world):
+        ids = desk_world.identities
+        groups = [ids[0].images, ids[1].images[:1], ids[2].images[:2],
+                  ids[3].images[:3]]
+        emb = desk_world.embedders[0]
+        cal = calibration_set_from_images(groups, emb, seed=5)
+        ref = calibration_loop_reference(groups, emb, seed=5)
+        np.testing.assert_allclose(cal.genuine_scores, ref.genuine_scores,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cal.impostor_scores, ref.impostor_scores,
+                                   rtol=0, atol=1e-12)
+        assert abs(compute_confidence_threshold(groups, emb)
+                   - confidence_loop_reference(groups, emb)) <= 1e-12
+
+    def test_cross_identity_flag(self, desk_world):
+        groups = [rec.images for rec in desk_world.identities]
+        for emb in desk_world.embedders:
+            widened = compute_confidence_threshold(groups, emb,
+                                                   include_cross_identity=True)
+            assert abs(widened - confidence_loop_reference(
+                groups, emb, include_cross_identity=True)) <= 1e-12
+
+    def test_cross_model_report_rows(self, reference_world):
+        _seed, world = reference_world
+        cases = evaluation_cases(world, 40)
+        report = cross_model_report(cases, world.embedders)
+        ref = report_rows_loop_reference(cases, world.embedders)
+        assert len(report.rows) == len(ref)
+        assert any(not row.type1_hit for row in report.rows)
+        for row, (sim, hit, rate) in zip(report.rows, ref):
+            assert abs(row.similarity - sim) <= 1e-12
+            assert row.type1_hit == hit
+            assert row.type2_rate == rate
+
+    def test_cross_model_report_with_differing_alternate_counts(self, desk_world):
+        cases = evaluation_cases(desk_world, 9, n_alts=lambda t: 1 + t % 3)
+        report = cross_model_report(cases, desk_world.embedders)
+        ref = report_rows_loop_reference(cases, desk_world.embedders)
+        assert [(r.type1_hit, r.type2_rate) for r in report.rows] == \
+            [(hit, rate) for _sim, hit, rate in ref]
+
+    def test_type1_and_type2_accuracy(self, desk_world):
+        cases = evaluation_cases(desk_world, 12)
+        recs = [c.reconstruction for c in cases]
+        tgts = [c.target_image for c in cases]
+        alts = [c.alt_images for c in cases]
+        for emb in desk_world.embedders:
+            ref = report_rows_loop_reference(cases, [emb])
+            assert type1_accuracy(recs, tgts, emb, emb.tau_F) == \
+                sum(hit for _s, hit, _r in ref) / len(cases)
+            hits = sum(round(rate * len(alts[0])) for _s, _h, rate in ref)
+            assert type2_accuracy(recs, alts, emb, emb.tau_F, tgts) == \
+                hits / (len(cases) * len(alts[0]))
+
+
+class TestBatchedEvaluationCalls:
+    def test_one_embed_batch_per_model_and_no_embed(self, desk_world):
+        groups = [rec.images for rec in desk_world.identities]
+        cases = evaluation_cases(desk_world, 5)
+        recs = [c.reconstruction for c in cases]
+        tgts = [c.target_image for c in cases]
+        alts = [c.alt_images for c in cases]
+        calls = {
+            "calibration_set_from_images":
+                lambda emb: calibration_set_from_images(groups, emb, seed=1),
+            "compute_confidence_threshold":
+                lambda emb: compute_confidence_threshold(groups, emb),
+            "cross_identity":
+                lambda emb: compute_confidence_threshold(
+                    groups, emb, include_cross_identity=True),
+            "type1_accuracy": lambda emb: type1_accuracy(recs, tgts, emb, 0.5),
+            "type2_accuracy": lambda emb: type2_accuracy(recs, alts, emb, 0.5, tgts),
+        }
+        for name, call in calls.items():
+            emb = CountingEmbedder(desk_world.embedders[0])
+            call(emb)
+            assert (name, emb.batch_calls, emb.embed_calls) == (name, 1, 0)
+        models = [CountingEmbedder(e) for e in desk_world.embedders]
+        cross_model_report(cases, models)
+        assert [(m.batch_calls, m.embed_calls) for m in models] == [(1, 0), (1, 0)]
+
+
+class TestBatchedEvaluationErrors:
+    def test_target_leak_in_cross_model_report(self, desk_world):
+        cases = evaluation_cases(desk_world, 3)
+        leaked = cases[2]
+        cases[2] = EvaluationCase(
+            leaked.target_id, leaked.target_model_id, leaked.reconstruction,
+            leaked.target_image, leaked.alt_images + (leaked.target_image,),
+            leaked.queries, leaked.wall_time)
+        with pytest.raises(TargetLeak, match="alternate of target 2 equals"):
+            cross_model_report(cases, desk_world.embedders)
+
+    def test_empty_alternates_rejected(self, desk_world):
+        cases = evaluation_cases(desk_world, 3, n_alts=lambda t: 0 if t == 1 else 2)
+        with pytest.raises(LengthMismatch, match="at least one alternate"):
+            cross_model_report(cases, desk_world.embedders)
+        f = desk_world.embedders[0]
+        ids = desk_world.identities[:2]
+        with pytest.raises(LengthMismatch, match="at least one alternate"):
+            type2_accuracy([rec.images[1] for rec in ids], [[], []], f, 0.5,
+                           [rec.images[0] for rec in ids])
+
+    def test_zero_norm_embedding_rejected(self):
+        images, embedder = images_with_gram([[1.0, 0.5], [0.5, 1.0]])
+        zero = ImageSample(np.full((1, 2, 2), 0.75))
+        embedder.table[hashlib.sha256(zero.values.tobytes()).hexdigest()] = \
+            np.zeros(2)
+        with pytest.raises(ZeroNormEmbedding):
+            compute_confidence_threshold([images + [zero]], embedder)
+        with pytest.raises(ZeroNormEmbedding):
+            calibration_set_from_images([images, [zero]], embedder, seed=0)
+        with pytest.raises(ZeroNormEmbedding):
+            type1_accuracy([zero], [images[0]], embedder, 0.5)
+
+    @pytest.mark.parametrize("trim_rows", [True, False])
+    def test_bad_embed_batch_shape_rejected(self, desk_world, trim_rows):
+        groups = [rec.images for rec in desk_world.identities[:3]]
+        embedder = BrokenBatchEmbedder(trim_rows)
+        with pytest.raises(DimensionMismatch):
+            calibration_set_from_images(groups, embedder, seed=0)
+        with pytest.raises(DimensionMismatch):
+            compute_confidence_threshold(groups, embedder)
+        with pytest.raises(DimensionMismatch):
+            cross_model_report(evaluation_cases(desk_world, 2), [embedder])
+
+    def test_too_few_images_rejected(self, desk_world):
+        f = desk_world.embedders[0]
+        ids = desk_world.identities
+        with pytest.raises(EmptyCalibration, match="two identities"):
+            calibration_set_from_images([ids[0].images], f, seed=0)
+        with pytest.raises(EmptyCalibration, match="no genuine pairs"):
+            calibration_set_from_images([ids[0].images[:1], ids[1].images[:1]],
+                                        f, seed=0)
+        with pytest.raises(InsufficientImages, match="every identity"):
+            calibration_set_from_images([ids[0].images, ()], f, seed=0)
+        with pytest.raises(InsufficientImages):
+            compute_confidence_threshold([], f)
+        with pytest.raises(InsufficientImages):
+            compute_confidence_threshold([ids[0].images[:1]], f,
+                                         include_cross_identity=True)

@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from embinvert.errors import IoFailure
+from embinvert.errors import EmbinvertError, IoFailure
 from embinvert.evaluation import EvaluationCase, cross_model_report
 from embinvert.fileio import replace_file
 from embinvert.pipeline import AttackSettings, MODE_WHITEBOX, run_attack
 from embinvert.records import (
+    THRESHOLDS_SCHEMA,
     failure_record,
     format_report,
     read_results,
@@ -142,3 +145,103 @@ class TestReportFormatting:
         assert len(averages) == 2
         summary = [l for l in lines if l.startswith("#")]
         assert any("cross_model_type2" in l for l in summary)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+def record_like():
+    """Result records with fields dropped, retyped or replaced."""
+    base = failure_record(target_id="t", target_model_id="m", identity_id="i",
+                          image_index=0, config_checksum="c", error=None)
+    base.update(refined_latent=[0.5, -0.25], ledger={"total": 3}, wall_time=0.1)
+    return st.builds(
+        lambda drop, changes: {**{k: v for k, v in base.items() if k not in drop},
+                               **changes},
+        st.sets(st.sampled_from(sorted(base))),
+        st.dictionaries(st.sampled_from(sorted(base)), json_values, max_size=3))
+
+
+def thresholds_like():
+    entry = st.fixed_dictionaries({}, optional={
+        key: json_values for key in ("tau_F", "tau_C", "eer")})
+    models = st.dictionaries(st.text(max_size=4), entry | json_values, max_size=3)
+    return st.fixed_dictionaries({}, optional={
+        "schema": st.just(THRESHOLDS_SCHEMA) | json_values,
+        "models": models | json_values}) | json_values
+
+
+class TestReadersFailClosed:
+    """Malformed input ends as an EmbinvertError, never another exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(record_like() | json_values, min_size=1, max_size=3))
+    def test_read_results_json(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("fuzz") / "r.ndjson"
+        path.write_text("".join(json.dumps(v) + "\n" for v in lines))
+        try:
+            records = read_results(path)
+        except EmbinvertError:
+            return
+        for rec in records:
+            rec["target_model_id"], rec["identity_id"], rec["image_index"]
+            if rec["error"] is None:
+                rec["ledger"]["total"], rec["wall_time"], rec["refined_latent"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=thresholds_like())
+    def test_read_thresholds_json(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("fuzz") / "t.json"
+        path.write_text(json.dumps(payload))
+        try:
+            by_model = read_thresholds(path)
+        except EmbinvertError:
+            return
+        for entry in by_model.values():
+            float(entry["tau_F"]) + float(entry["tau_C"]) + float(entry["eer"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=64) | st.text(max_size=64).map(str.encode))
+    def test_arbitrary_bytes(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "f"
+        path.write_bytes(data)
+        for reader in (read_results, read_thresholds):
+            try:
+                reader(path)
+            except EmbinvertError:
+                pass
+
+    def test_deep_nesting(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000 + "\n")
+        for reader in (read_results, read_thresholds):
+            with pytest.raises(IoFailure):
+                reader(path)
+
+    @pytest.mark.parametrize("payload", [
+        {"schema": THRESHOLDS_SCHEMA},
+        [{"schema": THRESHOLDS_SCHEMA, "models": {}}],
+        {"schema": THRESHOLDS_SCHEMA, "models": {"m": {"tau_F": 0.3, "eer": 0.1}}},
+        {"schema": THRESHOLDS_SCHEMA,
+         "models": {"m": {"tau_F": True, "eer": 0.1, "tau_C": 0.9}}},
+    ], ids=["no-models", "json-list", "missing-tau_C", "boolean"])
+    def test_malformed_thresholds(self, tmp_path, payload):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(IoFailure):
+            read_thresholds(path)
+
+    @pytest.mark.parametrize("rec", [
+        "a json string",
+        {"schema": "embinvert-result-v1", "target_id": "t", "identity_id": "i",
+         "image_index": 0, "error": "x"},
+    ], ids=["json-string", "missing-target_model_id"])
+    def test_malformed_results(self, tmp_path, rec):
+        path = tmp_path / "r.ndjson"
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(IoFailure, match="line 1"):
+            read_results(path)
