@@ -12,6 +12,16 @@ Gradient support is expressed through vector-Jacobian products so that the
 white-box loss gradient composes generically:
 
     d loss / d latent = G.vjp(latent, F.vjp(image, d cos / d embedding))
+
+The attack loop runs each forward pass once: ``generate_vjp`` and
+``embed_vjp`` return the forward output together with a pullback that
+runs the backward pass on the kept activations.  Their base-class
+defaults are built from ``generate``/``embed`` and ``vjp``, so an adapter
+that implements only those works unchanged; the synthetic handles
+override them to keep their activations and skip the value-object
+wrappers.  ``AttackSession.value_and_grad`` composes the two into one
+charged evaluation whose gradient comes free; ``loss_eval`` and
+``loss_gradient`` stay as the plain reference composition.
 """
 import math
 from dataclasses import dataclass, field
@@ -19,7 +29,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import EmbeddingVector, ImageSample, LatentCode, cosine_similarity
+from .core import (
+    EmbeddingVector,
+    ImageSample,
+    LatentCode,
+    _as_float_vector,
+    cosine_similarity,
+)
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -46,6 +62,16 @@ class GeneratorHandle:
         """Pull an image-space cotangent back to latent space."""
         raise GradientUnavailable(f"generator {self.generator_id!r} has no gradient")
 
+    def generate_vjp(self, latent_values: np.ndarray):
+        """One forward pass: ``(image array, pullback)``.
+
+        ``pullback(image_cotangent)`` returns the latent-space cotangent.
+        This default calls ``generate`` and ``vjp``, so the pullback redoes
+        the forward pass; override it to keep the activations instead.
+        """
+        image = self.generate(LatentCode(latent_values)).values
+        return image, lambda image_cotangent: self.vjp(latent_values, image_cotangent)
+
 
 class EmbedderHandle:
     """Maps images deterministically to unit-comparable embeddings."""
@@ -69,6 +95,17 @@ class EmbedderHandle:
     def vjp(self, image: ImageSample, embedding_cotangent: np.ndarray) -> np.ndarray:
         raise GradientUnavailable(f"embedder {self.model_id!r} has no gradient")
 
+    def embed_vjp(self, image: np.ndarray):
+        """One forward pass: ``(unit embedding, pullback)``.
+
+        ``pullback(embedding_cotangent)`` returns the image-space cotangent.
+        This default calls ``embed`` and ``vjp``, so the pullback redoes the
+        forward pass; override it to keep the activations instead.
+        """
+        sample = ImageSample(image)
+        embedding = self.embed(sample).values
+        return embedding, lambda embedding_cotangent: self.vjp(sample, embedding_cotangent)
+
 
 class DetectorHandle:
     """Returns a confidence in [0, 1] that an image contains a face."""
@@ -86,7 +123,7 @@ def _check_latent(g: GeneratorHandle, latent_values: np.ndarray):
         )
 
 
-def _check_image(expected_shape, image: ImageSample, who: str):
+def _check_image(expected_shape, image: np.ndarray, who: str):
     if image.shape != tuple(expected_shape):
         raise ShapeMismatch(
             f"{who}: image shape {image.shape} != expected {tuple(expected_shape)}"
@@ -113,15 +150,20 @@ class SyntheticGenerator(GeneratorHandle):
         self.bias = 0.5 * rng.standard_normal(d_pix)
 
     def generate(self, latent: LatentCode) -> ImageSample:
-        _check_latent(self, latent.values)
-        flat = np.tanh(self.weight @ latent.values + self.bias)
-        return ImageSample(flat.reshape(self.output_shape))
+        return ImageSample(self.generate_vjp(latent.values)[0])
 
     def vjp(self, latent_values: np.ndarray, image_cotangent: np.ndarray) -> np.ndarray:
+        return self.generate_vjp(latent_values)[1](image_cotangent)
+
+    def generate_vjp(self, latent_values: np.ndarray):
+        """The image and a pullback that reuses its tanh activation."""
         _check_latent(self, latent_values)
-        pre = self.weight @ latent_values + self.bias
-        act = np.tanh(pre)
-        return self.weight.T @ ((1.0 - act * act) * image_cotangent.reshape(-1))
+        act = np.tanh(self.weight @ latent_values + self.bias)
+
+        def pullback(image_cotangent: np.ndarray) -> np.ndarray:
+            return self.weight.T @ ((1.0 - act * act) * image_cotangent.reshape(-1))
+
+        return act.reshape(self.output_shape), pullback
 
 
 class SyntheticEmbedder(EmbedderHandle):
@@ -145,12 +187,7 @@ class SyntheticEmbedder(EmbedderHandle):
         self.weight = rng.standard_normal((self.d_emb, d_pix)) / math.sqrt(d_pix)
 
     def embed(self, image: ImageSample) -> EmbeddingVector:
-        _check_image(self.input_shape, image, f"embedder {self.model_id}")
-        raw = self.weight @ image.flat()
-        norm = np.linalg.norm(raw)
-        if norm == 0.0:
-            raise ZeroNormEmbedding(f"embedder {self.model_id}: raw embedding is zero")
-        return EmbeddingVector(raw / norm)
+        return EmbeddingVector(self.embed_vjp(image.values)[0])
 
     def embed_batch(self, images: np.ndarray) -> np.ndarray:
         """One matmul for the whole stack; the same checks as ``embed``."""
@@ -167,15 +204,28 @@ class SyntheticEmbedder(EmbedderHandle):
         return raw / norms[:, None]
 
     def vjp(self, image: ImageSample, embedding_cotangent: np.ndarray) -> np.ndarray:
+        return self.embed_vjp(image.values)[1](embedding_cotangent)
+
+    def embed_vjp(self, image: np.ndarray):
+        """The unit embedding and a pullback that reuses its raw embedding
+        and norm."""
         _check_image(self.input_shape, image, f"embedder {self.model_id}")
-        raw = self.weight @ image.flat()
+        raw = self.weight @ image.reshape(-1)
         norm = np.linalg.norm(raw)
         if norm == 0.0:
             raise ZeroNormEmbedding(f"embedder {self.model_id}: raw embedding is zero")
+        if not math.isfinite(norm):
+            # A finite norm means every entry of raw, and so of unit, is finite.
+            raise ValueError("embedding entries must be finite")
         unit = raw / norm
-        # Backprop through v / ||v||.
-        cot_raw = (embedding_cotangent - np.dot(unit, embedding_cotangent) * unit) / norm
-        return (self.weight.T @ cot_raw).reshape(self.input_shape)
+
+        def pullback(embedding_cotangent: np.ndarray) -> np.ndarray:
+            # Backprop through v / ||v||.
+            cot_raw = (embedding_cotangent
+                       - np.dot(unit, embedding_cotangent) * unit) / norm
+            return (self.weight.T @ cot_raw).reshape(self.input_shape)
+
+        return unit, pullback
 
 
 class SyntheticDetector(DetectorHandle):
@@ -451,7 +501,7 @@ class AttackSession:
 
     Black-box sessions (allow_gradient=False) raise GradientUnavailable on
     any gradient request regardless of what the handles could provide.
-    Gradient calls in white-box sessions are not charged; queries count
+    Gradients in white-box sessions are not charged; queries count
     objective evaluations only.
     """
 
@@ -463,13 +513,40 @@ class AttackSession:
         self.allow_gradient = allow_gradient
 
     def loss(self, latent_values: np.ndarray, target: EmbeddingVector) -> float:
-        self.ledger.charge_adv(1)
-        return loss_eval(self.generator, self.embedder,
-                         LatentCode(latent_values), target)
+        """The objective at one point (one query)."""
+        return self._forward(latent_values, target)[0]
 
-    def loss_gradient(self, latent_values: np.ndarray,
-                      target: EmbeddingVector) -> np.ndarray:
+    def value_and_grad(self, latent_values: np.ndarray, target: EmbeddingVector):
+        """``(objective, grad_fn)`` from one forward pass (one query).
+
+        ``grad_fn()`` returns the gradient with respect to the latent values
+        from the kept activations; it is not charged and equals
+        ``loss_gradient`` at the same point.
+        """
         if not self.allow_gradient:
             raise GradientUnavailable("black-box session: gradients are out of reach")
-        return loss_gradient(self.generator, self.embedder,
-                             LatentCode(latent_values), target)
+        if not (self.generator.supports_gradient and self.embedder.supports_gradient):
+            raise GradientUnavailable("generator or embedder does not expose gradients")
+        return self._forward(latent_values, target)
+
+    def _forward(self, latent_values, target: EmbeddingVector):
+        # The value is cosine_similarity's arithmetic and the gradient
+        # loss_gradient's, op for op, so results match loss_eval and
+        # loss_gradient bit for bit.
+        self.ledger.charge_adv(1)
+        x = _as_float_vector(latent_values)
+        image, generator_pullback = self.generator.generate_vjp(x)
+        e, embedder_pullback = self.embedder.embed_vjp(image)
+        t = target.values
+        if e.size != t.size:
+            raise DimensionMismatch(f"embedding lengths differ: {e.size} vs {t.size}")
+        e_norm = np.linalg.norm(e)
+        t_norm = np.linalg.norm(t)
+        if e_norm == 0.0 or t_norm == 0.0:
+            raise ZeroNormEmbedding("cosine similarity undefined for zero-norm embedding")
+        s = min(1.0, max(-1.0, float(np.dot(e, t) / (e_norm * t_norm))))
+
+        def grad_fn() -> np.ndarray:
+            return generator_pullback(embedder_pullback(t / t_norm))
+
+        return s, grad_fn

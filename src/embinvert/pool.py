@@ -270,7 +270,16 @@ def load_pool(path) -> LatentPool:
     if zlib.crc32(data[:-4]) != stored_crc:
         raise ChecksumMismatch(f"{path}: whole-file checksum mismatch")
 
-    r = _Reader(data[:-4])
+    try:
+        return _parse_pool(data[:-4], path)
+    except ValueError as exc:
+        # Checksums match but a field is out of range: a generator id that
+        # is not UTF-8, or a p_K, p_D or pixel the value types reject.
+        raise IoFailure(f"{path}: malformed pool file: {exc}") from exc
+
+
+def _parse_pool(data: bytes, path) -> LatentPool:
+    r = _Reader(data)
     r.take(len(_MAGIC))
     version, algo = r.unpack("<HB")
     if version != _FORMAT_VERSION:

@@ -15,9 +15,14 @@ AttackSession and share the same bookkeeping contract:
 The white-box path is projected gradient ascent with momentum and an
 adaptive step schedule: progress is reviewed at a thinning sequence of
 checkpoints and, when a review fails, the step is halved and the search
-restarts from the best point so far.  The black-box path is a greedy
+restarts from the best point so far.  Each evaluated point costs one
+``session.value_and_grad`` call: one forward pass gives the charged
+similarity and a gradient closure.  The closures of the current and the
+best point are kept, so a restart reuses the best point's gradient and a
+stop at tau_C runs no backward pass.  The black-box path is a greedy
 coordinate search driven entirely by observed objective gains; it never
-touches gradients.
+touches gradients, and picks each coordinate with one vectorised
+lexicographic argmax.
 """
 import math
 from dataclasses import dataclass
@@ -166,7 +171,8 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
         raise ConfigInvalid(f"t_max must be >= 1, got {t_max}")
     x0 = x_G.values
     trace = []
-    s0 = _finite_or_raise(session.loss(x0, target), trace)
+    s0, grad_fn = session.value_and_grad(x0, target)
+    _finite_or_raise(s0, trace)
     queries = 1
     if s0 >= tau_C:
         return RefineResult(refined=x_G, initial_similarity=s0,
@@ -177,7 +183,9 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
     step = step_config.initial_step_factor * budget.epsilon
     delta = np.zeros_like(x0)
     delta_prev = delta
-    best_s, best_delta = s0, delta
+    # The gradient of each evaluated point is kept, unevaluated, so a
+    # checkpoint restart from the best point runs no extra forward pass.
+    best_s, best_delta, best_grad_fn = s0, delta, grad_fn
     s_prev = s0
     successes = 0
     checkpoints = _checkpoints(t_max, step_config)
@@ -189,7 +197,7 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
     stop_reason = STOP_BUDGET
     iterations = 0
     for it in range(1, t_max + 1):
-        grad = session.loss_gradient(x0 + delta, target)
+        grad = grad_fn()
         if budget.norm == NORM_L2:
             gnorm = float(np.linalg.norm(grad))
             direction = grad / gnorm if gnorm > 0 else grad
@@ -201,7 +209,8 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
                             budget)
         delta_prev, delta = delta, candidate
 
-        s = _finite_or_raise(session.loss(x0 + delta, target), trace)
+        s, grad_fn = session.value_and_grad(x0 + delta, target)
+        _finite_or_raise(s, trace)
         queries += 1
         trace.append(s)
         iterations = it
@@ -209,7 +218,7 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
             successes += 1
         s_prev = s
         if s > best_s:
-            best_s, best_delta = s, delta
+            best_s, best_delta, best_grad_fn = s, delta, grad_fn
         if s >= tau_C:
             stop_reason = STOP_CONFIDENCE
             break
@@ -222,6 +231,7 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
                 step *= 0.5
                 delta = best_delta
                 delta_prev = best_delta
+                grad_fn = best_grad_fn
                 s_prev = best_s
                 halved_at_last_cp = True
             else:
@@ -237,6 +247,25 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
                         final_similarity=max(best_s, s0),
                         iterations_used=iterations, queries_used=queries,
                         stop_reason=stop_reason, trace=tuple(trace))
+
+
+def _greedy_coordinate(scores: np.ndarray, last_visit: np.ndarray,
+                       allowed: Optional[np.ndarray]) -> int:
+    """The coordinate with the highest decayed gain; ties go to the least
+    recently visited, then the lowest index, which makes the opening pass
+    a plain sweep.  ``allowed`` (ascending indices) restricts the choice.
+
+    This is the lexicographic maximum of (score, -last_visit, -index).
+    """
+    if allowed is not None:
+        scores = scores[allowed]
+        last_visit = last_visit[allowed]
+    ties = np.flatnonzero(scores == scores.max())
+    if ties.size > 1:
+        visits = last_visit[ties]
+        ties = ties[visits == visits.min()]
+    j = int(ties[0])
+    return j if allowed is None else int(allowed[j])
 
 
 def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
@@ -269,19 +298,19 @@ def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
     delta = np.zeros(d)
     best_delta = delta
     touched = set()
+    allowed = None                    # every coordinate until max_coords is hit
     step = cfg.initial_step
     window = cfg.stagnation_window if cfg.stagnation_window > 0 else d
     consecutive_fails = 0
     stop_reason = STOP_BUDGET
 
     while queries < query_cap:
-        if cfg.max_coords is not None and len(touched) >= cfg.max_coords:
-            allowed = list(touched)
-        else:
-            allowed = range(d)
-        # Highest decayed gain first; ties go to the least recently visited,
-        # then the lowest index, which makes the opening pass a plain sweep.
-        coord = max(allowed, key=lambda j: (scores[j], -last_visit[j], -j))
+        if (allowed is None and cfg.max_coords is not None
+                and len(touched) >= cfg.max_coords):
+            # Only touched coordinates are chosen from here on, so the set
+            # no longer grows.
+            allowed = np.array(sorted(touched))
+        coord = _greedy_coordinate(scores, last_visit, allowed)
         sign = preferred[coord]
         proposal = delta.copy()
         proposal[coord] += sign * step

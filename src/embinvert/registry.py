@@ -43,7 +43,12 @@ def _create(table, kind, key, config):
 
 
 def create_generator(generator_id: str, config) -> GeneratorHandle:
-    return _create(_generator_factories, "generator", generator_id, config)
+    generator = _create(_generator_factories, "generator", generator_id, config)
+    if not isinstance(generator, GeneratorHandle):
+        raise ConfigInvalid(
+            f"generator factory {generator_id!r} returned a "
+            f"{type(generator).__name__}, not a GeneratorHandle")
+    return generator
 
 
 def create_embedder(model_id: str, config) -> EmbedderHandle:

@@ -17,7 +17,10 @@ from embinvert.evaluation import calibration_set_from_images, compute_eer_thresh
 from embinvert.models import (
     AttackSession,
     EmbedderHandle,
+    GeneratorHandle,
     QueryLedger,
+    SyntheticEmbedder,
+    SyntheticGenerator,
     WorldConfig,
     loss_eval,
     loss_gradient,
@@ -232,7 +235,199 @@ class TestLossGradient:
         session = AttackSession(g, f, QueryLedger(), allow_gradient=False)
         target = EmbeddingVector(np.ones(f.d_emb) / np.sqrt(f.d_emb))
         with pytest.raises(GradientUnavailable):
-            session.loss_gradient(np.zeros(g.d_lat), target)
+            session.value_and_grad(np.zeros(g.d_lat), target)
+
+
+def random_target(rng, d_emb):
+    raw = rng.standard_normal(d_emb)
+    return EmbeddingVector(raw / np.linalg.norm(raw))
+
+
+class PlainGenerator(GeneratorHandle):
+    """An adapter that implements only generate and vjp."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.d_lat = inner.d_lat
+        self.output_shape = inner.output_shape
+        self.supports_gradient = True
+        self.generator_id = "plain-generator"
+
+    def generate(self, latent):
+        return self.inner.generate(latent)
+
+    def vjp(self, latent_values, image_cotangent):
+        return self.inner.vjp(latent_values, image_cotangent)
+
+
+class PlainEmbedder(EmbedderHandle):
+    """An adapter that implements only embed and vjp."""
+
+    def __init__(self, inner, supports_gradient=True):
+        self.inner = inner
+        self.d_emb = inner.d_emb
+        self.tau_F = inner.tau_F
+        self.supports_gradient = supports_gradient
+        self.model_id = "plain-embedder"
+
+    def embed(self, image):
+        return self.inner.embed(image)
+
+    def vjp(self, image, embedding_cotangent):
+        return self.inner.vjp(image, embedding_cotangent)
+
+
+class TestValueAndGrad:
+    def test_value_and_gradient_equal_the_references(self, desk_world):
+        g, f = desk_world.generator, desk_world.embedders[0]
+        session = AttackSession(g, f, QueryLedger(), allow_gradient=True)
+        rng = np.random.default_rng(505)
+        for trial in range(60):
+            x = rng.standard_normal(g.d_lat) * (1 + trial % 4)
+            target = random_target(rng, f.d_emb)
+            s, grad_fn = session.value_and_grad(x, target)
+            assert s == session.loss(x, target)
+            assert s == loss_eval(g, f, LatentCode(x), target)
+            assert np.array_equal(grad_fn(), loss_gradient(g, f, LatentCode(x), target))
+
+    def test_unnormalised_target(self, desk_world):
+        g, f = desk_world.generator, desk_world.embedders[1]
+        session = AttackSession(g, f, QueryLedger(), allow_gradient=True)
+        x = sample_latent(g.d_lat, 8)
+        target = EmbeddingVector(np.arange(1.0, f.d_emb + 1.0))
+        s, grad_fn = session.value_and_grad(x.values, target)
+        assert s == loss_eval(g, f, x, target)
+        assert np.array_equal(grad_fn(), loss_gradient(g, f, x, target))
+
+    def test_base_class_defaults_match_the_overrides(self, desk_world):
+        g, f = desk_world.generator, desk_world.embedders[0]
+        fused = AttackSession(g, f, QueryLedger(), allow_gradient=True)
+        plain = AttackSession(PlainGenerator(g), PlainEmbedder(f), QueryLedger(),
+                              allow_gradient=True)
+        rng = np.random.default_rng(506)
+        for _ in range(10):
+            x = rng.standard_normal(g.d_lat)
+            target = random_target(rng, f.d_emb)
+            s, grad_fn = fused.value_and_grad(x, target)
+            s_plain, grad_fn_plain = plain.value_and_grad(x, target)
+            assert s == s_plain
+            assert np.array_equal(grad_fn(), grad_fn_plain())
+
+    def test_one_query_and_a_free_gradient(self, desk_world):
+        g, f = desk_world.generator, desk_world.embedders[0]
+        ledger = QueryLedger(q_max=1)
+        session = AttackSession(g, f, ledger, allow_gradient=True)
+        target = f.embed(desk_world.identities[0].images[0])
+        _, grad_fn = session.value_and_grad(np.zeros(g.d_lat), target)
+        assert (ledger.q_topn, ledger.q_adv) == (0, 1)
+        grad_fn()
+        grad_fn()
+        assert ledger.total == 1
+        with pytest.raises(LedgerOverrun):
+            session.value_and_grad(np.zeros(g.d_lat), target)
+
+    def test_blackbox_session_raises_before_charging(self, desk_world):
+        g, f = desk_world.generator, desk_world.embedders[0]
+        ledger = QueryLedger()
+        session = AttackSession(g, f, ledger, allow_gradient=False)
+        target = f.embed(desk_world.identities[0].images[0])
+        with pytest.raises(GradientUnavailable):
+            session.value_and_grad(np.zeros(g.d_lat), target)
+        assert ledger.total == 0
+
+    def test_handle_without_gradient_raises(self, desk_world):
+        g, f = desk_world.generator, desk_world.embedders[0]
+        session = AttackSession(g, PlainEmbedder(f, supports_gradient=False),
+                                QueryLedger(), allow_gradient=True)
+        target = f.embed(desk_world.identities[0].images[0])
+        with pytest.raises(GradientUnavailable):
+            session.value_and_grad(np.zeros(g.d_lat), target)
+        # The objective alone needs no gradient.
+        assert session.loss(np.zeros(g.d_lat), target) == loss_eval(
+            g, f, LatentCode(np.zeros(g.d_lat)), target)
+
+    def test_zero_target_rejected(self, desk_world):
+        g, f = desk_world.generator, desk_world.embedders[0]
+        session = AttackSession(g, f, QueryLedger(), allow_gradient=True)
+        with pytest.raises(ZeroNormEmbedding):
+            session.value_and_grad(np.zeros(g.d_lat), EmbeddingVector(np.zeros(f.d_emb)))
+
+    def test_boundary_checks_kept(self, desk_world):
+        g, f = desk_world.generator, desk_world.embedders[0]
+        session = AttackSession(g, f, QueryLedger(), allow_gradient=True)
+        target = f.embed(desk_world.identities[0].images[0])
+        with pytest.raises(DimensionMismatch):
+            session.value_and_grad(np.zeros(5), target)
+        with pytest.raises(DimensionMismatch):
+            session.value_and_grad(np.zeros((2, g.d_lat)), target)
+        with pytest.raises(DimensionMismatch):
+            session.value_and_grad(np.zeros(g.d_lat), EmbeddingVector(np.ones(3)))
+        with pytest.raises(ShapeMismatch):
+            f.embed_vjp(np.zeros((3, 4, 4)))
+        with pytest.raises(ZeroNormEmbedding):
+            f.embed_vjp(np.zeros(desk_world.config.image_shape))
+        nan_image = np.full(desk_world.config.image_shape, np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            f.embed_vjp(nan_image)
+        with pytest.raises(ValueError, match="finite"):
+            f.embed(ImageSample(nan_image))
+
+    def test_one_forward_pass_per_evaluated_point(self, desk_world):
+        from embinvert.refine import PerturbationBudget, refine_whitebox
+
+        counts = {}
+
+        def count(name):
+            counts[name] = counts.get(name, 0) + 1
+
+        def counted(pullback, name):
+            def wrapped(cotangent):
+                count(name)
+                return pullback(cotangent)
+            return wrapped
+
+        class CountingGenerator(SyntheticGenerator):
+            def generate(self, latent):
+                count("generate")
+                return super().generate(latent)
+
+            def vjp(self, latent_values, image_cotangent):
+                count("generator vjp")
+                return super().vjp(latent_values, image_cotangent)
+
+            def generate_vjp(self, latent_values):
+                count("generator forward")
+                image, pullback = super().generate_vjp(latent_values)
+                return image, counted(pullback, "generator backward")
+
+        class CountingEmbedder(SyntheticEmbedder):
+            def embed(self, image):
+                count("embed")
+                return super().embed(image)
+
+            def vjp(self, image, embedding_cotangent):
+                count("embedder vjp")
+                return super().vjp(image, embedding_cotangent)
+
+            def embed_vjp(self, image):
+                count("embedder forward")
+                embedding, pullback = super().embed_vjp(image)
+                return embedding, counted(pullback, "embedder backward")
+
+        g0, f0 = desk_world.generator, desk_world.embedders[0]
+        g = CountingGenerator(g0.d_lat, g0.output_shape, np.random.SeedSequence([DESK_SEED, 0]))
+        f = CountingEmbedder(f0.d_emb, f0.input_shape,
+                             np.random.SeedSequence([DESK_SEED, 1, 0]), model_id="counted")
+        assert np.array_equal(g.weight, g0.weight) and np.array_equal(f.weight, f0.weight)
+        session = AttackSession(g, f, QueryLedger(), allow_gradient=True)
+        target = f0.embed(desk_world.identities[2].images[1])
+        r = refine_whitebox(sample_latent(g.d_lat, 40), target, session,
+                            PerturbationBudget("l2", 35.0), t_max=50, tau_C=2.0)
+        assert r.queries_used == 51 and r.iterations_used == 50
+        assert counts == {
+            "generator forward": 51, "embedder forward": 51,
+            "generator backward": 50, "embedder backward": 50,
+        }
 
 
 class TestMakeSyntheticWorld:
@@ -314,5 +509,7 @@ class TestQueryLedger:
         ledger = QueryLedger()
         session = AttackSession(g, f, ledger, allow_gradient=True)
         target = f.embed(desk_world.identities[0].images[0])
-        session.loss_gradient(np.zeros(g.d_lat), target)
-        assert ledger.total == 0
+        _, grad_fn = session.value_and_grad(np.zeros(g.d_lat), target)
+        assert ledger.total == 1
+        grad_fn()
+        assert ledger.total == 1

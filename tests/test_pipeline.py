@@ -111,8 +111,8 @@ class TestRankedAdversary:
             def loss(self, latent_values, target):
                 return float("nan")
 
-            def loss_gradient(self, latent_values, target):
-                return np.zeros_like(latent_values)
+            def value_and_grad(self, latent_values, target):
+                return float("nan"), lambda: np.zeros_like(latent_values)
 
         f = desk_world.embedders[0]
         target = _target(desk_world)

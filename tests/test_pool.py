@@ -1,10 +1,16 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embinvert.core import ImageSample, LatentCode
 from embinvert.errors import (
     ChecksumMismatch,
     ConfigInvalid,
+    EmbinvertError,
     FormatVersionMismatch,
     IoFailure,
     PoolExhausted,
@@ -12,6 +18,7 @@ from embinvert.errors import (
 )
 from embinvert.normality import k2_test
 from embinvert.pool import (
+    LatentPool,
     build_pool,
     load_pool,
     sample_latent,
@@ -267,3 +274,112 @@ class TestPoolPersistence:
         save_pool(quick_pool, p1)
         save_pool(quick_pool, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+_HEADER_FIELDS = {"d_lat": 8, "C": 12, "H": 16, "W": 20, "V": 24, "count": 52}
+_ID_OFFSET = 58  # magic, version, algo, five u32, two f64, i64, u32, u16
+
+
+def reseal(data: bytearray) -> bytes:
+    """Recompute every entry CRC the reader will check, then the file CRC.
+
+    The layout is read from the (possibly mutated) header, so a mutated
+    field moves the CRCs to where the reader looks for them.
+    """
+    d_lat, c, h, w = struct.unpack_from("<4I", data, 8)
+    (count,) = struct.unpack_from("<I", data, 52)
+    (id_len,) = struct.unpack_from("<H", data, 56)
+    entry_len = 24 + 4 * d_lat + 4 * c * h * w
+    pos = _ID_OFFSET + id_len
+    for _ in range(count):
+        if pos + entry_len + 4 > len(data) - 4:
+            break
+        struct.pack_into("<I", data, pos + entry_len,
+                         zlib.crc32(bytes(data[pos:pos + entry_len])))
+        pos += entry_len + 4
+    data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def small_pool_bytes(quick_pool, tmp_path_factory):
+    pool = LatentPool(entries=quick_pool.entries[:3], V=3, tau_K=quick_pool.tau_K,
+                      tau_D=quick_pool.tau_D, generator_id=quick_pool.generator_id,
+                      build_seed=quick_pool.build_seed)
+    path = tmp_path_factory.mktemp("pool") / "small.lpool"
+    save_pool(pool, path)
+    return path.read_bytes()
+
+
+def load_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "p.lpool"
+    path.write_bytes(data)
+    return load_pool(path)
+
+
+class TestMalformedPool:
+    """Files whose checksums match but whose fields are out of range."""
+
+    def test_resealed_pool_still_loads(self, small_pool_bytes, tmp_path_factory):
+        data = reseal(bytearray(small_pool_bytes))
+        assert data == small_pool_bytes
+        assert load_bytes(tmp_path_factory, data).V == 3
+
+    def test_non_utf8_generator_id(self, small_pool_bytes, tmp_path_factory):
+        data = bytearray(small_pool_bytes)
+        data[_ID_OFFSET] = 0xFF
+        with pytest.raises(IoFailure, match="malformed"):
+            load_bytes(tmp_path_factory, reseal(data))
+
+    @pytest.mark.parametrize("field_offset, value", [
+        (8, 1.5), (8, -0.25), (8, float("nan")),      # p_K
+        (16, 2.0), (16, float("inf")),                  # p_D
+    ])
+    def test_score_out_of_range(self, small_pool_bytes, tmp_path_factory,
+                                field_offset, value):
+        (id_len,) = struct.unpack_from("<H", small_pool_bytes, 56)
+        data = bytearray(small_pool_bytes)
+        struct.pack_into("<d", data, _ID_OFFSET + id_len + field_offset, value)
+        with pytest.raises(IoFailure, match="malformed"):
+            load_bytes(tmp_path_factory, reseal(data))
+
+    def test_pixel_out_of_range(self, small_pool_bytes, tmp_path_factory):
+        (id_len,) = struct.unpack_from("<H", small_pool_bytes, 56)
+        (d_lat,) = struct.unpack_from("<I", small_pool_bytes, 8)
+        data = bytearray(small_pool_bytes)
+        struct.pack_into("<f", data, _ID_OFFSET + id_len + 24 + 4 * d_lat + 8, 1.5)
+        with pytest.raises(IoFailure, match="malformed"):
+            load_bytes(tmp_path_factory, reseal(data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
+                          min_size=1, max_size=4),
+           field=st.sampled_from([None] + sorted(_HEADER_FIELDS)),
+           field_value=st.integers(0, 2**32 - 1) | st.integers(0, 4),
+           cut=st.none() | st.integers(0, 10**6))
+    def test_fuzz_resealed_mutations(self, small_pool_bytes, tmp_path_factory,
+                                     edits, field, field_value, cut):
+        data = bytearray(small_pool_bytes)
+        for pos, byte in edits:
+            data[pos % (len(data) - 4)] = byte
+        if field is not None:
+            struct.pack_into("<I", data, _HEADER_FIELDS[field], field_value)
+        data = reseal(data)
+        if cut is not None:
+            data = data[:cut % len(data)]
+        try:
+            load_bytes(tmp_path_factory, data)
+        except EmbinvertError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(prefix=st.sampled_from([b"", b"LPOOL", b"LPOOL\x01\x00\x01"]),
+           body=st.binary(max_size=200))
+    def test_fuzz_arbitrary_bytes(self, tmp_path_factory, prefix, body):
+        data = prefix + body
+        data += struct.pack("<I", zlib.crc32(data))
+        for candidate in (prefix + body, data):
+            try:
+                load_bytes(tmp_path_factory, candidate)
+            except EmbinvertError:
+                pass

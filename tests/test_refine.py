@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from embinvert import refine
+from embinvert.core import LatentCode
 from embinvert.errors import ConfigInvalid, GradientUnavailable, NonFiniteLoss
-from embinvert.models import AttackSession, QueryLedger
+from embinvert.models import AttackSession, QueryLedger, loss_eval, loss_gradient
 from embinvert.pool import sample_latent
 from embinvert.refine import (
     GreedyConfig,
@@ -90,13 +92,14 @@ class RecordingSession:
         self.latents.append(np.array(latent_values))
         return self.inner.loss(latent_values, target)
 
-    def loss_gradient(self, latent_values, target):
+    def value_and_grad(self, latent_values, target):
+        self.latents.append(np.array(latent_values))
         self.gradient_calls += 1
-        return self.inner.loss_gradient(latent_values, target)
+        return self.inner.value_and_grad(latent_values, target)
 
 
 class BrokenSession:
-    """Objective turns NaN after a configurable number of calls."""
+    """Objective turns NaN after a configurable number of evaluations."""
 
     def __init__(self, inner, break_after):
         self.inner = inner
@@ -106,14 +109,73 @@ class BrokenSession:
     ledger = property(lambda self: self.inner.ledger)
     generator = property(lambda self: self.inner.generator)
 
-    def loss(self, latent_values, target):
+    def _broken(self):
         self.calls += 1
-        if self.calls > self.break_after:
+        return self.calls > self.break_after
+
+    def loss(self, latent_values, target):
+        if self._broken():
             return float("nan")
         return self.inner.loss(latent_values, target)
 
-    def loss_gradient(self, latent_values, target):
-        return self.inner.loss_gradient(latent_values, target)
+    def value_and_grad(self, latent_values, target):
+        if self._broken():
+            return float("nan"), None
+        return self.inner.value_and_grad(latent_values, target)
+
+
+class TwoPassSession:
+    """The objective from loss_eval and the gradient from loss_gradient, each
+    with its own forward pass: the reference for the fused session.
+
+    ``values`` holds every objective value in evaluation order, and each
+    gradient request is logged as (index of the evaluated point it belongs
+    to, number of points evaluated so far).
+    """
+
+    def __init__(self, world):
+        self.generator = world.generator
+        self.embedder = world.embedders[0]
+        self.ledger = QueryLedger()
+        self.values = []
+        self.gradient_log = []
+
+    @property
+    def evaluated(self):
+        return len(self.values)
+
+    def loss(self, latent_values, target):
+        self.ledger.charge_adv(1)
+        self.values.append(loss_eval(self.generator, self.embedder,
+                                     LatentCode(latent_values), target))
+        return self.values[-1]
+
+    def value_and_grad(self, latent_values, target):
+        s = self.loss(latent_values, target)
+        point = self.evaluated - 1
+
+        def grad_fn():
+            self.gradient_log.append((point, self.evaluated))
+            return loss_gradient(self.generator, self.embedder,
+                                 LatentCode(latent_values), target)
+
+        return s, grad_fn
+
+
+def same_result(a, b):
+    return (a.trace == b.trace
+            and np.array_equal(a.refined.values, b.refined.values)
+            and a.initial_similarity == b.initial_similarity
+            and a.final_similarity == b.final_similarity
+            and a.queries_used == b.queries_used
+            and a.iterations_used == b.iterations_used
+            and a.stop_reason == b.stop_reason)
+
+
+def reference_greedy_coordinate(scores, last_visit, allowed):
+    """The greedy choice as a Python max over per-coordinate keys."""
+    candidates = range(scores.size) if allowed is None else allowed.tolist()
+    return max(candidates, key=lambda j: (scores[j], -last_visit[j], -j))
 
 
 class TestRefineWhitebox:
@@ -226,6 +288,36 @@ class TestRefineWhitebox:
             refine_whitebox(x, identity_target(desk_world), session, L2(1.0),
                             t_max=0, tau_C=0.9)
 
+    def test_fused_session_equals_two_pass_reference(self, desk_world, desk_pool):
+        restarts = {"l2": 0, "linf": 0}
+        for norm, eps, tau_C in (("l2", 35.0, 0.999), ("l2", 2.0, 0.97),
+                                 ("linf", 0.3, 0.99), ("linf", 0.05, 0.95)):
+            budget = PerturbationBudget(norm, eps)
+            for t in range(12):
+                x = desk_pool.entries[(7 * t) % 100].latent
+                target = identity_target(desk_world, identity=t % 20, image=t % 4)
+                fused = make_session(desk_world)
+                two_pass = TwoPassSession(desk_world)
+                a = refine_whitebox(x, target, fused, budget, t_max=80, tau_C=tau_C)
+                b = refine_whitebox(x, target, two_pass, budget, t_max=80, tau_C=tau_C)
+                assert same_result(a, b), (norm, eps, t)
+                assert fused.ledger.q_adv == two_pass.ledger.q_adv == a.queries_used
+                # A gradient taken at an earlier point than the latest one is
+                # a restart, which must resume from the best point so far.
+                for point, seen in two_pass.gradient_log:
+                    if point < seen - 1:
+                        restarts[norm] += 1
+                        assert two_pass.values[point] == max(two_pass.values[:seen])
+        assert min(restarts.values()) >= 10, restarts
+
+    def test_confident_start_runs_no_backward_pass(self, desk_world):
+        session = TwoPassSession(desk_world)
+        x = sample_latent(desk_world.generator.d_lat, 5)
+        target = session.embedder.embed(session.generator.generate(x))
+        r = refine_whitebox(x, target, session, L2(35.0), t_max=50, tau_C=0.99)
+        assert r.stop_reason == STOP_CONFIDENCE
+        assert session.gradient_log == []
+
 
 class TestRefineBlackbox:
     def test_single_evaluation_when_already_at_target(self, desk_world):
@@ -311,6 +403,54 @@ class TestRefineBlackbox:
         with pytest.raises(ConfigInvalid):
             refine_blackbox(x, identity_target(desk_world), session, L2(1.0),
                             query_cap=0, tau_C=0.9)
+
+
+class TestGreedyCoordinate:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_reference_max(self, data):
+        d = data.draw(st.integers(1, 40))
+        scores = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.25, 1e-300, 0.5, np.inf]), min_size=d, max_size=d)))
+        last_visit = np.array(data.draw(st.lists(st.integers(-1, 3), min_size=d,
+                                                 max_size=d)), dtype=np.int64)
+        allowed = None
+        if data.draw(st.booleans()):
+            allowed = np.array(sorted(data.draw(st.sets(st.integers(0, d - 1),
+                                                        min_size=1))))
+        assert (refine._greedy_coordinate(scores, last_visit, allowed)
+                == reference_greedy_coordinate(scores, last_visit, allowed))
+
+    def test_refinement_equals_reference_choice(self, desk_world, desk_pool,
+                                                monkeypatch):
+        configs = (GreedyConfig(), GreedyConfig(max_coords=3),
+                   GreedyConfig(max_coords=8, stagnation_window=5),
+                   GreedyConfig(stagnation_window=2, step_decay=0.7),
+                   GreedyConfig(max_coords=1, gain_decay=0.0))
+        cases = []
+        for seed in range(30):
+            cfg = configs[seed % len(configs)]
+            budget = L2(35.0) if seed % 2 else LINF(0.4)
+            x = (sample_latent(desk_world.generator.d_lat, 300 + seed) if seed % 3
+                 else desk_pool.entries[seed].latent)
+            target = identity_target(desk_world, identity=seed % 20, image=seed % 4)
+            cases.append((x, target, budget, cfg, 150 + 20 * seed))
+
+        def run_all():
+            results = []
+            for x, target, budget, cfg, cap in cases:
+                session = make_session(desk_world, allow_gradient=False)
+                results.append(refine_blackbox(x, target, session, budget,
+                                               query_cap=cap, tau_C=0.95,
+                                               greedy_config=cfg))
+            return results
+
+        vectorised = run_all()
+        monkeypatch.setattr(refine, "_greedy_coordinate", reference_greedy_coordinate)
+        for (x, _t, _b, cfg, _c), a, b in zip(cases, vectorised, run_all()):
+            assert same_result(a, b)
+            if cfg.max_coords is not None:
+                assert np.count_nonzero(a.refined.values != x.values) <= cfg.max_coords
 
 
 class TestStepSchedule:

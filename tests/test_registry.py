@@ -57,6 +57,17 @@ class TestRegistry:
         with pytest.raises(ConfigInvalid, match="duck-emb"):
             registry.create_embedder("duck-emb", config=None)
 
+    def test_generator_factory_must_return_a_handle(self):
+        class DuckGenerator:
+            generator_id = "duck-gen"
+
+            def generate(self, latent):
+                raise AssertionError("never reached")
+
+        registry.register_generator("duck-gen", lambda config: DuckGenerator())
+        with pytest.raises(ConfigInvalid, match="duck-gen"):
+            registry.create_generator("duck-gen", config=None)
+
     def test_factory_receives_the_config(self):
         seen = []
 
