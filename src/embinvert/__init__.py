@@ -56,7 +56,7 @@ from .pool import (
     screen_face,
     screen_normality,
 )
-from .ranking import RankedCandidate, rank_candidates, top_n
+from .ranking import RankedCandidate, rank_candidates
 from .refine import (
     GreedyConfig,
     PerturbationBudget,

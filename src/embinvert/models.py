@@ -440,7 +440,6 @@ def loss_gradient(g: GeneratorHandle, f: EmbedderHandle, latent: LatentCode,
         raise GradientUnavailable("generator or embedder does not expose gradients")
     x = latent.values
     image = g.generate(latent)
-    e = f.embed(image).values
     t = target.values
     t_norm = np.linalg.norm(t)
     if t_norm == 0.0:

@@ -16,7 +16,7 @@ from .core import EmbeddingVector, ImageSample, LatentCode, TargetSpec
 from .errors import AllCandidatesFailed, BudgetTooSmall, ConfigInvalid, NonFiniteLoss
 from .models import AttackSession, QueryLedger
 from .pool import LatentPool
-from .ranking import RankedCandidate, rank_candidates, top_n
+from .ranking import RankedCandidate, rank_candidates
 from .refine import (
     GreedyConfig,
     PerturbationBudget,
@@ -174,8 +174,7 @@ def run_attack(target_spec: TargetSpec, pool: LatentPool,
     session = AttackSession(generator, embedder, ledger,
                             allow_gradient=settings.mode == MODE_WHITEBOX)
 
-    ranked = rank_candidates(pool, target, embedder, ledger)
-    selected = top_n(ranked, settings.n_top)
+    selected = rank_candidates(pool, target, embedder, settings.n_top, ledger)
     result = ranked_adversary(pool, selected, target, session, settings.budget,
                               settings.tau_C, settings.mode, **refine_args)
     return replace(result, wall_time=time.perf_counter() - started)

@@ -9,7 +9,10 @@ value.  Both the latent and its generation are cached so later selection
 stages never regenerate.
 
 Pool entries are target-agnostic by construction; nothing embedding- or
-identity-specific is stored.
+identity-specific is stored.  Because of that, the embeddings of the
+cached generations under one embedder are the same for every target:
+``LatentPool.embeddings`` computes them once per embedder handle and keeps
+them in memory beside the pool.  They are never written to the file.
 
 File format (version 1, little-endian):
     magic "LPOOL" | u16 version | u8 checksum algo (1 = crc32)
@@ -34,12 +37,14 @@ from .core import ImageSample, LatentCode
 from .errors import (
     ChecksumMismatch,
     ConfigInvalid,
+    DimensionMismatch,
     FormatVersionMismatch,
     IoFailure,
     PoolExhausted,
+    ZeroNormEmbedding,
 )
 from .fileio import replace_file
-from .models import DetectorHandle, GeneratorHandle
+from .models import DetectorHandle, EmbedderHandle, GeneratorHandle
 from .normality import k2_pvalues, k2_test
 
 _MAGIC = b"LPOOL"
@@ -106,6 +111,40 @@ class LatentPool:
         stack = np.stack([e.image.values for e in self.entries])
         stack.flags.writeable = False
         return stack
+
+    @cached_property
+    def _embedding_cache(self) -> dict:
+        # id(handle) -> (handle, rows, norms).  Holding the handle keeps its
+        # id from being reused by another object while the entry lives.
+        return {}
+
+    def embeddings(self, embedder: EmbedderHandle) -> Tuple[np.ndarray, np.ndarray]:
+        """Every cached generation embedded by ``embedder``: ``(rows, norms)``.
+
+        The first call for a handle makes one ``embed_batch`` call over
+        ``image_stack`` and keeps the read-only (V, d_emb) rows and their L2
+        norms; later calls return them with no embedder work.  Entries are
+        keyed by handle identity, not ``model_id``, so two handles sharing an
+        id still get their own rows.  A fill that raises caches nothing, so
+        every later call raises again.  The cache is not a field: ``==``,
+        ``repr`` and the saved file ignore it.
+        """
+        cached = self._embedding_cache.get(id(embedder))
+        if cached is not None:
+            return cached[1], cached[2]
+        rows = embedder.embed_batch(self.image_stack).view()
+        if rows.ndim != 2 or rows.shape[0] != len(self.entries):
+            raise DimensionMismatch(
+                f"embeddings of shape {rows.shape} for {len(self.entries)} "
+                "images; expected one row per image")
+        norms = np.linalg.norm(rows, axis=1)
+        if np.any(norms == 0.0):
+            raise ZeroNormEmbedding("cosine similarity undefined for zero-norm embedding")
+        rows.flags.writeable = False
+        norms.flags.writeable = False
+        # Concurrent first calls may both fill; they store identical arrays.
+        self._embedding_cache[id(embedder)] = (embedder, rows, norms)
+        return rows, norms
 
 
 def sample_latent(d_lat: int, seed: int) -> LatentCode:

@@ -1,10 +1,11 @@
 """Selection stage: score every pool entry against the target, keep the best N.
 
-Scoring reuses the generations cached at pool-build time: the V cached
-images go to the embedder as one batched evaluation, and the stage is still
-charged as V queries regardless of N.  Nothing is cached across targets, so
-every charged query is real embedder work.  Ties in similarity break by
-ascending pool index to keep runs reproducible.
+Scoring reuses the generations cached at pool-build time, and the stage is
+charged as V queries per target regardless of N: that is the paper's
+selection cost.  The real embedder work happens once per (pool, embedder
+handle): ``LatentPool.embeddings`` embeds the V cached images in one batched
+call and keeps the rows, so each target costs one matrix-vector product.
+Ties in similarity break by ascending pool index to keep runs reproducible.
 """
 import warnings
 from dataclasses import dataclass
@@ -26,42 +27,42 @@ class RankedCandidate:
 
 
 def rank_candidates(pool: LatentPool, target: EmbeddingVector,
-                    embedder: EmbedderHandle,
+                    embedder: EmbedderHandle, n: int,
                     ledger: Optional[QueryLedger] = None) -> List[RankedCandidate]:
-    """Embed every cached image exactly once and sort by similarity.
+    """The n pool entries most similar to the target, best first.
 
     Similarities are cosines clamped to [-1, 1] and raise the same errors as
-    ``cosine_similarity``.  Charges V selection queries to the ledger when
-    one is supplied.
+    ``cosine_similarity``.  Raises ConfigInvalid when n < 1 and clamps (with
+    a warning) when n exceeds V.  Charges V selection queries to the ledger
+    when one is supplied.
     """
-    embeddings = embedder.embed_batch(pool.image_stack)
+    v = len(pool.entries)
+    if n < 1:
+        raise ConfigInvalid(f"top-N must be >= 1, got {n}")
+    if n > v:
+        warnings.warn(f"top-N {n} exceeds the pool volume {v}; clamping",
+                      stacklevel=2)
+        n = v
+    rows, norms = pool.embeddings(embedder)
     t = target.values
-    if embeddings.shape != (len(pool.entries), t.size):
+    if rows.shape[1] != t.size:
         raise DimensionMismatch(
-            f"embeddings of shape {embeddings.shape} for {len(pool.entries)} "
-            f"images do not match a length-{t.size} target")
-    norms = np.linalg.norm(embeddings, axis=1)
+            f"embeddings of shape {rows.shape} for {v} images do not match "
+            f"a length-{t.size} target")
     t_norm = np.linalg.norm(t)
-    if t_norm == 0.0 or np.any(norms == 0.0):
+    if t_norm == 0.0:
         raise ZeroNormEmbedding("cosine similarity undefined for zero-norm embedding")
-    sims = np.clip(embeddings @ t / (norms * t_norm), -1.0, 1.0)
+    sims = np.clip(rows @ t / (norms * t_norm), -1.0, 1.0)
     if ledger is not None:
-        ledger.charge_topn(len(pool.entries))
-    indices = np.arange(len(pool.entries))
-    order = np.lexsort((indices, -sims))
+        ledger.charge_topn(v)
+    # Keep everything tied with the n-th best so that the index tie-break
+    # below sees the whole tie.  NaN compares false, so NaN entries, which
+    # the lexsort puts last, are kept, never lost.
+    neg = -sims
+    bound = np.partition(neg, n - 1)[n - 1]
+    keep = np.flatnonzero(~(neg > bound))
+    order = keep[np.lexsort((keep, -sims[keep]))][:n]
     return [
         RankedCandidate(pool_index=j, initial_similarity=s, rank=r)
         for r, (j, s) in enumerate(zip(order.tolist(), sims[order].tolist()), 1)
     ]
-
-
-def top_n(ranked: List[RankedCandidate], n: int) -> List[RankedCandidate]:
-    """First n candidates by rank; clamps (with a warning) when n exceeds V."""
-    if n < 1:
-        raise ConfigInvalid(f"top-N must be >= 1, got {n}")
-    if n > len(ranked):
-        warnings.warn(
-            f"top-N {n} exceeds the pool volume {len(ranked)}; clamping",
-            stacklevel=2)
-        n = len(ranked)
-    return list(ranked[:n])

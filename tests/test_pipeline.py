@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from embinvert.core import TargetSpec
 from embinvert.errors import AllCandidatesFailed, BudgetTooSmall, ConfigInvalid
-from embinvert.models import AttackSession, QueryLedger
+from embinvert.models import AttackSession, Backend, QueryLedger
 from embinvert.pipeline import (
     AttackSettings,
     MODE_BLACKBOX,
@@ -12,8 +14,9 @@ from embinvert.pipeline import (
     ranked_adversary,
     run_attack,
 )
-from embinvert.ranking import rank_candidates, top_n
+from embinvert.ranking import rank_candidates
 from embinvert.refine import STOP_BUDGET, PerturbationBudget
+from test_evaluation import CountingEmbedder
 
 
 class TestComputeTmax:
@@ -51,7 +54,7 @@ class TestRankedAdversary:
         f = desk_world.embedders[0]
         target = f.embed(desk_pool.entries[5].image)
         session = _session(desk_world, MODE_WHITEBOX)
-        ranked = top_n(rank_candidates(desk_pool, target, f, session.ledger), 3)
+        ranked = rank_candidates(desk_pool, target, f, 3, session.ledger)
         result = ranked_adversary(desk_pool, ranked, target, session,
                                   PerturbationBudget("l2", 35.0), tau_C=0.99,
                                   mode=MODE_WHITEBOX, t_max=50)
@@ -64,7 +67,7 @@ class TestRankedAdversary:
         f = desk_world.embedders[0]
         target = _target(desk_world, identity=6)
         session = _session(desk_world, MODE_WHITEBOX)
-        ranked = top_n(rank_candidates(desk_pool, target, f, session.ledger), 3)
+        ranked = rank_candidates(desk_pool, target, f, 3, session.ledger)
         result = ranked_adversary(desk_pool, ranked, target, session,
                                   PerturbationBudget("l2", 35.0), tau_C=0.999,
                                   mode=MODE_WHITEBOX, t_max=2)
@@ -78,7 +81,7 @@ class TestRankedAdversary:
         f = desk_world.embedders[0]
         target = f.embed(desk_world.identities[14].images[3])
         session = _session(desk_world, MODE_WHITEBOX)
-        ranked = top_n(rank_candidates(desk_pool, target, f, session.ledger), 3)
+        ranked = rank_candidates(desk_pool, target, f, 3, session.ledger)
         result = ranked_adversary(desk_pool, ranked, target, session,
                                   PerturbationBudget("l2", 2.5), tau_C=0.95,
                                   mode=MODE_WHITEBOX, t_max=60)
@@ -94,7 +97,7 @@ class TestRankedAdversary:
         for identity in range(8):
             target = _target(desk_world, identity=identity)
             session = _session(desk_world, MODE_WHITEBOX)
-            ranked = top_n(rank_candidates(desk_pool, target, f, session.ledger), 3)
+            ranked = rank_candidates(desk_pool, target, f, 3, session.ledger)
             result = ranked_adversary(desk_pool, ranked, target, session,
                                       PerturbationBudget("l2", 35.0), tau_C=0.95,
                                       mode=MODE_WHITEBOX, t_max=100)
@@ -116,7 +119,7 @@ class TestRankedAdversary:
 
         f = desk_world.embedders[0]
         target = _target(desk_world)
-        ranked = top_n(rank_candidates(desk_pool, target, f), 3)
+        ranked = rank_candidates(desk_pool, target, f, 3)
         with pytest.raises(AllCandidatesFailed):
             ranked_adversary(desk_pool, ranked, target, NaNSession(),
                              PerturbationBudget("l2", 35.0), tau_C=0.95,
@@ -126,7 +129,7 @@ class TestRankedAdversary:
         f = desk_world.embedders[0]
         target = _target(desk_world)
         session = _session(desk_world, MODE_WHITEBOX)
-        ranked = top_n(rank_candidates(desk_pool, target, f), 2)
+        ranked = rank_candidates(desk_pool, target, f, 2)
         with pytest.raises(ConfigInvalid):
             ranked_adversary(desk_pool, ranked, target, session,
                              PerturbationBudget("l2", 1.0), tau_C=0.9,
@@ -262,10 +265,33 @@ class TestRunAttack:
         with pytest.raises(BudgetTooSmall):
             run_attack(make_spec(desk_world), desk_pool, settings, desk_world)
 
+    def test_pool_embedded_once_per_handle_across_attacks(self, desk_world,
+                                                          desk_pool):
+        backend = Backend()
+        backend.generator = desk_world.generator
+        backend.embedders = tuple(CountingEmbedder(e) for e in desk_world.embedders)
+        pool = dataclasses.replace(desk_pool)
+        settings = AttackSettings(mode=MODE_WHITEBOX,
+                                  budget=PerturbationBudget("l2", 35.0),
+                                  tau_C=0.9, n_top=3, t_max=5)
+        ids = desk_world.identities
+        for k in range(50):
+            f = desk_world.embedders[k % len(desk_world.embedders)]
+            rec = ids[k % len(ids)]
+            spec = TargetSpec(target_embedding=f.embed(rec.images[k % len(rec.images)]),
+                              target_model_id=f.model_id)
+            result = run_attack(spec, pool, settings, backend)
+            assert result.ledger.q_topn == pool.V
+        assert [e.batch_calls for e in backend.embedders] == [1] * len(backend.embedders)
+        assert all(e.embed_calls == 0 for e in backend.embedders)
+
     @pytest.mark.parametrize("q_max", [50, 100, 102])
     def test_budget_rejected_before_any_embedding(self, desk_world, desk_pool,
                                                   monkeypatch, q_max):
-        # V = 100 and N = 3: below V, exactly V, and V plus fewer than N
+        # V = 100 and N = 3: below V, exactly V, and V plus fewer than N.
+        # A fresh copy of the pool has no cached embeddings, so selection
+        # would have to reach the trapped embedder.
+        cold_pool = dataclasses.replace(desk_pool)
         embedder = desk_world.embedders[0]
         spec = make_spec(desk_world)
 
@@ -278,4 +304,4 @@ class TestRunAttack:
                                   budget=PerturbationBudget("l2", 35.0),
                                   tau_C=0.95, n_top=3, q_max=q_max)
         with pytest.raises(BudgetTooSmall):
-            run_attack(spec, desk_pool, settings, desk_world)
+            run_attack(spec, cold_pool, settings, desk_world)

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import zlib
 
@@ -10,12 +11,16 @@ from embinvert.core import ImageSample, LatentCode
 from embinvert.errors import (
     ChecksumMismatch,
     ConfigInvalid,
+    DimensionMismatch,
     EmbinvertError,
     FormatVersionMismatch,
     IoFailure,
     PoolExhausted,
     SampleTooSmall,
+    ShapeMismatch,
+    ZeroNormEmbedding,
 )
+from embinvert.models import EmbedderHandle
 from embinvert.normality import k2_test
 from embinvert.pool import (
     LatentPool,
@@ -275,6 +280,85 @@ class TestPoolPersistence:
         save_pool(quick_pool, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+
+
+class FlakyEmbedder(EmbedderHandle):
+    """Fails its first ``failures`` batch calls in the given way, then
+    returns constant rows; counts every call."""
+
+    model_id = "flaky"
+    tau_F = 0.5
+    supports_gradient = False
+    d_emb = 4
+
+    def __init__(self, failure=None, failures=0):
+        self.failure = failure
+        self.failures = failures
+        self.calls = 0
+
+    def embed_batch(self, images):
+        self.calls += 1
+        rows = np.ones((len(images), self.d_emb))
+        if self.calls > self.failures:
+            return rows
+        if self.failure == "shape":
+            raise ShapeMismatch("bad image stack")
+        if self.failure == "rows":
+            return rows[1:]
+        rows[2] = 0.0
+        return rows
+
+
+class TestEmbeddingCache:
+    def test_one_batch_call_per_handle(self, quick_pool):
+        pool = dataclasses.replace(quick_pool)
+        embedder = FlakyEmbedder()
+        first = pool.embeddings(embedder)
+        for _ in range(5):
+            rows, norms = pool.embeddings(embedder)
+            assert rows is first[0] and norms is first[1]
+        assert embedder.calls == 1
+        assert rows.shape == (pool.V, embedder.d_emb)
+        assert not rows.flags.writeable and not norms.flags.writeable
+        np.testing.assert_array_equal(norms, np.linalg.norm(rows, axis=1))
+
+    def test_keyed_by_handle_not_model_id(self, quick_pool):
+        pool = dataclasses.replace(quick_pool)
+        a = FlakyEmbedder()
+        b = FlakyEmbedder()
+        assert a.model_id == b.model_id
+        pool.embeddings(a)
+        pool.embeddings(b)
+        pool.embeddings(a)
+        assert (a.calls, b.calls) == (1, 1)
+
+    @pytest.mark.parametrize("failure, error", [
+        ("shape", ShapeMismatch),
+        ("rows", DimensionMismatch),
+        ("zero", ZeroNormEmbedding),
+    ])
+    def test_failed_fill_caches_nothing(self, quick_pool, failure, error):
+        pool = dataclasses.replace(quick_pool)
+        embedder = FlakyEmbedder(failure, failures=3)
+        for calls in (1, 2, 3):
+            with pytest.raises(error):
+                pool.embeddings(embedder)
+            assert embedder.calls == calls
+        pool.embeddings(embedder)
+        pool.embeddings(embedder)
+        assert embedder.calls == 4
+
+    def test_warm_cache_is_invisible(self, quick_pool, desk_world, tmp_path):
+        cold = dataclasses.replace(quick_pool)
+        warm = dataclasses.replace(quick_pool)
+        for embedder in desk_world.embedders:
+            warm.embeddings(embedder)
+        assert warm == cold
+        assert repr(warm) == repr(cold)
+        save_pool(cold, tmp_path / "cold.lpool")
+        save_pool(warm, tmp_path / "warm.lpool")
+        assert ((tmp_path / "warm.lpool").read_bytes()
+                == (tmp_path / "cold.lpool").read_bytes())
 
 _HEADER_FIELDS = {"d_lat": 8, "C": 12, "H": 16, "W": 20, "V": 24, "count": 52}
 _ID_OFFSET = 58  # magic, version, algo, five u32, two f64, i64, u32, u16

@@ -216,7 +216,7 @@ class TestRefineWhitebox:
         # must clear the bar when refining the best-ranked candidate.
         from embinvert.models import WorldConfig, make_synthetic_world
         from embinvert.pool import build_pool
-        from embinvert.ranking import rank_candidates, top_n
+        from embinvert.ranking import rank_candidates
 
         world = make_synthetic_world(WorldConfig(embedder_dims=(128, 128)), 7)
         pool = build_pool(world.generator, world.detector, V=100,
@@ -226,7 +226,7 @@ class TestRefineWhitebox:
         for idx in range(50):
             rec = world.identities[idx % 20]
             target = f0.embed(rec.images[(idx // 20) % 4])
-            best = top_n(rank_candidates(pool, target, f0), 1)[0]
+            (best,) = rank_candidates(pool, target, f0, 1)
             session = AttackSession(world.generator, f0, QueryLedger(), True)
             r = refine_whitebox(pool.entries[best.pool_index].latent, target,
                                 session, L2(35.0), t_max=100, tau_C=0.98)
