@@ -33,7 +33,6 @@ from .errors import (
 from .evaluation import (
     EvaluationCase,
     calibration_set_from_images,
-    compute_confidence_threshold,
     compute_eer_threshold,
     cross_model_report,
 )
@@ -129,7 +128,9 @@ def cmd_calibrate(config: RunConfig) -> int:
             images_by_identity, embedder,
             seed=[config.seed, 4, k])
         tau_f, eer = compute_eer_threshold(cal)
-        tau_c = compute_confidence_threshold(images_by_identity, embedder)
+        # tau_C is compute_confidence_threshold's maximum over the same
+        # same-identity pairs, which the calibration set already scored.
+        tau_c = max(cal.genuine_scores)
         by_model[embedder.model_id] = {"tau_F": tau_f, "eer": eer, "tau_C": tau_c}
         _log(f"[calibrate] {embedder.model_id}: tau_F={tau_f:.4f} "
              f"eer={eer:.4f} tau_C={tau_c:.4f}")
@@ -248,7 +249,8 @@ def cmd_report(config: RunConfig) -> int:
     records = read_results(config.results_path)
     groups = dict(_identity_groups(backend))
     # Decision thresholds come from a calibrate run when one happened;
-    # otherwise the backend handles carry their own calibrated tau_F.
+    # otherwise each backend handle's tau_F is read, which calibrates a
+    # synthetic embedder on that first read.
     tau_overrides = None
     if config.thresholds_path and os.path.exists(config.thresholds_path):
         by_model = read_thresholds(config.thresholds_path)

@@ -19,6 +19,19 @@ ENV_PREFIX = "EMBINVERT_"
 NORMS = (NORM_L2, NORM_LINF)
 
 
+def _require_utf8(text: str, where: str) -> str:
+    """``text``, or ConfigInvalid naming ``where`` if it has no UTF-8 form.
+
+    POSIX hands undecodable bytes in argv and the environment over as lone
+    surrogates, which the config checksum cannot encode.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ConfigInvalid(f"{where} is not valid UTF-8") from exc
+    return text
+
+
 def _parse_shape(text: str) -> Tuple[int, int, int]:
     parts = text.lower().split("x")
     if len(parts) != 3:
@@ -125,6 +138,11 @@ class RunConfig:
             raise ConfigInvalid("seed must be >= 0")
         if self.backend == "synthetic" and len(self.embedder_dims) < 2:
             raise ConfigInvalid("synthetic backend needs at least 2 embedders")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for text in value if isinstance(value, tuple) else (value,):
+                if isinstance(text, str):
+                    _require_utf8(text, f.name)
         return self
 
 
@@ -206,8 +224,9 @@ def apply_env_overrides(config: RunConfig, env=None) -> RunConfig:
     for name, (parser, _) in _FIELDS.items():
         var = ENV_PREFIX + name.upper()
         if var in env:
+            value = _require_utf8(env[var], var)
             try:
-                updates[name] = parser(env[var])
+                updates[name] = parser(value)
             except (ValueError, TypeError) as exc:
                 raise ConfigInvalid(f"bad value in {var}: {exc}") from exc
     return replace(config, **updates) if updates else config
@@ -219,6 +238,8 @@ def load_config(path, env=None) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"config {path} is not valid UTF-8: {exc}") from exc
     return apply_env_overrides(parse_config(text), env=env)
 
 

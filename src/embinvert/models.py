@@ -170,8 +170,10 @@ class SyntheticEmbedder(EmbedderHandle):
     """Unit-normalized seeded linear map of the flattened image.
 
     Distinct seeds give genuinely different models, which is what makes
-    cross-model evaluation informative.  ``tau_F`` is unset at construction
-    and assigned once by EER calibration during world building.
+    cross-model evaluation informative.  ``tau_F`` is None at construction.
+    World building attaches an EER calibration to it, which runs on the
+    first read and is cached; assigning ``tau_F`` sets the value and drops
+    any calibration not yet run.
     """
 
     supports_gradient = True
@@ -181,10 +183,38 @@ class SyntheticEmbedder(EmbedderHandle):
         self.d_emb = int(d_emb)
         self.input_shape = tuple(int(v) for v in input_shape)
         self.model_id = model_id
-        self.tau_F: Optional[float] = None
+        self.tau_F = None
         d_pix = int(np.prod(self.input_shape))
         rng = np.random.default_rng(seed_seq)
         self.weight = rng.standard_normal((self.d_emb, d_pix)) / math.sqrt(d_pix)
+
+    @property
+    def tau_F(self) -> Optional[float]:
+        """The decision threshold, calibrated at minimum EER on first read
+        when a calibration is attached."""
+        if self._tau_F_calibration is not None:
+            # Looked up at call time so that patched evaluation functions
+            # (counters, tracers) see the call.
+            from . import evaluation
+            images_by_identity, seed, impostor_factor = self._tau_F_calibration
+            cal = evaluation.calibration_set_from_images(
+                images_by_identity, self, seed=seed,
+                impostor_factor=impostor_factor)
+            # No lock: concurrent first reads each store the same float, and
+            # the value is stored before the pending calibration is cleared.
+            self._tau_F, _eer = evaluation.compute_eer_threshold(cal)
+            self._tau_F_calibration = None
+        return self._tau_F
+
+    @tau_F.setter
+    def tau_F(self, value: Optional[float]):
+        self._tau_F = value
+        self._tau_F_calibration = None
+
+    def _attach_tau_F_calibration(self, images_by_identity, seed,
+                                  impostor_factor: int):
+        """Calibrate ``tau_F`` on these images when it is first read."""
+        self._tau_F_calibration = (images_by_identity, seed, impostor_factor)
 
     def embed(self, image: ImageSample) -> EmbeddingVector:
         return EmbeddingVector(self.embed_vjp(image.values)[0])
@@ -349,10 +379,13 @@ _DETECTOR_SLOPE = 200.0
 def make_synthetic_world(config: WorldConfig, master_seed: int) -> SyntheticWorld:
     """Build a fully deterministic desk-scale world.
 
-    All parameters derive from (config, master_seed).  Embedder decision
-    thresholds are calibrated at minimum EER on the world's own
-    genuine/impostor pairs; the detector is calibrated so every identity
-    image clears 0.999.
+    All parameters derive from (config, master_seed).  Each embedder's
+    decision threshold ``tau_F`` is calibrated at minimum EER on the
+    world's own genuine/impostor pairs when it is first read, so a command
+    that never reads it never pays for it; the calibration draws its
+    impostor pairs from its own seed, so the value does not depend on when
+    it is read.  A world without genuine pairs leaves ``tau_F`` None.  The
+    detector is calibrated so every identity image clears 0.999.
     """
     config.validate()
     shape_tag = "x".join(str(v) for v in config.image_shape)
@@ -385,8 +418,12 @@ def make_synthetic_world(config: WorldConfig, master_seed: int) -> SyntheticWorl
     identities = tuple(identities)
 
     detector = _calibrate_detector(gen, identities)
-    _calibrate_thresholds(embedders, identities, master_seed,
-                          config.impostor_pair_factor)
+    images_by_identity = [rec.images for rec in identities]
+    if any(len(images) >= 2 for images in images_by_identity):
+        for k, emb in enumerate(embedders):
+            emb._attach_tau_F_calibration(
+                images_by_identity, [master_seed, _STREAM_IMPOSTORS, k],
+                config.impostor_pair_factor)
 
     return SyntheticWorld(
         config=config,
@@ -408,22 +445,6 @@ def _calibrate_detector(gen: SyntheticGenerator, identities) -> SyntheticDetecto
     offset = min(corrs) - _DETECTOR_MARGIN
     return SyntheticDetector(template, offset, _DETECTOR_SLOPE,
                              input_shape=gen.output_shape)
-
-
-def _calibrate_thresholds(embedders, identities, master_seed: int,
-                          impostor_factor: int):
-    from .evaluation import calibration_set_from_images, compute_eer_threshold
-
-    images_by_identity = [rec.images for rec in identities]
-    if all(len(images) < 2 for images in images_by_identity):
-        return  # no genuine pairs; thresholds stay uncalibrated
-    for k, emb in enumerate(embedders):
-        cal = calibration_set_from_images(
-            images_by_identity, emb,
-            seed=[master_seed, _STREAM_IMPOSTORS, k],
-            impostor_factor=impostor_factor)
-        tau_F, _eer = compute_eer_threshold(cal)
-        emb.tau_F = tau_F
 
 
 def loss_eval(g: GeneratorHandle, f: EmbedderHandle, latent: LatentCode,

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from embinvert import evaluation
 from embinvert.models import WorldConfig, make_synthetic_world
 from embinvert.pool import build_pool
 
@@ -30,3 +31,17 @@ def quick_pool(desk_world):
     """Loose thresholds; builds in milliseconds for plumbing tests."""
     return build_pool(desk_world.generator, desk_world.detector,
                       V=40, tau_K=0.5, tau_D=0.5, build_seed=11)
+
+
+@pytest.fixture()
+def calibration_calls(monkeypatch):
+    """The model id of each ``evaluation.calibration_set_from_images`` call."""
+    calls = []
+    original = evaluation.calibration_set_from_images
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].model_id)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "calibration_set_from_images", counting)
+    return calls

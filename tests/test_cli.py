@@ -1,21 +1,28 @@
 import json
 import math
+import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from embinvert import cli, errors, registry
+from embinvert import cli, errors, evaluation, registry
 from embinvert.cli import main
 from embinvert.config import (
+    ENV_PREFIX,
     RunConfig,
     apply_env_overrides,
     config_checksum,
     emit_config,
+    load_config,
     parse_config,
 )
-from embinvert.errors import AllCandidatesFailed, ConfigInvalid
+from embinvert.errors import AllCandidatesFailed, ConfigInvalid, EmbinvertError
+from embinvert.evaluation import compute_confidence_threshold
 from embinvert.models import (
     QueryLedger,
     SyntheticDetector,
@@ -84,6 +91,101 @@ class TestConfigFormat:
         config = parse_config("tau_c = calibrate\n")
         config_roundtrip = parse_config(emit_config(config))
         assert config_roundtrip.tau_c == "calibrate"
+
+
+def posix_env_text(raw: bytes) -> str:
+    """``raw`` as POSIX hands it to Python in argv or the environment."""
+    return raw.decode("utf-8", "surrogateescape")
+
+
+VALID_CONFIG = emit_config(RunConfig(
+    tau_c="calibrate", mode="blackbox", t_max=None, q_max=2000,
+    adapter_embedders=("a", "b"), pool_path="pool.lpool")).encode("utf-8")
+
+# Fragments that reach the value parsers' edge cases.
+CONFIG_TOKENS = [b"=", b"\n", b"#", b",", b"x", b"-", b"nan", b"inf", b"1e999",
+                 b"none", b"calibrate", b"\xff", b"\xc3", b"\x00", b" "]
+
+
+@st.composite
+def mutated_config(draw):
+    """The valid config with a few bytes deleted, inserted or replaced."""
+    out = bytearray(VALID_CONFIG)
+    edits = draw(st.lists(st.tuples(
+        st.sampled_from(("delete", "insert", "replace")),
+        st.integers(0, len(VALID_CONFIG)),
+        st.sampled_from(CONFIG_TOKENS) | st.binary(min_size=1, max_size=4)),
+        min_size=1, max_size=6))
+    for kind, pos, payload in edits:
+        pos = min(pos, len(out))
+        if kind == "delete":
+            del out[pos:pos + len(payload)]
+        elif kind == "insert":
+            out[pos:pos] = payload
+        else:
+            out[pos:pos + len(payload)] = payload
+    return bytes(out)
+
+
+@pytest.fixture(scope="session")
+def valid_config_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "valid.cfg"
+    path.write_bytes(VALID_CONFIG)
+    return path
+
+
+def accept_or_reject(read):
+    """Validate what ``read()`` returns; only EmbinvertError may escape, and
+    a config that validates has a checksum."""
+    try:
+        config = read().validate()
+    except EmbinvertError:
+        return
+    assert len(config_checksum(config)) == 64
+
+
+class TestConfigReadersFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=128) | mutated_config())
+    def test_config_file_bytes(self, tmp_path_factory, data):
+        fd, path = tempfile.mkstemp(suffix=".cfg",
+                                    dir=tmp_path_factory.getbasetemp())
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        accept_or_reject(lambda: load_config(path, env={}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=mutated_config())
+    def test_parse_config_text(self, data):
+        accept_or_reject(lambda: parse_config(posix_env_text(data)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from([f.upper() for f in RunConfig.__dataclass_fields__]),
+           raw=st.binary(max_size=16) | st.sampled_from(CONFIG_TOKENS))
+    def test_env_values(self, valid_config_path, key, raw):
+        env = {ENV_PREFIX + key: posix_env_text(raw)}
+        accept_or_reject(lambda: load_config(valid_config_path, env=env))
+
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"seed = 7\n\xff\xfe = 1\n")
+        assert main(["calibrate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "UTF-8" in err
+
+    def test_non_utf8_env_value_exits_2(self, tmp_path, monkeypatch, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        monkeypatch.setenv("EMBINVERT_REPORT_PATH", posix_env_text(b"r\xff.csv"))
+        assert main(["attack", "--config", str(cfg_path)]) == 2
+        assert "EMBINVERT_REPORT_PATH is not valid UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_out_flag_exits_2(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        assert main(["attack", "--config", str(cfg_path),
+                     "--out", posix_env_text(b"r\xff.ndjson")]) == 2
+        assert "results_path is not valid UTF-8" in capsys.readouterr().err
 
 
 SMALL = dict(
@@ -167,6 +269,37 @@ class TestCalibrateCommand:
     def test_single_image_identities_exit_3(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, images_per_identity=1)
         assert main(["calibrate", "--config", str(cfg_path)]) == 3
+
+
+class TestCalibrationOnlyWhereRead:
+    def test_calls_per_command(self, tmp_path, monkeypatch, calibration_calls):
+        # calibrate calls cli's own reference; a tau_F read looks the
+        # function up in evaluation, which the fixture has patched.
+        monkeypatch.setattr(cli, "calibration_set_from_images",
+                            evaluation.calibration_set_from_images)
+        cfg_path, _ = write_config(tmp_path)
+
+        def calibrations(command):
+            calibration_calls.clear()
+            assert main([command, "--config", str(cfg_path)]) == 0
+            return list(calibration_calls)
+
+        models = ["synthetic-embedder-0", "synthetic-embedder-1"]
+        assert calibrations("build-pool") == []
+        assert calibrations("attack") == []
+        assert calibrations("report") == models   # no thresholds file yet
+        assert calibrations("calibrate") == models
+        assert calibrations("report") == []       # reads the thresholds file
+
+    @pytest.mark.parametrize("seed", [7, 1009])
+    def test_tau_c_is_the_confidence_threshold(self, tmp_path, seed):
+        cfg_path, config = write_config(tmp_path, seed=seed)
+        assert main(["calibrate", "--config", str(cfg_path)]) == 0
+        by_model = read_thresholds(config.thresholds_path)
+        backend = cli.build_backend(config)
+        for embedder in backend.embedders:
+            assert by_model[embedder.model_id]["tau_C"] == \
+                compute_confidence_threshold(backend.identity_images, embedder)
 
 
 @pytest.fixture()

@@ -481,7 +481,7 @@ class TestBatchedEvaluationMatchesLoops:
             ref_tau_f, ref_eer = compute_eer_threshold(ref)
             assert abs(tau_f - ref_tau_f) <= 1e-12
             assert abs(eer - ref_eer) <= 1e-12
-            assert abs(emb.tau_F - ref_tau_f) <= 1e-12  # set at world build
+            assert abs(emb.tau_F - ref_tau_f) <= 1e-12  # calibrated on first read
             tau_c = compute_confidence_threshold(groups, emb)
             assert abs(tau_c - confidence_loop_reference(groups, emb)) <= 1e-12
 

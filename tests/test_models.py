@@ -1,4 +1,6 @@
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -471,6 +473,53 @@ class TestMakeSyntheticWorld:
     def test_embedders_get_distinct_thresholds(self, desk_world):
         taus = {e.tau_F for e in desk_world.embedders}
         assert len(taus) == len(desk_world.embedders)
+
+
+class TestLazyTauF:
+    @pytest.mark.parametrize("seed", [7, 19, 1009])
+    def test_equals_a_direct_calibration(self, seed):
+        world = make_synthetic_world(WorldConfig(), seed)
+        groups = [rec.images for rec in world.identities]
+        for k, emb in enumerate(world.embedders):
+            direct, _eer = compute_eer_threshold(
+                calibration_set_from_images(groups, emb, seed=[seed, 4, k]))
+            assert emb.tau_F == direct
+
+    def test_world_build_does_not_calibrate(self, calibration_calls):
+        make_synthetic_world(WorldConfig(), 7)
+        assert calibration_calls == []
+
+    def test_two_reads_calibrate_once(self, calibration_calls):
+        emb = make_synthetic_world(WorldConfig(), 7).embedders[1]
+        first = emb.tau_F
+        assert emb.tau_F == first
+        assert calibration_calls == [emb.model_id]
+
+    def test_concurrent_first_reads_agree(self):
+        seed = 19
+        direct = make_synthetic_world(WorldConfig(), seed).embedders[0].tau_F
+        emb = make_synthetic_world(WorldConfig(), seed).embedders[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: emb.tau_F) for _ in range(8)]
+                reads = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert reads == [direct] * 8
+        assert emb.tau_F == direct
+
+    def test_assignment_before_reading_never_calibrates(self, calibration_calls):
+        emb = make_synthetic_world(WorldConfig(), 7).embedders[0]
+        emb.tau_F = 0.25
+        assert emb.tau_F == 0.25
+        assert calibration_calls == []
+
+    def test_single_image_identities_read_none(self, calibration_calls):
+        world = make_synthetic_world(WorldConfig(images_per_identity=1), 7)
+        assert [e.tau_F for e in world.embedders] == [None, None]
+        assert calibration_calls == []
 
 
 class TestQueryLedger:
