@@ -54,7 +54,6 @@ from .pool import (
     sample_latent,
     save_pool,
     screen_face,
-    screen_normality,
 )
 from .ranking import RankedCandidate, rank_candidates
 from .refine import (

@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -36,7 +35,7 @@ from .evaluation import (
     compute_eer_threshold,
     cross_model_report,
 )
-from .models import WorldConfig, make_synthetic_world
+from .models import WorldConfig, impostor_stream, make_synthetic_world
 from .pipeline import MODE_BLACKBOX, AttackSettings, compute_tmax, run_attack
 from .pool import build_pool, load_pool, save_pool
 from .records import (
@@ -125,8 +124,7 @@ def cmd_calibrate(config: RunConfig) -> int:
     by_model = {}
     for k, embedder in enumerate(backend.embedders):
         cal = calibration_set_from_images(
-            images_by_identity, embedder,
-            seed=[config.seed, 4, k])
+            images_by_identity, embedder, seed=impostor_stream(config.seed, k))
         tau_f, eer = compute_eer_threshold(cal)
         # tau_C is compute_confidence_threshold's maximum over the same
         # same-identity pairs, which the calibration set already scored.
@@ -195,41 +193,29 @@ def cmd_attack(config: RunConfig) -> int:
         t_max=config.t_max,
         q_max=config.q_max,
     )
-    settings.validate()
     if settings.mode == MODE_BLACKBOX:
         # Fail before the first target is charged its V selection queries.
         compute_tmax(settings.q_max, pool.V, min(settings.n_top, pool.V))
     checksum = config_checksum(config)
     targets = _make_targets(config, backend, embedder)
 
-    def attack_one(item):
-        target_id, identity_id, image_index, spec = item
+    records = []
+    for i, (target_id, identity_id, image_index, spec) in enumerate(targets):
         try:
             result = run_attack(spec, pool, settings, backend)
-            return result_record(
+            rec = result_record(
                 result, target_id=target_id, target_model_id=config.target_model,
                 identity_id=identity_id, image_index=image_index,
                 config_checksum=checksum)
+            _log(f"[attack] {i + 1}/{len(targets)} {target_id} "
+                 f"sim={rec['final_similarity']:.4f}")
         except EmbinvertError as exc:
-            return failure_record(
+            rec = failure_record(
                 target_id=target_id, target_model_id=config.target_model,
                 identity_id=identity_id, image_index=image_index,
                 config_checksum=checksum, error=f"{type(exc).__name__}: {exc}")
-
-    records = []
-    if config.jobs == 1:
-        for i, item in enumerate(targets):
-            rec = attack_one(item)
-            records.append(rec)
-            if rec.get("error") is None:
-                _log(f"[attack] {i + 1}/{len(targets)} {item[0]} "
-                     f"sim={rec['final_similarity']:.4f}")
-            else:
-                _log(f"[attack] {i + 1}/{len(targets)} {item[0]} FAILED")
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool_exec:
-            records = list(pool_exec.map(attack_one, targets))
-        _log(f"[attack] {len(targets)} targets done (jobs={config.jobs})")
+            _log(f"[attack] {i + 1}/{len(targets)} {target_id} FAILED")
+        records.append(rec)
     write_results(config.results_path, records)
     failures = sum(1 for r in records if r.get("error") is not None)
     print(f"{len(records) - failures}/{len(records)} targets attacked -> "
@@ -322,7 +308,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument("--jobs", type=int, default=None, help="parallel targets")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="only 1: targets run one after another")
         p.add_argument("--out", default=None,
                        help="override this command's output path")
     args = parser.parse_args(argv)

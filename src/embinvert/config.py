@@ -11,12 +11,10 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple, Union
 
 from .errors import ConfigInvalid
-from .pipeline import MODE_BLACKBOX, MODE_WHITEBOX
-from .refine import NORM_L2, NORM_LINF
+from .pipeline import MODE_WHITEBOX, check_mode_budget
+from .refine import NORM_L2, PerturbationBudget
 
 ENV_PREFIX = "EMBINVERT_"
-
-NORMS = (NORM_L2, NORM_LINF)
 
 
 def _require_utf8(text: str, where: str) -> str:
@@ -88,7 +86,7 @@ class RunConfig:
     q_max: Optional[int] = None
     num_targets: int = 50
     seed: int = 7
-    jobs: int = 1
+    jobs: int = 1  # only 1 is valid: targets run one after another
 
     # adapter wiring (used when backend != "synthetic")
     adapter_generator: str = ""
@@ -103,18 +101,8 @@ class RunConfig:
     report_path: str = ""
 
     def validate(self) -> "RunConfig":
-        if self.mode not in (MODE_WHITEBOX, MODE_BLACKBOX):
-            raise ConfigInvalid(f"mode must be whitebox or blackbox, got {self.mode!r}")
-        if self.norm not in NORMS:
-            raise ConfigInvalid(f"norm must be one of {NORMS}, got {self.norm!r}")
-        if self.mode == MODE_WHITEBOX and (self.t_max is None or self.q_max is not None):
-            raise ConfigInvalid("white-box mode requires t_max and forbids q_max")
-        if self.mode == MODE_BLACKBOX and (self.q_max is None or self.t_max is not None):
-            raise ConfigInvalid("black-box mode requires q_max and forbids t_max")
-        if self.t_max is not None and self.t_max < 1:
-            raise ConfigInvalid("t_max must be >= 1")
-        if self.q_max is not None and self.q_max < 1:
-            raise ConfigInvalid("q_max must be >= 1")
+        check_mode_budget(self.mode, self.t_max, self.q_max, self.top_n)
+        PerturbationBudget(norm=self.norm, epsilon=self.epsilon)
         for name in ("tau_k", "tau_d"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -124,20 +112,15 @@ class RunConfig:
                 raise ConfigInvalid(f"tau_c must be a number or 'calibrate', got {self.tau_c!r}")
         elif not 0.0 < self.tau_c <= 1.0:
             raise ConfigInvalid(f"tau_c must be in (0, 1], got {self.tau_c}")
-        if not self.epsilon > 0:
-            raise ConfigInvalid("epsilon must be > 0")
         if self.volume < 1:
             raise ConfigInvalid("volume must be >= 1")
-        if self.top_n < 1:
-            raise ConfigInvalid("top_n must be >= 1")
         if self.num_targets < 1:
             raise ConfigInvalid("num_targets must be >= 1")
-        if self.jobs < 1:
-            raise ConfigInvalid("jobs must be >= 1")
+        if self.jobs != 1:
+            raise ConfigInvalid(
+                f"jobs must be 1, got {self.jobs}: targets run one after another")
         if self.seed < 0:
             raise ConfigInvalid("seed must be >= 0")
-        if self.backend == "synthetic" and len(self.embedder_dims) < 2:
-            raise ConfigInvalid("synthetic backend needs at least 2 embedders")
         for f in fields(self):
             value = getattr(self, f.name)
             for text in value if isinstance(value, tuple) else (value,):

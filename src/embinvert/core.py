@@ -2,8 +2,7 @@
 
 Everything downstream (screening, ranking, refinement, evaluation) compares
 identities through one function: cosine similarity of embedding vectors.
-The types here are immutable value objects; they are safe to share across
-threads and to send between worker processes.
+The types here are immutable value objects.
 """
 from dataclasses import dataclass, field
 from typing import Optional, Tuple

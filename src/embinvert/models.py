@@ -196,12 +196,9 @@ class SyntheticEmbedder(EmbedderHandle):
             # Looked up at call time so that patched evaluation functions
             # (counters, tracers) see the call.
             from . import evaluation
-            images_by_identity, seed, impostor_factor = self._tau_F_calibration
+            images_by_identity, seed = self._tau_F_calibration
             cal = evaluation.calibration_set_from_images(
-                images_by_identity, self, seed=seed,
-                impostor_factor=impostor_factor)
-            # No lock: concurrent first reads each store the same float, and
-            # the value is stored before the pending calibration is cleared.
+                images_by_identity, self, seed=seed)
             self._tau_F, _eer = evaluation.compute_eer_threshold(cal)
             self._tau_F_calibration = None
         return self._tau_F
@@ -211,10 +208,9 @@ class SyntheticEmbedder(EmbedderHandle):
         self._tau_F = value
         self._tau_F_calibration = None
 
-    def _attach_tau_F_calibration(self, images_by_identity, seed,
-                                  impostor_factor: int):
+    def _attach_tau_F_calibration(self, images_by_identity, seed):
         """Calibrate ``tau_F`` on these images when it is first read."""
-        self._tau_F_calibration = (images_by_identity, seed, impostor_factor)
+        self._tau_F_calibration = (images_by_identity, seed)
 
     def embed(self, image: ImageSample) -> EmbeddingVector:
         return EmbeddingVector(self.embed_vjp(image.values)[0])
@@ -310,7 +306,6 @@ class WorldConfig:
     n_identities: int = 20
     images_per_identity: int = 4   # the target image plus J alternates
     identity_noise: float = 0.35
-    impostor_pair_factor: int = 1  # impostor pairs per genuine pair in calibration
 
     def validate(self):
         if self.d_lat <= 0:
@@ -372,6 +367,17 @@ _STREAM_EMBEDDER = 1
 _STREAM_IDENTITIES = 3
 _STREAM_IMPOSTORS = 4
 
+
+def impostor_stream(master_seed: int, k: int) -> list:
+    """Seed of the impostor pairs that calibrate embedder ``k``'s ``tau_F``.
+
+    The world's lazy ``tau_F`` and the ``calibrate`` command both draw from
+    it, with calibration_set_from_images's default impostor factor, so the
+    two thresholds are the same float.
+    """
+    return [master_seed, _STREAM_IMPOSTORS, k]
+
+
 _DETECTOR_MARGIN = 0.05
 _DETECTOR_SLOPE = 200.0
 
@@ -422,8 +428,7 @@ def make_synthetic_world(config: WorldConfig, master_seed: int) -> SyntheticWorl
     if any(len(images) >= 2 for images in images_by_identity):
         for k, emb in enumerate(embedders):
             emb._attach_tau_F_calibration(
-                images_by_identity, [master_seed, _STREAM_IMPOSTORS, k],
-                config.impostor_pair_factor)
+                images_by_identity, impostor_stream(master_seed, k))
 
     return SyntheticWorld(
         config=config,

@@ -43,6 +43,30 @@ class AttackResult:
     wall_time: float
 
 
+def check_mode_budget(mode: str, t_max: Optional[int], q_max: Optional[int],
+                      n: int):
+    """The mode/budget rule of every attack entry point.
+
+    White-box takes ``t_max`` and no ``q_max``; black-box takes ``q_max``
+    and no ``t_max``; ``t_max``, ``q_max`` and N are each >= 1.  Raises
+    ConfigInvalid otherwise.
+    """
+    if mode == MODE_WHITEBOX:
+        if t_max is None or q_max is not None:
+            raise ConfigInvalid("white-box mode requires t_max and forbids q_max")
+    elif mode == MODE_BLACKBOX:
+        if q_max is None or t_max is not None:
+            raise ConfigInvalid("black-box mode requires q_max and forbids t_max")
+    else:
+        raise ConfigInvalid(f"mode must be whitebox or blackbox, got {mode!r}")
+    if t_max is not None and t_max < 1:
+        raise ConfigInvalid(f"t_max must be >= 1, got {t_max}")
+    if q_max is not None and q_max < 1:
+        raise ConfigInvalid(f"q_max must be >= 1, got {q_max}")
+    if n < 1:
+        raise ConfigInvalid(f"top_n must be >= 1, got {n}")
+
+
 def compute_tmax(q_max: int, v: int, n: int) -> int:
     """Per-candidate iteration cap that keeps N refinements plus the
     V selection queries inside the global budget: floor((q_max - v) / n).
@@ -69,17 +93,12 @@ def ranked_adversary(pool: LatentPool, candidates: Sequence[RankedCandidate],
                      greedy_config: GreedyConfig = GreedyConfig()) -> AttackResult:
     """Refine candidates in rank order with early stop and argmax fallback.
 
+    ``query_cap``, the black-box cap per candidate, takes the place of
+    ``q_max`` in check_mode_budget, and the number of candidates that of N.
     Candidates whose refinement aborts on a non-finite objective are
     skipped; if every candidate aborts, AllCandidatesFailed is raised.
     """
-    if mode not in (MODE_WHITEBOX, MODE_BLACKBOX):
-        raise ConfigInvalid(f"unknown mode {mode!r}")
-    if mode == MODE_WHITEBOX and t_max is None:
-        raise ConfigInvalid("white-box mode needs t_max")
-    if mode == MODE_BLACKBOX and query_cap is None:
-        raise ConfigInvalid("black-box mode needs query_cap")
-    if not candidates:
-        raise ConfigInvalid("no candidates to refine")
+    check_mode_budget(mode, t_max, query_cap, len(candidates))
 
     started = time.perf_counter()
     refined: List[Tuple[RankedCandidate, RefineResult]] = []
@@ -132,17 +151,8 @@ class AttackSettings:
     step_config: StepSchedule = StepSchedule()
     greedy_config: GreedyConfig = GreedyConfig()
 
-    def validate(self):
-        if self.mode == MODE_WHITEBOX:
-            if self.t_max is None or self.q_max is not None:
-                raise ConfigInvalid("white-box mode takes t_max and no Q_max")
-        elif self.mode == MODE_BLACKBOX:
-            if self.q_max is None or self.t_max is not None:
-                raise ConfigInvalid("black-box mode takes Q_max and no t_max")
-        else:
-            raise ConfigInvalid(f"unknown mode {self.mode!r}")
-        if self.n_top < 1:
-            raise ConfigInvalid("top-N must be >= 1")
+    def __post_init__(self):
+        check_mode_budget(self.mode, self.t_max, self.q_max, self.n_top)
 
 
 def run_attack(target_spec: TargetSpec, pool: LatentPool,
@@ -156,7 +166,6 @@ def run_attack(target_spec: TargetSpec, pool: LatentPool,
     stay blind to.  A black-box budget that leaves no refinement queries
     raises BudgetTooSmall before any query is charged.
     """
-    settings.validate()
     started = time.perf_counter()
     embedder = backend.embedder_by_id(target_spec.target_model_id)
     generator = backend.generator

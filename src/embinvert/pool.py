@@ -3,10 +3,10 @@
 Built once per generator and reused across targets: candidates are drawn
 from sequential seeds, screened for Gaussian normality first (cheap, no
 generation needed), then generated and screened for face presence.  The
-normality screen is one batched K^2 test per chunk of candidates, with the
-same code and bits as k2_test, so each survivor's stored p_K is the batch
-value.  Both the latent and its generation are cached so later selection
-stages never regenerate.
+normality screen runs only inside build_pool: one k2_pvalues call per chunk
+of candidates, the row-wise code of k2_test, so each survivor's stored p_K
+equals k2_test of its latent bit for bit.  Both the latent and its
+generation are cached so later selection stages never regenerate.
 
 Pool entries are target-agnostic by construction; nothing embedding- or
 identity-specific is stored.  Because of that, the embeddings of the
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .fileio import replace_file
 from .models import DetectorHandle, EmbedderHandle, GeneratorHandle
-from .normality import k2_pvalues, k2_test
+from .normality import k2_pvalues
 
 _MAGIC = b"LPOOL"
 _FORMAT_VERSION = 1
@@ -142,7 +142,6 @@ class LatentPool:
             raise ZeroNormEmbedding("cosine similarity undefined for zero-norm embedding")
         rows.flags.writeable = False
         norms.flags.writeable = False
-        # Concurrent first calls may both fill; they store identical arrays.
         self._embedding_cache[id(embedder)] = (embedder, rows, norms)
         return rows, norms
 
@@ -158,30 +157,6 @@ def sample_latent(d_lat: int, seed: int) -> LatentCode:
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(d_lat).astype(np.float32).astype(np.float64)
     return LatentCode(values=values, seed=seed)
-
-
-def screen_normality(code: LatentCode, tau_K: float,
-                     channels: Optional[int] = None) -> Tuple[bool, LatentCode]:
-    """Run the omnibus normality test; accept iff p_K >= tau_K.
-
-    By default the code is tested as one flattened sample.  With
-    ``channels`` set, the code splits into that many equal blocks which
-    must all pass; p_K records the worst block.  Returns (accepted, code
-    with p_K recorded).  The threshold itself is not range-checked here:
-    0 accepts everything and anything above 1 rejects everything, which
-    is exactly what the comparison yields.
-    """
-    if channels is None:
-        p_K = k2_test(code.values).p_value
-    else:
-        if channels < 1 or len(code) % channels != 0:
-            raise ConfigInvalid(
-                f"cannot split a length-{len(code)} code into {channels} channels")
-        width = len(code) // channels
-        p_K = min(k2_test(code.values[k * width:(k + 1) * width]).p_value
-                  for k in range(channels))
-    updated = code.with_screening(p_K=p_K)
-    return p_K >= tau_K, updated
 
 
 def screen_face(image: ImageSample, detector: DetectorHandle,

@@ -26,7 +26,7 @@ lexicographic argmax.
 """
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -100,8 +100,8 @@ class GreedyConfig:
     (untried coordinates rank first, so the opening pass sweeps every
     coordinate once).  The step starts at ``initial_step`` and is scaled by
     ``step_decay`` after ``stagnation_window`` consecutive rejected
-    proposals (0 means one full sweep of the latent).  ``max_coords``
-    optionally caps how many distinct coordinates may ever be touched.
+    proposals (0 means one full sweep of the latent).  Every coordinate
+    stays open to proposals for the whole search.
     """
 
     initial_step: float = 0.5
@@ -109,7 +109,6 @@ class GreedyConfig:
     gain_decay: float = 0.9
     stagnation_window: int = 0
     min_step: float = 1e-3
-    max_coords: Optional[int] = None
 
     def __post_init__(self):
         if self.initial_step <= 0 or self.min_step <= 0:
@@ -120,8 +119,6 @@ class GreedyConfig:
             raise ConfigInvalid("gain_decay must be in [0, 1)")
         if self.stagnation_window < 0:
             raise ConfigInvalid("stagnation_window must be >= 0")
-        if self.max_coords is not None and self.max_coords < 1:
-            raise ConfigInvalid("max_coords must be >= 1 when set")
 
 
 def project(delta: np.ndarray, budget: PerturbationBudget) -> np.ndarray:
@@ -249,23 +246,18 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
                         stop_reason=stop_reason, trace=tuple(trace))
 
 
-def _greedy_coordinate(scores: np.ndarray, last_visit: np.ndarray,
-                       allowed: Optional[np.ndarray]) -> int:
+def _greedy_coordinate(scores: np.ndarray, last_visit: np.ndarray) -> int:
     """The coordinate with the highest decayed gain; ties go to the least
     recently visited, then the lowest index, which makes the opening pass
-    a plain sweep.  ``allowed`` (ascending indices) restricts the choice.
+    a plain sweep.
 
     This is the lexicographic maximum of (score, -last_visit, -index).
     """
-    if allowed is not None:
-        scores = scores[allowed]
-        last_visit = last_visit[allowed]
     ties = np.flatnonzero(scores == scores.max())
     if ties.size > 1:
         visits = last_visit[ties]
         ties = ties[visits == visits.min()]
-    j = int(ties[0])
-    return j if allowed is None else int(allowed[j])
+    return int(ties[0])
 
 
 def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
@@ -297,20 +289,13 @@ def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
     preferred = np.ones(d)
     delta = np.zeros(d)
     best_delta = delta
-    touched = set()
-    allowed = None                    # every coordinate until max_coords is hit
     step = cfg.initial_step
     window = cfg.stagnation_window if cfg.stagnation_window > 0 else d
     consecutive_fails = 0
     stop_reason = STOP_BUDGET
 
     while queries < query_cap:
-        if (allowed is None and cfg.max_coords is not None
-                and len(touched) >= cfg.max_coords):
-            # Only touched coordinates are chosen from here on, so the set
-            # no longer grows.
-            allowed = np.array(sorted(touched))
-        coord = _greedy_coordinate(scores, last_visit, allowed)
+        coord = _greedy_coordinate(scores, last_visit)
         sign = preferred[coord]
         proposal = delta.copy()
         proposal[coord] += sign * step
@@ -324,7 +309,6 @@ def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
             delta = proposal
             best_delta = proposal
             best_s = s
-            touched.add(coord)
             consecutive_fails = 0
         else:
             preferred[coord] = -sign

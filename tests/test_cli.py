@@ -292,6 +292,17 @@ class TestCalibrationOnlyWhereRead:
         assert calibrations("report") == []       # reads the thresholds file
 
     @pytest.mark.parametrize("seed", [7, 1009])
+    def test_tau_f_is_the_worlds_lazy_tau_f(self, tmp_path, seed):
+        # calibrate and the world's tau_F draw the same impostor pairs.
+        cfg_path, config = write_config(tmp_path, seed=seed)
+        assert main(["calibrate", "--config", str(cfg_path)]) == 0
+        by_model = read_thresholds(config.thresholds_path)
+        backend = cli.build_backend(config)
+        assert len(backend.embedders) == 2
+        for embedder in backend.embedders:
+            assert by_model[embedder.model_id]["tau_F"] == embedder.tau_F
+
+    @pytest.mark.parametrize("seed", [7, 1009])
     def test_tau_c_is_the_confidence_threshold(self, tmp_path, seed):
         cfg_path, config = write_config(tmp_path, seed=seed)
         assert main(["calibrate", "--config", str(cfg_path)]) == 0
@@ -336,16 +347,39 @@ class TestAttackCommand:
         for rec in read_results(config.results_path):
             assert rec["ledger"]["total"] <= 500
 
-    def test_jobs_flag_preserves_results(self, attacked, tmp_path):
-        # the jobs flag changes the effective config (hence its checksum)
-        # but must not change any attack outcome
+    @pytest.mark.parametrize("source", ["flag", "file", "env"])
+    def test_jobs_other_than_one_exits_2(self, tmp_path, monkeypatch, capsys,
+                                         source):
+        # Targets run one after another; any other jobs value is refused
+        # before a target is attacked, wherever it comes from.
+        cfg_path, config = write_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        argv = ["attack", "--config", str(cfg_path)]
+        if source == "flag":
+            argv += ["--jobs", "3"]
+        elif source == "file":
+            write_config(tmp_path, jobs=2)
+        else:
+            monkeypatch.setenv("EMBINVERT_JOBS", "4")
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "jobs" in err and "one after another" in err
+        assert not os.path.exists(config.results_path)
+
+    def test_perfbench_invocation_matches_default(self, attacked, tmp_path):
+        # perfbench writes jobs = 1 into the config and passes --jobs 1.
         cfg_path, config = attacked
-        sequential = strip_wall_time(read_results(config.results_path),
-                                     and_checksum=True)
-        assert main(["attack", "--config", str(cfg_path), "--jobs", "3"]) == 0
-        parallel = strip_wall_time(read_results(config.results_path),
-                                   and_checksum=True)
-        assert sequential == parallel
+        text = cfg_path.read_text()
+        assert "jobs = 1\n" in text
+        bare = tmp_path / "bare.cfg"
+        bare.write_text("".join(line for line in text.splitlines(True)
+                                if not line.startswith("jobs ")))
+        assert main(["attack", "--config", str(bare)]) == 0
+        default = strip_wall_time(read_results(config.results_path))
+        assert main(["attack", "--config", str(cfg_path), "--jobs", "1"]) == 0
+        assert strip_wall_time(read_results(config.results_path)) == default
 
     def test_attack_without_pool_exits_4(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)  # pool never built

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from embinvert.config import RunConfig
 from embinvert.core import TargetSpec
 from embinvert.errors import AllCandidatesFailed, BudgetTooSmall, ConfigInvalid
 from embinvert.models import AttackSession, Backend, QueryLedger
@@ -140,6 +141,74 @@ class TestRankedAdversary:
                              mode=MODE_WHITEBOX)  # missing t_max
 
 
+# (mode, t_max, q_max, top_n): white-box takes t_max and no q_max,
+# black-box q_max and no t_max; t_max, q_max and N are each >= 1.
+GOOD_BUDGETS = [
+    (MODE_WHITEBOX, 1, None, 1),
+    (MODE_WHITEBOX, 5, None, 3),
+    (MODE_BLACKBOX, None, 1, 1),
+    (MODE_BLACKBOX, None, 20, 2),
+]
+BAD_BUDGETS = [
+    (MODE_WHITEBOX, None, None, 3),
+    (MODE_WHITEBOX, 5, 100, 3),
+    (MODE_WHITEBOX, None, 100, 3),
+    (MODE_BLACKBOX, None, None, 3),
+    (MODE_BLACKBOX, 5, 100, 3),
+    (MODE_BLACKBOX, 5, None, 3),
+    ("sideways", 5, None, 3),
+    ("sideways", None, 100, 3),
+    (MODE_WHITEBOX, 0, None, 3),
+    (MODE_WHITEBOX, -2, None, 3),
+    (MODE_BLACKBOX, None, 0, 3),
+    (MODE_WHITEBOX, 5, None, 0),
+    (MODE_BLACKBOX, None, 20, 0),
+]
+
+
+class TestModeBudgetRule:
+    """RunConfig, AttackSettings and ranked_adversary apply one rule."""
+
+    @staticmethod
+    def entry_points(world, pool, ledger):
+        f = world.embedders[0]
+        target = _target(world)
+        ranked = rank_candidates(pool, target, f, 3)
+
+        def run_config(mode, t_max, q_max, top_n):
+            RunConfig(mode=mode, t_max=t_max, q_max=q_max, top_n=top_n).validate()
+
+        def settings(mode, t_max, q_max, top_n):
+            AttackSettings(mode=mode, budget=PerturbationBudget("l2", 1.0),
+                           tau_C=0.9, n_top=top_n, t_max=t_max, q_max=q_max)
+
+        def adversary(mode, t_max, q_max, top_n):
+            session = AttackSession(world.generator, f, ledger,
+                                    allow_gradient=(mode == MODE_WHITEBOX))
+            ranked_adversary(pool, ranked[:top_n], target, session,
+                             PerturbationBudget("l2", 1.0), tau_C=0.9,
+                             mode=mode, t_max=t_max, query_cap=q_max)
+
+        return run_config, settings, adversary
+
+    @pytest.mark.parametrize("row", GOOD_BUDGETS)
+    def test_good_rows_accepted_everywhere(self, desk_world, desk_pool, row):
+        for accept in self.entry_points(desk_world, desk_pool, QueryLedger()):
+            accept(*row)
+
+    @pytest.mark.parametrize("row", BAD_BUDGETS)
+    def test_bad_rows_rejected_everywhere_with_one_message(self, desk_world,
+                                                            desk_pool, row):
+        ledger = QueryLedger()
+        messages = []
+        for reject in self.entry_points(desk_world, desk_pool, ledger):
+            with pytest.raises(ConfigInvalid) as excinfo:
+                reject(*row)
+            messages.append(str(excinfo.value))
+        assert len(set(messages)) == 1, messages
+        assert ledger.total == 0  # rejected before any query
+
+
 WHITEBOX_SETTINGS = AttackSettings(
     mode=MODE_WHITEBOX,
     budget=PerturbationBudget("l2", 35.0),
@@ -215,11 +284,11 @@ class TestRunAttack:
         with pytest.raises(ConfigInvalid):
             AttackSettings(mode=MODE_WHITEBOX,
                            budget=PerturbationBudget("l2", 1.0),
-                           tau_C=0.9, n_top=3, t_max=None).validate()
+                           tau_C=0.9, n_top=3, t_max=None)
         with pytest.raises(ConfigInvalid):
             AttackSettings(mode=MODE_BLACKBOX,
                            budget=PerturbationBudget("l2", 1.0),
-                           tau_C=0.9, n_top=3, t_max=5, q_max=100).validate()
+                           tau_C=0.9, n_top=3, t_max=5, q_max=100)
 
     def test_blackbox_success_rate_non_decreasing_in_budget(self):
         # End-to-end black-box runs over growing query budgets.  The greedy

@@ -20,8 +20,9 @@ from embinvert.errors import (
     ShapeMismatch,
     ZeroNormEmbedding,
 )
-from embinvert.models import EmbedderHandle
-from embinvert.normality import k2_test
+from embinvert import pool as pool_module
+from embinvert.models import EmbedderHandle, SyntheticGenerator
+from embinvert.normality import k2_pvalues, k2_test
 from embinvert.pool import (
     LatentPool,
     build_pool,
@@ -29,7 +30,6 @@ from embinvert.pool import (
     sample_latent,
     save_pool,
     screen_face,
-    screen_normality,
 )
 
 
@@ -60,52 +60,59 @@ class TestSampleLatent:
 
 
 class TestScreenNormality:
-    def test_outlier_code_rejected_at_paper_threshold(self):
-        values = np.random.default_rng(46).standard_normal(4096)
-        values[0] = 50.0
-        accepted, code = screen_normality(LatentCode(values), tau_K=0.999)
-        assert not accepted
-        assert code.p_K < 1e-10
+    """The normality screen as build_pool runs it: k2_pvalues per chunk."""
 
-    def test_zero_threshold_accepts_everything(self):
-        for seed in range(10):
-            accepted, _ = screen_normality(sample_latent(64, seed), tau_K=0.0)
-            assert accepted
+    def test_outlier_code_rejected_at_paper_threshold(self, desk_world,
+                                                      monkeypatch):
+        outlier = np.random.default_rng(46).standard_normal(desk_world.generator.d_lat)
+        outlier[0] = 50.0
+        assert k2_test(outlier).p_value < 1e-10
+        real_sample = pool_module.sample_latent
+
+        def sample(d_lat, seed):
+            return LatentCode(outlier, seed=seed) if seed == 0 else real_sample(d_lat, seed)
+
+        monkeypatch.setattr(pool_module, "sample_latent", sample)
+        pool = build_pool(desk_world.generator, desk_world.detector, V=1,
+                          tau_K=0.999, tau_D=0.0, build_seed=0)
+        assert pool.entries[0].latent.seed != 0
+
+    def test_zero_threshold_accepts_everything(self, desk_world):
+        pool = build_pool(desk_world.generator, desk_world.detector, V=10,
+                          tau_K=0.0, tau_D=0.0, build_seed=0)
+        assert pool.stats.normality_accepted == pool.stats.drawn == 10
 
     def test_null_acceptance_rate_near_tail_mass(self):
-        accepted = sum(
-            screen_normality(sample_latent(4096, seed), tau_K=0.999)[0]
-            for seed in range(4000)
-        )
+        accepted = 0
+        for start in range(0, 4000, 250):
+            rows = np.stack([sample_latent(4096, seed).values
+                             for seed in range(start, start + 250)])
+            accepted += int(np.count_nonzero(k2_pvalues(rows) >= 0.999))
         # tail mass 0.001; allow generous Monte Carlo slack
         assert 0 <= accepted <= 16
 
-    def test_records_p_value_from_k2(self):
-        code = sample_latent(256, 3)
-        _, updated = screen_normality(code, tau_K=0.5)
-        assert updated.p_K == k2_test(code.values).p_value
+    def test_records_p_value_from_k2(self, desk_world):
+        pool = build_pool(desk_world.generator, desk_world.detector, V=20,
+                          tau_K=0.5, tau_D=0.0, build_seed=3)
+        for entry in pool.entries:
+            assert entry.latent.p_K == k2_test(entry.latent.values).p_value
 
-    def test_per_channel_mode_uses_worst_block(self):
-        rng = np.random.default_rng(0)
-        good = rng.standard_normal(128)
-        bad = rng.uniform(-1, 1, 128)  # platykurtic block
-        code = LatentCode(np.concatenate([good, bad]))
-        accepted, updated = screen_normality(code, tau_K=0.5, channels=2)
-        per_block = min(k2_test(good).p_value, k2_test(bad).p_value)
-        assert updated.p_K == per_block
-        assert not accepted
-
-    def test_per_channel_requires_even_split(self):
-        with pytest.raises(ConfigInvalid):
-            screen_normality(sample_latent(65, 0), tau_K=0.5, channels=2)
-
-    def test_short_code_propagates_sample_error(self):
+    def test_short_code_propagates_sample_error(self, desk_world):
+        generator = SyntheticGenerator(8, (1, 2, 2), np.random.SeedSequence(0),
+                                       generator_id="short")
         with pytest.raises(SampleTooSmall):
-            screen_normality(LatentCode(np.zeros(8) + np.arange(8)), tau_K=0.5)
+            build_pool(generator, desk_world.detector, V=1, tau_K=0.5,
+                       tau_D=0.0, build_seed=0)
 
-    def test_threshold_above_one_rejects_everything(self):
-        accepted, code = screen_normality(sample_latent(64, 0), tau_K=1.0 + 1e-9)
-        assert not accepted and code.p_K is not None
+    def test_threshold_above_one_rejects_everything(self, desk_world):
+        # A threshold above 1 would reject every draw; the build refuses it
+        # before drawing anything.
+        calls = []
+        generator = _CountingGenerator(desk_world.generator, calls)
+        with pytest.raises(ConfigInvalid):
+            build_pool(generator, desk_world.detector, V=1,
+                       tau_K=1.0 + 1e-9, tau_D=0.0, build_seed=0)
+        assert calls == []
 
 
 class TestScreenFace:

@@ -172,10 +172,9 @@ def same_result(a, b):
             and a.stop_reason == b.stop_reason)
 
 
-def reference_greedy_coordinate(scores, last_visit, allowed):
+def reference_greedy_coordinate(scores, last_visit):
     """The greedy choice as a Python max over per-coordinate keys."""
-    candidates = range(scores.size) if allowed is None else allowed.tolist()
-    return max(candidates, key=lambda j: (scores[j], -last_visit[j], -j))
+    return max(range(scores.size), key=lambda j: (scores[j], -last_visit[j], -j))
 
 
 class TestRefineWhitebox:
@@ -379,16 +378,6 @@ class TestRefineBlackbox:
             bests.append(r.final_similarity)
         assert bests == sorted(bests)
 
-    def test_sparsity_cap_limits_touched_coordinates(self, desk_world):
-        session = RecordingSession(make_session(desk_world, allow_gradient=False))
-        x = sample_latent(desk_world.generator.d_lat, 31)
-        target = identity_target(desk_world, identity=11)
-        cfg = GreedyConfig(max_coords=5)
-        r = refine_blackbox(x, target, session, L2(35.0), query_cap=500,
-                            tau_C=0.9999, greedy_config=cfg)
-        moved = np.flatnonzero(r.refined.values != x.values)
-        assert len(moved) <= 5
-
     def test_nonfinite_loss_aborts(self, desk_world):
         session = BrokenSession(make_session(desk_world, allow_gradient=False),
                                 break_after=10)
@@ -414,19 +403,14 @@ class TestGreedyCoordinate:
             st.sampled_from([0.0, 0.25, 1e-300, 0.5, np.inf]), min_size=d, max_size=d)))
         last_visit = np.array(data.draw(st.lists(st.integers(-1, 3), min_size=d,
                                                  max_size=d)), dtype=np.int64)
-        allowed = None
-        if data.draw(st.booleans()):
-            allowed = np.array(sorted(data.draw(st.sets(st.integers(0, d - 1),
-                                                        min_size=1))))
-        assert (refine._greedy_coordinate(scores, last_visit, allowed)
-                == reference_greedy_coordinate(scores, last_visit, allowed))
+        assert (refine._greedy_coordinate(scores, last_visit)
+                == reference_greedy_coordinate(scores, last_visit))
 
     def test_refinement_equals_reference_choice(self, desk_world, desk_pool,
                                                 monkeypatch):
-        configs = (GreedyConfig(), GreedyConfig(max_coords=3),
-                   GreedyConfig(max_coords=8, stagnation_window=5),
+        configs = (GreedyConfig(), GreedyConfig(stagnation_window=5),
                    GreedyConfig(stagnation_window=2, step_decay=0.7),
-                   GreedyConfig(max_coords=1, gain_decay=0.0))
+                   GreedyConfig(gain_decay=0.0))
         cases = []
         for seed in range(30):
             cfg = configs[seed % len(configs)]
@@ -447,10 +431,8 @@ class TestGreedyCoordinate:
 
         vectorised = run_all()
         monkeypatch.setattr(refine, "_greedy_coordinate", reference_greedy_coordinate)
-        for (x, _t, _b, cfg, _c), a, b in zip(cases, vectorised, run_all()):
+        for a, b in zip(vectorised, run_all()):
             assert same_result(a, b)
-            if cfg.max_coords is not None:
-                assert np.count_nonzero(a.refined.values != x.values) <= cfg.max_coords
 
 
 class TestStepSchedule:
