@@ -57,10 +57,8 @@ from .pool import (
 )
 from .ranking import RankedCandidate, rank_candidates
 from .refine import (
-    GreedyConfig,
     PerturbationBudget,
     RefineResult,
-    StepSchedule,
     project,
     refine_blackbox,
     refine_whitebox,

@@ -80,11 +80,18 @@ def build_backend(config: RunConfig):
 
 
 def _identity_groups(backend) -> List[Tuple[str, tuple]]:
-    if backend.identity_images is not None:
-        return [(f"id{i:03d}", tuple(group))
-                for i, group in enumerate(backend.identity_images)]
-    raise ConfigInvalid(
-        "backend provides no identity images (configure adapter_calibration)")
+    """The backend's identities as (id, images), each with at least one image."""
+    if backend.identity_images is None:
+        raise ConfigInvalid(
+            "backend provides no identity images (configure adapter_calibration)")
+    groups = [(f"id{i:03d}", tuple(group))
+              for i, group in enumerate(backend.identity_images)]
+    if not groups:
+        raise InsufficientImages("backend provides no identities")
+    for identity_id, images in groups:
+        if not images:
+            raise InsufficientImages(f"identity {identity_id} has no images")
+    return groups
 
 
 def cmd_build_pool(config: RunConfig) -> int:

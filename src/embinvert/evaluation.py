@@ -145,13 +145,12 @@ def _genuine_scores(unit: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def calibration_set_from_images(images_by_identity: Sequence[Sequence[ImageSample]],
-                                embedder, seed,
-                                impostor_factor: int = 1) -> CalibrationSet:
+                                embedder, seed) -> CalibrationSet:
     """Build genuine/impostor score samples from identity-grouped images.
 
     Genuine pairs are exhaustive (all same-identity distinct pairs);
-    impostor pairs are a seeded random sample, impostor_factor per genuine
-    pair, so FAR and FRR are estimated from balanced counts.
+    impostor pairs are a seeded random sample, one per genuine pair, so
+    FAR and FRR are estimated from balanced counts.
     """
     if len(images_by_identity) < 2:
         raise EmptyCalibration("impostor pairs need at least two identities")
@@ -167,7 +166,7 @@ def calibration_set_from_images(images_by_identity: Sequence[Sequence[ImageSampl
     first = starts.tolist()
     sizes = [len(group) for group in images_by_identity]
     rows_a, rows_b = [], []
-    for _ in range(impostor_factor * genuine.size):
+    for _ in range(genuine.size):
         i, j = rng.choice(len(sizes), size=2, replace=False)
         rows_a.append(first[i] + rng.integers(0, sizes[i]))
         rows_b.append(first[j] + rng.integers(0, sizes[j]))
@@ -176,21 +175,11 @@ def calibration_set_from_images(images_by_identity: Sequence[Sequence[ImageSampl
 
 
 def compute_confidence_threshold(images_by_identity: Sequence[Sequence[ImageSample]],
-                                 embedder,
-                                 include_cross_identity: bool = False) -> float:
-    """Maximum pairwise similarity over real image pairs.
-
-    Default pairs are same-identity, distinct images.  The cross-identity
-    variant (all distinct image pairs) is available behind the flag.
-    """
-    if include_cross_identity:
-        images_by_identity = [[img for group in images_by_identity for img in group]]
+                                 embedder) -> float:
+    """Maximum similarity over real same-identity pairs of distinct images."""
     if all(len(group) < 2 for group in images_by_identity):
         raise InsufficientImages(
-            "confidence threshold needs at least one identity with two images"
-            if not include_cross_identity else
-            "confidence threshold needs at least two images"
-        )
+            "confidence threshold needs at least one identity with two images")
     unit, starts = _unit_embeddings(images_by_identity, embedder)
     return float(_genuine_scores(unit, starts).max())
 

@@ -372,8 +372,7 @@ def impostor_stream(master_seed: int, k: int) -> list:
     """Seed of the impostor pairs that calibrate embedder ``k``'s ``tau_F``.
 
     The world's lazy ``tau_F`` and the ``calibrate`` command both draw from
-    it, with calibration_set_from_images's default impostor factor, so the
-    two thresholds are the same float.
+    it, so the two thresholds are the same float.
     """
     return [master_seed, _STREAM_IMPOSTORS, k]
 

@@ -18,11 +18,9 @@ from .models import AttackSession, QueryLedger
 from .pool import LatentPool
 from .ranking import RankedCandidate, rank_candidates
 from .refine import (
-    GreedyConfig,
     PerturbationBudget,
     RefineResult,
     STOP_CONFIDENCE,
-    StepSchedule,
     refine_blackbox,
     refine_whitebox,
 )
@@ -71,9 +69,9 @@ def compute_tmax(q_max: int, v: int, n: int) -> int:
     """Per-candidate iteration cap that keeps N refinements plus the
     V selection queries inside the global budget: floor((q_max - v) / n).
 
-    Raises BudgetTooSmall when that cap would be 0."""
-    if n < 1:
-        raise ConfigInvalid(f"N must be >= 1, got {n}")
+    Raises ConfigInvalid when check_mode_budget rejects (q_max, n), and
+    BudgetTooSmall when the cap would be 0."""
+    check_mode_budget(MODE_BLACKBOX, None, q_max, n)
     if q_max <= v:
         raise BudgetTooSmall(
             f"query budget {q_max} does not exceed the selection cost V = {v}")
@@ -88,9 +86,7 @@ def ranked_adversary(pool: LatentPool, candidates: Sequence[RankedCandidate],
                      target: EmbeddingVector, session: AttackSession,
                      budget: PerturbationBudget, tau_C: float, mode: str,
                      t_max: Optional[int] = None,
-                     query_cap: Optional[int] = None,
-                     step_config: StepSchedule = StepSchedule(),
-                     greedy_config: GreedyConfig = GreedyConfig()) -> AttackResult:
+                     query_cap: Optional[int] = None) -> AttackResult:
     """Refine candidates in rank order with early stop and argmax fallback.
 
     ``query_cap``, the black-box cap per candidate, takes the place of
@@ -107,10 +103,10 @@ def ranked_adversary(pool: LatentPool, candidates: Sequence[RankedCandidate],
         try:
             if mode == MODE_WHITEBOX:
                 result = refine_whitebox(x_G, target, session, budget,
-                                         t_max, tau_C, step_config)
+                                         t_max, tau_C)
             else:
                 result = refine_blackbox(x_G, target, session, budget,
-                                         query_cap, tau_C, greedy_config)
+                                         query_cap, tau_C)
         except NonFiniteLoss:
             continue
         refined.append((cand, result))
@@ -148,8 +144,6 @@ class AttackSettings:
     n_top: int
     t_max: Optional[int] = None       # white-box per-candidate iterations
     q_max: Optional[int] = None       # black-box global query budget
-    step_config: StepSchedule = StepSchedule()
-    greedy_config: GreedyConfig = GreedyConfig()
 
     def __post_init__(self):
         check_mode_budget(self.mode, self.t_max, self.q_max, self.n_top)
@@ -170,14 +164,10 @@ def run_attack(target_spec: TargetSpec, pool: LatentPool,
     embedder = backend.embedder_by_id(target_spec.target_model_id)
     generator = backend.generator
     target = target_spec.target_embedding
+    query_cap = None
     if settings.mode == MODE_BLACKBOX:
-        refine_args = dict(
-            query_cap=compute_tmax(settings.q_max, pool.V,
-                                   min(settings.n_top, pool.V)),
-            greedy_config=settings.greedy_config)
-    else:
-        refine_args = dict(t_max=settings.t_max,
-                           step_config=settings.step_config)
+        query_cap = compute_tmax(settings.q_max, pool.V,
+                                 min(settings.n_top, pool.V))
 
     ledger = QueryLedger(q_max=settings.q_max)
     session = AttackSession(generator, embedder, ledger,
@@ -185,5 +175,6 @@ def run_attack(target_spec: TargetSpec, pool: LatentPool,
 
     selected = rank_candidates(pool, target, embedder, settings.n_top, ledger)
     result = ranked_adversary(pool, selected, target, session, settings.budget,
-                              settings.tau_C, settings.mode, **refine_args)
+                              settings.tau_C, settings.mode,
+                              t_max=settings.t_max, query_cap=query_cap)
     return replace(result, wall_time=time.perf_counter() - started)

@@ -23,6 +23,15 @@ stop at tau_C runs no backward pass.  The black-box path is a greedy
 coordinate search driven entirely by observed objective gains; it never
 touches gradients, and picks each coordinate with one vectorised
 lexicographic argmax.
+
+Both searches are fixed; their values are module constants, not config
+keys:
+
+  * white-box: momentum 0.75; first step 0.1 * epsilon; checkpoint gaps
+    start at 0.22 of t_max and shrink by 0.03 down to 0.06; success
+    fraction 0.75;
+  * black-box: step 0.5, halved after d consecutive rejections (d the
+    latent size), down to 1e-3; gain decay 0.9.
 """
 import math
 from dataclasses import dataclass
@@ -64,61 +73,25 @@ class RefineResult:
     trace: Tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class StepSchedule:
-    """Knobs of the adaptive white-box schedule.
+# White-box schedule: a review at each of _checkpoints(t_max) halves the
+# step when fewer than _SUCCESS_FRACTION of its window's iterations
+# improved, or when the best value stalled and the step was not already
+# halved.
+_MOMENTUM = 0.75
+_INITIAL_STEP_FACTOR = 0.1
+_CHECKPOINT_INITIAL = 0.22
+_CHECKPOINT_SHRINK = 0.03
+_CHECKPOINT_MIN = 0.06
+_SUCCESS_FRACTION = 0.75
 
-    Checkpoints sit at cumulative fractions of the iteration budget whose
-    gaps start at ``checkpoint_initial`` and shrink by ``checkpoint_shrink``
-    down to ``checkpoint_min``.  A checkpoint fails when fewer than
-    ``success_fraction`` of its window's iterations improved the objective,
-    or when the best value stalled and the step was not already halved.
-    """
-
-    momentum: float = 0.75
-    initial_step_factor: float = 0.1
-    checkpoint_initial: float = 0.22
-    checkpoint_shrink: float = 0.03
-    checkpoint_min: float = 0.06
-    success_fraction: float = 0.75
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ConfigInvalid("momentum must be in [0, 1]")
-        if self.initial_step_factor <= 0:
-            raise ConfigInvalid("initial_step_factor must be > 0")
-        if not 0.0 < self.checkpoint_min <= self.checkpoint_initial:
-            raise ConfigInvalid("checkpoint fractions must satisfy 0 < min <= initial")
-
-
-@dataclass(frozen=True)
-class GreedyConfig:
-    """Knobs of the black-box greedy coordinate search.
-
-    Coordinates are proposed in priority order; a coordinate's priority is
-    an exponentially decayed average of the gains its proposals produced
-    (untried coordinates rank first, so the opening pass sweeps every
-    coordinate once).  The step starts at ``initial_step`` and is scaled by
-    ``step_decay`` after ``stagnation_window`` consecutive rejected
-    proposals (0 means one full sweep of the latent).  Every coordinate
-    stays open to proposals for the whole search.
-    """
-
-    initial_step: float = 0.5
-    step_decay: float = 0.5
-    gain_decay: float = 0.9
-    stagnation_window: int = 0
-    min_step: float = 1e-3
-
-    def __post_init__(self):
-        if self.initial_step <= 0 or self.min_step <= 0:
-            raise ConfigInvalid("steps must be > 0")
-        if not 0.0 < self.step_decay <= 1.0:
-            raise ConfigInvalid("step_decay must be in (0, 1]")
-        if not 0.0 <= self.gain_decay < 1.0:
-            raise ConfigInvalid("gain_decay must be in [0, 1)")
-        if self.stagnation_window < 0:
-            raise ConfigInvalid("stagnation_window must be >= 0")
+# Black-box search: a coordinate's priority is an exponentially decayed
+# average of the gains its proposals produced.  The step is scaled by
+# _GREEDY_STEP_DECAY after d (one sweep of the latent) consecutive
+# rejections, never below _GREEDY_MIN_STEP.
+_GREEDY_INITIAL_STEP = 0.5
+_GREEDY_STEP_DECAY = 0.5
+_GREEDY_GAIN_DECAY = 0.9
+_GREEDY_MIN_STEP = 1e-3
 
 
 def project(delta: np.ndarray, budget: PerturbationBudget) -> np.ndarray:
@@ -138,17 +111,19 @@ def project(delta: np.ndarray, budget: PerturbationBudget) -> np.ndarray:
     return np.clip(delta, -budget.epsilon, budget.epsilon)
 
 
-def _checkpoints(t_max: int, sched: StepSchedule):
-    """Strictly increasing iteration indices of the step-review points."""
+def _checkpoints(t_max: int):
+    """Strictly increasing iteration indices of the step-review points:
+    cumulative fractions of t_max whose gaps start at _CHECKPOINT_INITIAL
+    and shrink by _CHECKPOINT_SHRINK down to _CHECKPOINT_MIN."""
     points = []
-    p_prev, p = 0.0, sched.checkpoint_initial
+    p_prev, p = 0.0, _CHECKPOINT_INITIAL
     while True:
         w = int(math.ceil(p * t_max))
         if w >= t_max:
             break
         if not points or w > points[-1]:
             points.append(w)
-        gap = max(p - p_prev - sched.checkpoint_shrink, sched.checkpoint_min)
+        gap = max(p - p_prev - _CHECKPOINT_SHRINK, _CHECKPOINT_MIN)
         p_prev, p = p, p + gap
     return points
 
@@ -159,10 +134,26 @@ def _finite_or_raise(value: float, trace):
     return value
 
 
+def _result(x_G: LatentCode, best_delta, s0: float, best_s: float, trace,
+            stop_reason: str) -> RefineResult:
+    """The result of a refinement whose evaluations after the initial one
+    produced ``trace``; ``best_delta`` None means x_G itself is returned.
+
+    Each iteration costs one query on top of the initial evaluation.
+    """
+    refined = x_G
+    if best_delta is not None:
+        refined = LatentCode(values=x_G.values + best_delta, seed=x_G.seed,
+                             p_K=x_G.p_K, p_D=x_G.p_D)
+    return RefineResult(refined=refined, initial_similarity=s0,
+                        final_similarity=best_s, iterations_used=len(trace),
+                        queries_used=len(trace) + 1, stop_reason=stop_reason,
+                        trace=tuple(trace))
+
+
 def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
                     session: AttackSession, budget: PerturbationBudget,
-                    t_max: int, tau_C: float,
-                    step_config: StepSchedule = StepSchedule()) -> RefineResult:
+                    t_max: int, tau_C: float) -> RefineResult:
     """Projected gradient ascent with momentum and adaptive step halving."""
     if t_max < 1:
         raise ConfigInvalid(f"t_max must be >= 1, got {t_max}")
@@ -170,14 +161,10 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
     trace = []
     s0, grad_fn = session.value_and_grad(x0, target)
     _finite_or_raise(s0, trace)
-    queries = 1
     if s0 >= tau_C:
-        return RefineResult(refined=x_G, initial_similarity=s0,
-                            final_similarity=s0, iterations_used=0,
-                            queries_used=queries, stop_reason=STOP_CONFIDENCE,
-                            trace=())
+        return _result(x_G, None, s0, s0, trace, STOP_CONFIDENCE)
 
-    step = step_config.initial_step_factor * budget.epsilon
+    step = _INITIAL_STEP_FACTOR * budget.epsilon
     delta = np.zeros_like(x0)
     delta_prev = delta
     # The gradient of each evaluated point is kept, unevaluated, so a
@@ -185,14 +172,13 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
     best_s, best_delta, best_grad_fn = s0, delta, grad_fn
     s_prev = s0
     successes = 0
-    checkpoints = _checkpoints(t_max, step_config)
+    checkpoints = _checkpoints(t_max)
     next_cp = 0
     window_start = 0
     best_at_last_cp = best_s
     halved_at_last_cp = True  # suppress the stall rule before the first review
 
     stop_reason = STOP_BUDGET
-    iterations = 0
     for it in range(1, t_max + 1):
         grad = grad_fn()
         if budget.norm == NORM_L2:
@@ -201,16 +187,14 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
         else:
             direction = np.sign(grad)
         z = project(delta + step * direction, budget)
-        a = step_config.momentum if it > 1 else 1.0
+        a = _MOMENTUM if it > 1 else 1.0
         candidate = project(delta + a * (z - delta) + (1.0 - a) * (delta - delta_prev),
                             budget)
         delta_prev, delta = delta, candidate
 
         s, grad_fn = session.value_and_grad(x0 + delta, target)
         _finite_or_raise(s, trace)
-        queries += 1
         trace.append(s)
-        iterations = it
         if s > s_prev:
             successes += 1
         s_prev = s
@@ -222,7 +206,7 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
 
         if next_cp < len(checkpoints) and it == checkpoints[next_cp]:
             window = it - window_start
-            too_few = successes < step_config.success_fraction * window
+            too_few = successes < _SUCCESS_FRACTION * window
             stalled = (not halved_at_last_cp) and (best_s <= best_at_last_cp)
             if too_few or stalled:
                 step *= 0.5
@@ -238,12 +222,7 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
             window_start = it
             next_cp += 1
 
-    refined = LatentCode(values=x0 + best_delta, seed=x_G.seed,
-                         p_K=x_G.p_K, p_D=x_G.p_D)
-    return RefineResult(refined=refined, initial_similarity=s0,
-                        final_similarity=max(best_s, s0),
-                        iterations_used=iterations, queries_used=queries,
-                        stop_reason=stop_reason, trace=tuple(trace))
+    return _result(x_G, best_delta, s0, best_s, trace, stop_reason)
 
 
 def _greedy_coordinate(scores: np.ndarray, last_visit: np.ndarray) -> int:
@@ -262,8 +241,7 @@ def _greedy_coordinate(scores: np.ndarray, last_visit: np.ndarray) -> int:
 
 def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
                     session: AttackSession, budget: PerturbationBudget,
-                    query_cap: int, tau_C: float,
-                    greedy_config: GreedyConfig = GreedyConfig()) -> RefineResult:
+                    query_cap: int, tau_C: float) -> RefineResult:
     """Greedy coordinate search under a hard evaluation budget.
 
     Every proposal costs exactly one query; a proposal is kept only if it
@@ -271,27 +249,22 @@ def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
     """
     if query_cap < 1:
         raise ConfigInvalid(f"query_cap must be >= 1, got {query_cap}")
-    cfg = greedy_config
     x0 = x_G.values
     d = x0.size
     trace = []
     s0 = _finite_or_raise(session.loss(x0, target), trace)
-    queries = 1
-    best_s = s0
     if s0 >= tau_C:
-        return RefineResult(refined=x_G, initial_similarity=s0,
-                            final_similarity=s0, iterations_used=0,
-                            queries_used=queries, stop_reason=STOP_CONFIDENCE,
-                            trace=())
+        return _result(x_G, None, s0, s0, trace, STOP_CONFIDENCE)
 
     scores = np.full(d, np.inf)       # untried coordinates go first
     last_visit = np.full(d, -1, dtype=np.int64)
     preferred = np.ones(d)
     delta = np.zeros(d)
     best_delta = delta
-    step = cfg.initial_step
-    window = cfg.stagnation_window if cfg.stagnation_window > 0 else d
+    best_s = s0
+    step = _GREEDY_INITIAL_STEP
     consecutive_fails = 0
+    queries = 1
     stop_reason = STOP_BUDGET
 
     while queries < query_cap:
@@ -313,23 +286,19 @@ def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
         else:
             preferred[coord] = -sign
             consecutive_fails += 1
-            if consecutive_fails >= window:
-                step = max(step * cfg.step_decay, cfg.min_step)
+            if consecutive_fails >= d:
+                step = max(step * _GREEDY_STEP_DECAY, _GREEDY_MIN_STEP)
                 consecutive_fails = 0
         observed = max(gain, 0.0)
         if math.isinf(scores[coord]):
             scores[coord] = observed
         else:
-            scores[coord] = cfg.gain_decay * scores[coord] + (1.0 - cfg.gain_decay) * observed
+            scores[coord] = (_GREEDY_GAIN_DECAY * scores[coord]
+                             + (1.0 - _GREEDY_GAIN_DECAY) * observed)
         last_visit[coord] = queries
 
         if s >= tau_C:
             stop_reason = STOP_CONFIDENCE
             break
 
-    refined = LatentCode(values=x0 + best_delta, seed=x_G.seed,
-                         p_K=x_G.p_K, p_D=x_G.p_D)
-    return RefineResult(refined=refined, initial_similarity=s0,
-                        final_similarity=best_s,
-                        iterations_used=queries - 1, queries_used=queries,
-                        stop_reason=stop_reason, trace=tuple(trace))
+    return _result(x_G, best_delta, s0, best_s, trace, stop_reason)

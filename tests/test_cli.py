@@ -501,34 +501,53 @@ class TestReportCommand:
         assert main(["report", "--config", str(cfg_path)]) == 4
 
 
+def toy_generator(config):
+    return SyntheticGenerator(config.d_lat, config.image_shape,
+                              np.random.SeedSequence([1234, 0]),
+                              generator_id="toy-gen")
+
+
+def register_toy_adapters(calibration_factory):
+    """Register adapters that wrap the synthetic machinery under external
+    ids, as a real generator/embedder adapter would wrap its model processes.
+    """
+    def emb_factory(k, model_id):
+        def factory(config):
+            e = SyntheticEmbedder(24, config.image_shape,
+                                  np.random.SeedSequence([1234, k]), model_id)
+            e.tau_F = 0.5
+            return e
+        return factory
+
+    def det_factory(config):
+        gen = toy_generator(config)
+        return SyntheticDetector(np.tanh(gen.bias), offset=-1.0, slope=50.0,
+                                 detector_id="toy-det")
+
+    registry.register_generator("toy-gen", toy_generator)
+    registry.register_embedder("toy-emb-a", emb_factory(1, "toy-emb-a"))
+    registry.register_embedder("toy-emb-b", emb_factory(2, "toy-emb-b"))
+    registry.register_detector("toy-det", det_factory)
+    registry.register_calibration_source("toy-cal", calibration_factory)
+
+
+def write_toy_adapter_config(tmp_path):
+    return write_config(
+        tmp_path,
+        backend="adapter",
+        adapter_generator="toy-gen",
+        adapter_embedders=("toy-emb-a", "toy-emb-b"),
+        adapter_detector="toy-det",
+        adapter_calibration="toy-cal",
+        target_model="toy-emb-a",
+        tau_k=0.5, tau_d=0.5, volume=10, num_targets=2,
+    )
+
+
 class TestAdapterRegistry:
     def test_full_pipeline_through_registered_adapters(self, tmp_path):
-        # Adapters wrap the same synthetic machinery under external ids, as a
-        # real generator/embedder adapter would wrap its model processes.
-        def gen_factory(config):
-            return SyntheticGenerator(config.d_lat, config.image_shape,
-                                      np.random.SeedSequence([1234, 0]),
-                                      generator_id="toy-gen")
-
-        def emb_factory_a(config):
-            e = SyntheticEmbedder(24, config.image_shape,
-                                  np.random.SeedSequence([1234, 1]), "toy-emb-a")
-            e.tau_F = 0.5
-            return e
-
-        def emb_factory_b(config):
-            e = SyntheticEmbedder(24, config.image_shape,
-                                  np.random.SeedSequence([1234, 2]), "toy-emb-b")
-            e.tau_F = 0.5
-            return e
-
-        def det_factory(config):
-            gen = gen_factory(config)
-            return SyntheticDetector(np.tanh(gen.bias), offset=-1.0, slope=50.0,
-                                     detector_id="toy-det")
-
         def calibration_factory(config):
-            gen = gen_factory(config)
+            gen = toy_generator(config)
             from embinvert.core import LatentCode
             rng = np.random.default_rng(5)
             groups = []
@@ -539,28 +558,27 @@ class TestAdapterRegistry:
                     for _ in range(3)))
             return groups
 
-        registry.register_generator("toy-gen", gen_factory)
-        registry.register_embedder("toy-emb-a", emb_factory_a)
-        registry.register_embedder("toy-emb-b", emb_factory_b)
-        registry.register_detector("toy-det", det_factory)
-        registry.register_calibration_source("toy-cal", calibration_factory)
-
-        cfg_path, config = write_config(
-            tmp_path,
-            backend="adapter",
-            adapter_generator="toy-gen",
-            adapter_embedders=("toy-emb-a", "toy-emb-b"),
-            adapter_detector="toy-det",
-            adapter_calibration="toy-cal",
-            target_model="toy-emb-a",
-            tau_k=0.5, tau_d=0.5, volume=10, num_targets=2,
-        )
+        register_toy_adapters(calibration_factory)
+        cfg_path, config = write_toy_adapter_config(tmp_path)
         assert main(["build-pool", "--config", str(cfg_path)]) == 0
         assert main(["calibrate", "--config", str(cfg_path)]) == 0
         assert main(["attack", "--config", str(cfg_path)]) == 0
         assert main(["report", "--config", str(cfg_path)]) == 0
         by_model = read_thresholds(config.thresholds_path)
         assert set(by_model) == {"toy-emb-a", "toy-emb-b"}
+
+    @pytest.mark.parametrize("groups, message", [
+        ([], "backend provides no identities"),
+        ([(), ()], "identity id000 has no images"),
+    ], ids=["no-identities", "empty-identity"])
+    def test_attack_without_identity_images_exits_3(self, tmp_path, capsys,
+                                                    groups, message):
+        register_toy_adapters(lambda config: groups)
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        assert main(["attack", "--config", str(cfg_path)]) == 3
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not os.path.exists(config.results_path)
 
     def test_unregistered_adapter_exits_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, backend="adapter",

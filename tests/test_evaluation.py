@@ -174,15 +174,13 @@ class TestConfidenceThreshold:
         with pytest.raises(InsufficientImages):
             compute_confidence_threshold([[images[0]], [images[1]]], embedder)
 
-    def test_cross_identity_flag_widens_pair_set(self):
+    def test_cross_identity_pairs_ignored(self):
         images, embedder = images_with_gram(
             [[1.0, 0.4, 0.99], [0.4, 1.0, 0.3], [0.99, 0.3, 1.0]])
-        # identities: {0, 1} and {2}; same-identity max is 0.4
+        # identities: {0, 1} and {2}; same-identity max is 0.4, the 0.99
+        # cross-identity pair does not count
         grouped = [[images[0], images[1]], [images[2]]]
         assert compute_confidence_threshold(grouped, embedder) == pytest.approx(0.4)
-        widened = compute_confidence_threshold(grouped, embedder,
-                                               include_cross_identity=True)
-        assert widened == pytest.approx(0.99)
 
     def test_world_confidence_bar_above_decision_bar(self):
         for seed in (DESK_SEED, 19, 23):
@@ -356,7 +354,7 @@ class TestCrossModelReport:
 # The per-image, per-pair loops that the batched evaluation replaced, kept
 # here as the reference it must reproduce.
 
-def calibration_loop_reference(images_by_identity, embedder, seed, impostor_factor=1):
+def calibration_loop_reference(images_by_identity, embedder, seed):
     embeddings = [[embedder.embed(img) for img in group]
                   for group in images_by_identity]
     genuine = [
@@ -367,7 +365,7 @@ def calibration_loop_reference(images_by_identity, embedder, seed, impostor_fact
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     impostor = []
     n_id = len(embeddings)
-    while len(impostor) < impostor_factor * len(genuine):
+    while len(impostor) < len(genuine):
         i, j = rng.choice(n_id, size=2, replace=False)
         a = rng.integers(0, len(embeddings[i]))
         b = rng.integers(0, len(embeddings[j]))
@@ -375,14 +373,11 @@ def calibration_loop_reference(images_by_identity, embedder, seed, impostor_fact
     return CalibrationSet(genuine_scores=genuine, impostor_scores=impostor)
 
 
-def confidence_loop_reference(images_by_identity, embedder,
-                              include_cross_identity=False):
+def confidence_loop_reference(images_by_identity, embedder):
     embeddings = [[embedder.embed(img) for img in group]
                   for group in images_by_identity]
-    groups = ([[e for group in embeddings for e in group]]
-              if include_cross_identity else embeddings)
     return max(cosine_similarity(group[a], group[b])
-               for group in groups
+               for group in embeddings
                for a in range(len(group)) for b in range(a + 1, len(group)))
 
 
@@ -485,14 +480,6 @@ class TestBatchedEvaluationMatchesLoops:
             tau_c = compute_confidence_threshold(groups, emb)
             assert abs(tau_c - confidence_loop_reference(groups, emb)) <= 1e-12
 
-    def test_impostor_factor_keeps_the_draws(self, desk_world):
-        groups = [rec.images for rec in desk_world.identities]
-        emb = desk_world.embedders[1]
-        cal = calibration_set_from_images(groups, emb, seed=3, impostor_factor=3)
-        ref = calibration_loop_reference(groups, emb, seed=3, impostor_factor=3)
-        np.testing.assert_allclose(cal.impostor_scores, ref.impostor_scores,
-                                   rtol=0, atol=1e-12)
-
     def test_unequal_groups(self, desk_world):
         ids = desk_world.identities
         groups = [ids[0].images, ids[1].images[:1], ids[2].images[:2],
@@ -506,14 +493,6 @@ class TestBatchedEvaluationMatchesLoops:
                                    rtol=0, atol=1e-12)
         assert abs(compute_confidence_threshold(groups, emb)
                    - confidence_loop_reference(groups, emb)) <= 1e-12
-
-    def test_cross_identity_flag(self, desk_world):
-        groups = [rec.images for rec in desk_world.identities]
-        for emb in desk_world.embedders:
-            widened = compute_confidence_threshold(groups, emb,
-                                                   include_cross_identity=True)
-            assert abs(widened - confidence_loop_reference(
-                groups, emb, include_cross_identity=True)) <= 1e-12
 
     def test_cross_model_report_rows(self, reference_world):
         _seed, world = reference_world
@@ -560,9 +539,6 @@ class TestBatchedEvaluationCalls:
                 lambda emb: calibration_set_from_images(groups, emb, seed=1),
             "compute_confidence_threshold":
                 lambda emb: compute_confidence_threshold(groups, emb),
-            "cross_identity":
-                lambda emb: compute_confidence_threshold(
-                    groups, emb, include_cross_identity=True),
             "type1_accuracy": lambda emb: type1_accuracy(recs, tgts, emb, 0.5),
             "type2_accuracy": lambda emb: type2_accuracy(recs, alts, emb, 0.5, tgts),
         }
@@ -631,6 +607,3 @@ class TestBatchedEvaluationErrors:
             calibration_set_from_images([ids[0].images, ()], f, seed=0)
         with pytest.raises(InsufficientImages):
             compute_confidence_threshold([], f)
-        with pytest.raises(InsufficientImages):
-            compute_confidence_threshold([ids[0].images[:1]], f,
-                                         include_cross_identity=True)

@@ -167,7 +167,8 @@ BAD_BUDGETS = [
 
 
 class TestModeBudgetRule:
-    """RunConfig, AttackSettings and ranked_adversary apply one rule."""
+    """RunConfig, AttackSettings and ranked_adversary apply one rule, and
+    compute_tmax applies its black-box part."""
 
     @staticmethod
     def entry_points(world, pool, ledger):
@@ -207,6 +208,20 @@ class TestModeBudgetRule:
             messages.append(str(excinfo.value))
         assert len(set(messages)) == 1, messages
         assert ledger.total == 0  # rejected before any query
+
+    @pytest.mark.parametrize("row", [r for r in BAD_BUDGETS
+                                     if r[0] == MODE_BLACKBOX and r[1] is None])
+    def test_compute_tmax_rejects_bad_blackbox_rows_with_the_same_message(
+            self, desk_world, desk_pool, row):
+        _mode, _t_max, q_max, top_n = row
+        messages = []
+        for reject in self.entry_points(desk_world, desk_pool, QueryLedger()):
+            with pytest.raises(ConfigInvalid) as excinfo:
+                reject(*row)
+            messages.append(str(excinfo.value))
+        with pytest.raises(ConfigInvalid) as excinfo:
+            compute_tmax(q_max, desk_pool.V, top_n)
+        assert str(excinfo.value) == messages[0]
 
 
 WHITEBOX_SETTINGS = AttackSettings(

@@ -10,11 +10,10 @@ from embinvert.errors import ConfigInvalid, GradientUnavailable, NonFiniteLoss
 from embinvert.models import AttackSession, QueryLedger, loss_eval, loss_gradient
 from embinvert.pool import sample_latent
 from embinvert.refine import (
-    GreedyConfig,
     PerturbationBudget,
     STOP_BUDGET,
     STOP_CONFIDENCE,
-    StepSchedule,
+    _checkpoints,
     project,
     refine_blackbox,
     refine_whitebox,
@@ -408,25 +407,20 @@ class TestGreedyCoordinate:
 
     def test_refinement_equals_reference_choice(self, desk_world, desk_pool,
                                                 monkeypatch):
-        configs = (GreedyConfig(), GreedyConfig(stagnation_window=5),
-                   GreedyConfig(stagnation_window=2, step_decay=0.7),
-                   GreedyConfig(gain_decay=0.0))
         cases = []
         for seed in range(30):
-            cfg = configs[seed % len(configs)]
             budget = L2(35.0) if seed % 2 else LINF(0.4)
             x = (sample_latent(desk_world.generator.d_lat, 300 + seed) if seed % 3
                  else desk_pool.entries[seed].latent)
             target = identity_target(desk_world, identity=seed % 20, image=seed % 4)
-            cases.append((x, target, budget, cfg, 150 + 20 * seed))
+            cases.append((x, target, budget, 150 + 20 * seed))
 
         def run_all():
             results = []
-            for x, target, budget, cfg, cap in cases:
+            for x, target, budget, cap in cases:
                 session = make_session(desk_world, allow_gradient=False)
                 results.append(refine_blackbox(x, target, session, budget,
-                                               query_cap=cap, tau_C=0.95,
-                                               greedy_config=cfg))
+                                               query_cap=cap, tau_C=0.95))
             return results
 
         vectorised = run_all()
@@ -437,8 +431,7 @@ class TestGreedyCoordinate:
 
 class TestStepSchedule:
     def test_checkpoints_thin_out(self):
-        from embinvert.refine import _checkpoints
-        points = _checkpoints(200, StepSchedule())
+        points = _checkpoints(200)
         assert points[0] == 44  # ceil(0.22 * 200)
         gaps = np.diff(points)
         assert all(g1 >= g2 for g1, g2 in zip(gaps, gaps[1:]))
@@ -446,7 +439,62 @@ class TestStepSchedule:
         assert all(p < 200 for p in points)
 
     def test_tiny_budget_has_no_duplicate_checkpoints(self):
-        from embinvert.refine import _checkpoints
         for t in (1, 2, 3, 5, 8):
-            points = _checkpoints(t, StepSchedule())
+            points = _checkpoints(t)
             assert points == sorted(set(points))
+
+
+# (refiner, norm, epsilon, seed, iterations_used, queries_used, stop_reason,
+#  float.hex(final_similarity)) of fixed runs on the desk world: the latent
+# sample_latent(d_lat, seed) refined towards image seed % 4 of identity
+# seed % 20 under embedder 0.  White-box runs take t_max 100 and tau_C 0.97,
+# black-box runs query_cap 1500 and tau_C 0.9.  A change to any schedule or
+# search constant moves at least one row.
+PINNED_RUNS = [
+    ("white", "l2", 35.0, 3, 3, 4, "confidence_reached", "0x1.f29e02a5997a5p-1"),
+    ("white", "l2", 35.0, 17, 6, 7, "confidence_reached", "0x1.f447d160045f8p-1"),
+    ("white", "l2", 35.0, 41, 4, 5, "confidence_reached", "0x1.f39114ed86d1fp-1"),
+    ("white", "l2", 3.0, 3, 100, 101, "budget_exhausted", "0x1.a72257e0b8635p-1"),
+    ("white", "l2", 3.0, 17, 100, 101, "budget_exhausted", "0x1.7414e5cc23594p-4"),
+    ("white", "l2", 3.0, 41, 100, 101, "budget_exhausted", "0x1.7062dc54d54bep-1"),
+    ("white", "linf", 0.4, 3, 100, 101, "budget_exhausted", "0x1.85fabce188b5cp-1"),
+    ("white", "linf", 0.4, 17, 100, 101, "budget_exhausted", "-0x1.ab9cb4f8be3a0p-8"),
+    ("white", "linf", 0.4, 41, 100, 101, "budget_exhausted", "0x1.328830e413956p-1"),
+    ("white", "linf", 1.5, 3, 8, 9, "confidence_reached", "0x1.f0b7b8a57aa95p-1"),
+    ("white", "linf", 1.5, 17, 25, 26, "confidence_reached", "0x1.f12a4d0f1afedp-1"),
+    ("white", "linf", 1.5, 41, 11, 12, "confidence_reached", "0x1.f2e076dff9bbcp-1"),
+    ("black", "l2", 35.0, 3, 121, 122, "confidence_reached", "0x1.ccdf11c1d7b80p-1"),
+    ("black", "l2", 35.0, 17, 381, 382, "confidence_reached", "0x1.ccd1c1bc7bd9fp-1"),
+    ("black", "l2", 35.0, 41, 213, 214, "confidence_reached", "0x1.cd3fc4e5264fbp-1"),
+    ("black", "l2", 3.0, 3, 1499, 1500, "budget_exhausted", "0x1.88293f3cba5b6p-1"),
+    ("black", "l2", 3.0, 17, 1499, 1500, "budget_exhausted", "-0x1.b39c4a5158630p-5"),
+    ("black", "l2", 3.0, 41, 1499, 1500, "budget_exhausted", "0x1.25abda79683b1p-1"),
+    ("black", "linf", 0.4, 3, 1499, 1500, "budget_exhausted", "0x1.37c48139bf26bp-1"),
+    ("black", "linf", 0.4, 17, 1499, 1500, "budget_exhausted", "-0x1.7f8d21e64117bp-3"),
+    ("black", "linf", 0.4, 41, 1499, 1500, "budget_exhausted", "0x1.61b8cfb215373p-2"),
+    ("black", "linf", 1.5, 3, 373, 374, "confidence_reached", "0x1.ccdce6c394cafp-1"),
+    ("black", "linf", 1.5, 17, 1499, 1500, "budget_exhausted", "0x1.58deb5e9d0a9bp-1"),
+    ("black", "linf", 1.5, 41, 1499, 1500, "budget_exhausted", "0x1.b65aa7f5d2f64p-1"),
+]
+
+
+class TestPinnedRuns:
+    @pytest.mark.parametrize(
+        "kind, norm, eps, seed, iterations, queries, stop_reason, final_hex",
+        PINNED_RUNS, ids=[f"{r[0]}-{r[1]}-{r[2]}-{r[3]}" for r in PINNED_RUNS])
+    def test_refinement_run_is_pinned(self, desk_world, kind, norm, eps, seed,
+                                      iterations, queries, stop_reason,
+                                      final_hex):
+        x = sample_latent(desk_world.generator.d_lat, seed)
+        target = identity_target(desk_world, identity=seed % 20, image=seed % 4)
+        budget = PerturbationBudget(norm, eps)
+        if kind == "white":
+            r = refine_whitebox(x, target, make_session(desk_world), budget,
+                                t_max=100, tau_C=0.97)
+        else:
+            r = refine_blackbox(x, target,
+                                make_session(desk_world, allow_gradient=False),
+                                budget, query_cap=1500, tau_C=0.9)
+        assert (r.iterations_used, r.queries_used, r.stop_reason,
+                float.hex(r.final_similarity)) == (iterations, queries,
+                                                   stop_reason, final_hex)
