@@ -2,11 +2,14 @@
 
 Built once per generator and reused across targets: candidates are drawn
 from sequential seeds, screened for Gaussian normality first (cheap, no
-generation needed), then generated and screened for face presence.  The
-normality screen runs only inside build_pool: one k2_pvalues call per chunk
-of candidates, the row-wise code of k2_test, so each survivor's stored p_K
-equals k2_test of its latent bit for bit.  Both the latent and its
-generation are cached so later selection stages never regenerate.
+generation needed), then generated and screened for face presence.
+Candidate i is still sample_latent(d_lat, build_seed + i); build_pool draws
+a chunk of candidates as one array, bit for bit the same rows.  The
+normality screen runs only inside build_pool: one k2_screen call per chunk,
+whose exact re-check with k2_pvalues (the row-wise code of k2_test) decides
+every acceptance, so each survivor's stored p_K equals k2_test of its
+latent bit for bit.  Both the latent and its generation are cached so
+later selection stages never regenerate.
 
 Pool entries are target-agnostic by construction; nothing embedding- or
 identity-specific is stored.  Because of that, the embeddings of the
@@ -45,13 +48,16 @@ from .errors import (
 )
 from .fileio import replace_file
 from .models import DetectorHandle, EmbedderHandle, GeneratorHandle
-from .normality import k2_pvalues
+from .normality import k2_screen
 
 _MAGIC = b"LPOOL"
 _FORMAT_VERSION = 1
 _CHECKSUM_CRC32 = 1
 
 DEFAULT_MAX_DRAW_FACTOR = 10_000
+
+# Seeds are stored as i64 in the pool file.
+_MAX_SEED = (1 << 63) - 1
 
 _BATCH = 4096
 
@@ -146,17 +152,105 @@ class LatentPool:
         return rows, norms
 
 
-def sample_latent(d_lat: int, seed: int) -> LatentCode:
-    """Deterministic standard-normal draw for (d_lat, seed).
+# numpy.random.SeedSequence's hash constants and PCG64's 128-bit LCG
+# multiplier, which _draw_block reproduces to seed each row's stream.
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
-    Values are quantized to float32 precision so that pool persistence is
-    exactly lossless; screening metadata stays unset.
+
+def _hashmix(value: np.ndarray, hash_const: int):
+    value = value ^ np.uint32(hash_const)
+    hash_const = (hash_const * _MULT_A) & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> np.uint32(16)), hash_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each uint64 seed.
+
+    A seed below 2**64 gives the entropy words (low, high).  SeedSequence
+    hashes a zero word for each of its four mixing words that the entropy
+    does not fill, so a seed below 2**32 (one word) mixes as (low, 0).
+    The hash constants do not depend on the seed, so every seed is mixed
+    at once over uint32.
+    """
+    words = [(seeds & np.uint64(_MASK32)).astype(np.uint32),
+             (seeds >> np.uint64(32)).astype(np.uint32),
+             np.zeros(seeds.shape, np.uint32), np.zeros(seeds.shape, np.uint32)]
+    hash_const = _INIT_A
+    mixer = []
+    for word in words:
+        value, hash_const = _hashmix(word, hash_const)
+        mixer.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, hash_const = _hashmix(mixer[src], hash_const)
+                mixer[dst] = _mix(mixer[dst], value)
+    hash_const = _INIT_B
+    out = []
+    for k in range(8):
+        value = mixer[k % 4] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # Little-endian pairs of 32-bit words make the 64-bit words.
+    return np.stack([out[2 * k] | (out[2 * k + 1] << np.uint64(32))
+                     for k in range(4)], axis=1)
+
+
+def _draw_block(d_lat: int, first_seed: int, count: int) -> np.ndarray:
+    """A (count, d_lat) block of latents for seeds first_seed, first_seed + 1, ...
+
+    Row i is ``default_rng(first_seed + i).standard_normal(d_lat)`` rounded
+    through float32, bit for bit: each row's PCG64 state is seeded as
+    ``default_rng`` seeds it, into one reused generator.
     """
     if d_lat <= 0:
         raise ValueError(f"d_lat must be positive, got {d_lat}")
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal(d_lat).astype(np.float32).astype(np.float64)
-    return LatentCode(values=values, seed=seed)
+    first_seed = int(first_seed)
+    if first_seed < 0 or first_seed + count > 1 << 64:
+        raise ValueError(
+            f"seeds {first_seed}..{first_seed + count - 1} are not in [0, 2**64)")
+    seeds = np.arange(count, dtype=np.uint64) + np.uint64(first_seed)
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
+             "uinteger": 0}
+    block = np.empty((count, d_lat))
+    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(_seed_states(seeds).tolist()):
+        # PCG64's seeding: inc from the sequence, then two LCG steps with
+        # the initial state added between them.
+        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
+        pcg_state = (inc + ((s_hi << 64) | s_lo)) & _MASK128
+        pcg["state"] = (pcg_state * _PCG64_MULT + inc) & _MASK128
+        pcg["inc"] = inc
+        bit_generator.state = state
+        generator.standard_normal(out=block[i])
+    return block.astype(np.float32).astype(np.float64)
+
+
+def sample_latent(d_lat: int, seed: int) -> LatentCode:
+    """Deterministic standard-normal draw for (d_lat, seed).
+
+    ``default_rng(seed).standard_normal(d_lat)``, quantized to float32
+    precision so that pool persistence is exactly lossless; seeds run over
+    [0, 2**64).  Screening metadata stays unset.
+    """
+    return LatentCode(values=_draw_block(d_lat, seed, 1)[0], seed=seed)
 
 
 def screen_face(image: ImageSample, detector: DetectorHandle,
@@ -176,17 +270,24 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
                progress=None) -> LatentPool:
     """Draw, screen, generate, screen again; stop at V accepted entries.
 
-    Candidate i is drawn from seed build_seed + i.  The normality screen
-    runs before any generation (cheap filter first); the detector sees
-    only normality survivors, so generator invocations equal the count of
-    normality acceptances.  Raises PoolExhausted once max_draw_factor * V
-    candidates have been drawn without filling the pool.
+    Candidate i is sample_latent(d_lat, build_seed + i), drawn a chunk of
+    candidates at a time.  The normality screen runs before any generation
+    (cheap filter first); the detector sees only normality survivors, so
+    generator invocations equal the count of normality acceptances.
+    Raises PoolExhausted once max_draw_factor * V candidates have been
+    drawn without filling the pool, and ConfigInvalid before drawing if
+    any of their seeds would fall outside the pool file's signed 64-bit
+    seed field.
     """
     if V < 1:
         raise ConfigInvalid(f"V must be >= 1, got {V}")
     if not 0.0 <= tau_K <= 1.0 or not 0.0 <= tau_D <= 1.0:
         raise ConfigInvalid("thresholds must be in [0, 1]")
     cap = max_draw_factor * V
+    if build_seed < 0 or build_seed + cap - 1 > _MAX_SEED:
+        raise ConfigInvalid(
+            f"build seed must be in [0, {_MAX_SEED - cap + 1}] so that all "
+            f"{cap} candidate seeds fit in a signed 64-bit field, got {build_seed}")
     entries: List[PoolEntry] = []
     drawn = 0
     n_norm = 0
@@ -197,12 +298,13 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
                 f"drew {drawn} candidates (cap {cap}) but accepted only "
                 f"{len(entries)} of {V}")
         chunk = min(_BATCH, cap - drawn)
-        codes = [sample_latent(generator.d_lat, build_seed + drawn + i)
-                 for i in range(chunk)]
-        p_K = k2_pvalues(np.stack([c.values for c in codes]))
-        for i in np.flatnonzero(p_K >= tau_K).tolist():
+        first_seed = build_seed + drawn
+        block = _draw_block(generator.d_lat, first_seed, chunk)
+        passed, p_K = k2_screen(block, tau_K)
+        for i, p in zip(passed.tolist(), p_K.tolist()):
             n_norm += 1
-            code = codes[i].with_screening(p_K=float(p_K[i]))
+            # A copy: a view of its row would keep the whole block alive.
+            code = LatentCode(values=block[i].copy(), seed=first_seed + i, p_K=p)
             image = generator.generate(code)
             image = ImageSample(
                 image.values.astype(np.float32).astype(np.float64))

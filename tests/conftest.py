@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from embinvert import evaluation
+from embinvert import evaluation, registry
 from embinvert.models import WorldConfig, make_synthetic_world
 from embinvert.pool import build_pool
 
@@ -11,6 +11,18 @@ settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
 DESK_SEED = 7
+
+
+@pytest.fixture(autouse=True)
+def restore_registry():
+    """Drop the adapters a test registers once it ends."""
+    tables = (registry._generator_factories, registry._embedder_factories,
+              registry._detector_factories, registry._calibration_sources)
+    saved = [dict(table) for table in tables]
+    yield
+    for table, before in zip(tables, saved):
+        table.clear()
+        table.update(before)
 
 
 @pytest.fixture(scope="session")

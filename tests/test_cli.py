@@ -245,6 +245,18 @@ class TestBuildPoolCommand:
         cfg_path, _ = write_config(tmp_path, pool_path="")
         assert main(["build-pool", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("seed", ["9223372036854775807",
+                                      "18446744073709551616"])
+    def test_seed_beyond_the_pool_file_field_exits_2(self, tmp_path, capsys,
+                                                      seed):
+        cfg_path, config = write_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path),
+                     "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "build seed" in err
+        assert not os.path.exists(config.pool_path)
+
     def test_out_flag_overrides_path(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
         alt = tmp_path / "alt.lpool"

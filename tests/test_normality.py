@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from embinvert.errors import DegenerateSample, SampleTooSmall
 from embinvert.normality import (
     k2_pvalues,
+    k2_screen,
     k2_test,
     kurtosis_transform,
     skewness_transform,
@@ -189,3 +190,73 @@ class TestK2PValues:
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(ValueError, match="2-D"):
             k2_pvalues(np.random.default_rng(3).standard_normal(64))
+
+
+class TestK2Screen:
+    """k2_screen keeps exactly the rows k2_pvalues passes, with its p bits."""
+
+    TAUS = (0.0, 0.5, 0.9, 0.999, 1.0)
+
+    @staticmethod
+    def assert_screen_exact(rows, tau):
+        p = k2_pvalues(rows)
+        passed, p_passed = k2_screen(rows, tau)
+        expected = np.flatnonzero(p >= tau)
+        assert passed.tolist() == expected.tolist(), tau
+        assert p_passed.tolist() == p[expected].tolist(), tau
+
+    def test_equals_k2_pvalues_on_float32_rows(self):
+        # What build_pool screens: chunks of normals rounded to float32.
+        rng = np.random.default_rng(515)
+        total = 0
+        for n, chunks in ((64, 20), (20, 5)):
+            for _ in range(chunks):
+                rows = (rng.standard_normal((4096, n))
+                        .astype(np.float32).astype(np.float64))
+                for tau in self.TAUS:
+                    self.assert_screen_exact(rows, tau)
+                total += len(rows)
+        assert total >= 100_000
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf rows
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_equals_k2_pvalues_on_non_normal_rows(self, tau):
+        rng = np.random.default_rng(9)
+        rows = np.concatenate([
+            rng.exponential(1.0, (500, 64)),
+            rng.standard_cauchy((500, 64)),
+            rng.uniform(-1.0, 1.0, (500, 64)),
+            # two-point rows: the lowest kurtosis, a negative denominator
+            np.where(rng.random((500, 64)) < 0.5, -1.0, 1.0)
+            + 1e-3 * rng.standard_normal((500, 64)),
+        ])
+        rows[0, 3] = np.inf
+        rows[1, 0] = 1e300
+        self.assert_screen_exact(rows, tau)
+
+    def test_row_on_the_threshold(self):
+        rows = (np.random.default_rng(77).standard_normal((300, 64))
+                .astype(np.float32).astype(np.float64))
+        p = k2_pvalues(rows)
+        for i, p_k in enumerate(p.tolist()):
+            assert i in k2_screen(rows, p_k)[0]
+            assert i not in k2_screen(rows, np.nextafter(p_k, 2.0))[0]
+
+    @pytest.mark.parametrize("n, floor", [
+        (19, "kurtosis_transform requires n >= 20"),
+        (7, "skewness_transform requires n >= 8"),
+    ])
+    def test_rows_below_the_floors_rejected(self, n, floor):
+        rows = np.random.default_rng(3).standard_normal((5, n))
+        with pytest.raises(SampleTooSmall, match=floor):
+            k2_screen(rows, 0.5)
+
+    def test_any_constant_row_rejected(self):
+        rows = np.random.default_rng(3).standard_normal((5, 64))
+        rows[2] = 1.5
+        with pytest.raises(DegenerateSample, match="zero-variance"):
+            k2_screen(rows, 0.5)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            k2_screen(np.random.default_rng(3).standard_normal(64), 0.5)

@@ -58,6 +58,43 @@ class TestSampleLatent:
         v = sample_latent(128, 9).values
         assert np.array_equal(v, v.astype(np.float32).astype(np.float64))
 
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**63,
+                                      2**64 - 1])
+    def test_equals_default_rng_across_the_seed_range(self, seed):
+        assert np.array_equal(sample_latent(64, seed).values,
+                              default_rng_latent(64, seed))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            sample_latent(64, seed)
+
+
+def default_rng_latent(d_lat, seed):
+    """The per-candidate stream the pool has always drawn from."""
+    return (np.random.default_rng(seed).standard_normal(d_lat)
+            .astype(np.float32).astype(np.float64))
+
+
+class TestDrawBlock:
+    """The chunk draw of build_pool is the per-seed stream, row for row."""
+
+    @pytest.mark.parametrize("d_lat", [20, 64])
+    @pytest.mark.parametrize("first_seed", [
+        0,                     # seeds 0..4095
+        2**32 - 2048,          # a chunk that crosses 2**32
+        2**63 - 4096,          # the last seeds below 2**63
+    ])
+    def test_rows_equal_default_rng_per_seed(self, d_lat, first_seed):
+        block = pool_module._draw_block(d_lat, first_seed, 4096)
+        assert block.shape == (4096, d_lat)
+        for i, row in enumerate(block):
+            assert np.array_equal(row, default_rng_latent(d_lat, first_seed + i)), i
+
+    def test_one_row_block_is_sample_latent(self):
+        assert np.array_equal(pool_module._draw_block(64, 9, 1)[0],
+                              sample_latent(64, 9).values)
+
 
 class TestScreenNormality:
     """The normality screen as build_pool runs it: k2_pvalues per chunk."""
@@ -67,15 +104,25 @@ class TestScreenNormality:
         outlier = np.random.default_rng(46).standard_normal(desk_world.generator.d_lat)
         outlier[0] = 50.0
         assert k2_test(outlier).p_value < 1e-10
-        real_sample = pool_module.sample_latent
+        # The outlier replaces the first candidate the build would accept.
+        first = build_pool(desk_world.generator, desk_world.detector, V=1,
+                           tau_K=0.999, tau_D=0.0,
+                           build_seed=0).entries[0].latent.seed
+        real_draw = pool_module._draw_block
+        injected = []
 
-        def sample(d_lat, seed):
-            return LatentCode(outlier, seed=seed) if seed == 0 else real_sample(d_lat, seed)
+        def draw(d_lat, first_seed, count):
+            block = real_draw(d_lat, first_seed, count)
+            if first_seed <= first < first_seed + count:
+                block[first - first_seed] = outlier
+                injected.append(first)
+            return block
 
-        monkeypatch.setattr(pool_module, "sample_latent", sample)
+        monkeypatch.setattr(pool_module, "_draw_block", draw)
         pool = build_pool(desk_world.generator, desk_world.detector, V=1,
                           tau_K=0.999, tau_D=0.0, build_seed=0)
-        assert pool.entries[0].latent.seed != 0
+        assert injected == [first]
+        assert pool.entries[0].latent.seed > first
 
     def test_zero_threshold_accepts_everything(self, desk_world):
         pool = build_pool(desk_world.generator, desk_world.detector, V=10,
@@ -196,6 +243,39 @@ class TestBuildPool:
         assert all(e.latent.p_K >= 0.999 and e.latent.p_D >= 0.999
                    for e in pool.entries)
         assert 0.0003 < pool.stats.normality_rate < 0.003
+
+    def test_latents_own_their_memory(self, desk_pool, quick_pool):
+        # A view of a chunk's row would keep the whole chunk alive.
+        for pool in (desk_pool, quick_pool):
+            for entry in pool.entries:
+                assert entry.latent.values.base is None
+                assert entry.latent.values.flags.owndata
+
+    @pytest.mark.parametrize("build_seed, V, factor", [
+        (-1, 1, 10),
+        (2**63 - 10, 1, 11),            # the last candidate seed is 2**63
+        (2**63 - 1, 5, 10_000),
+        (2**64, 1, 1),
+    ])
+    def test_seed_beyond_the_file_field_refused_before_drawing(
+            self, desk_world, monkeypatch, build_seed, V, factor):
+        def draw(*args):
+            raise AssertionError("drew a candidate")
+
+        monkeypatch.setattr(pool_module, "_draw_block", draw)
+        with pytest.raises(ConfigInvalid, match="build seed"):
+            build_pool(desk_world.generator, desk_world.detector, V=V,
+                       tau_K=0.0, tau_D=0.0, build_seed=build_seed,
+                       max_draw_factor=factor)
+
+    def test_largest_seed_builds_and_round_trips(self, desk_world, tmp_path):
+        pool = build_pool(desk_world.generator, desk_world.detector, V=1,
+                          tau_K=0.0, tau_D=0.0, build_seed=2**63 - 10,
+                          max_draw_factor=10)
+        assert pool.entries[0].latent.seed == 2**63 - 10
+        path = tmp_path / "pool.lpool"
+        save_pool(pool, path)
+        assert load_pool(path) == pool
 
     def test_cached_images_match_regeneration(self, desk_world, quick_pool):
         entry = quick_pool.entries[0]

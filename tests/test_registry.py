@@ -79,3 +79,21 @@ class TestRegistry:
         marker = object()
         registry.create_generator("probe-gen", marker)
         assert seen == [marker]
+
+
+class TestRegistrationsEndWithTheirTest:
+    # The conftest fixture restores the factory tables after every test;
+    # these two run in this order.
+    def test_register_probe_adapters(self):
+        registry.register_generator("probe-leak", gen_factory)
+        registry.register_embedder("probe-leak", emb_factory)
+        registry.register_detector("probe-leak", lambda config: None)
+        registry.register_calibration_source("probe-leak", lambda config: [])
+        assert registry.create_generator("probe-leak", None).generator_id == "unit-gen"
+
+    def test_probe_adapters_are_gone(self):
+        for create in (registry.create_generator, registry.create_embedder,
+                       registry.create_detector,
+                       registry.create_calibration_source):
+            with pytest.raises(UnknownModel, match="probe-leak"):
+                create("probe-leak", None)
