@@ -53,7 +53,6 @@ from .pool import (
     load_pool,
     sample_latent,
     save_pool,
-    screen_face,
 )
 from .ranking import RankedCandidate, rank_candidates
 from .refine import (

@@ -133,9 +133,7 @@ def cmd_calibrate(config: RunConfig) -> int:
         cal = calibration_set_from_images(
             images_by_identity, embedder, seed=impostor_stream(config.seed, k))
         tau_f, eer = compute_eer_threshold(cal)
-        # tau_C is compute_confidence_threshold's maximum over the same
-        # same-identity pairs, which the calibration set already scored.
-        tau_c = max(cal.genuine_scores)
+        tau_c = cal.tau_C
         by_model[embedder.model_id] = {"tau_F": tau_f, "eer": eer, "tau_C": tau_c}
         _log(f"[calibrate] {embedder.model_id}: tau_F={tau_f:.4f} "
              f"eer={eer:.4f} tau_C={tau_c:.4f}")
@@ -208,19 +206,15 @@ def cmd_attack(config: RunConfig) -> int:
 
     records = []
     for i, (target_id, identity_id, image_index, spec) in enumerate(targets):
+        header = dict(target_id=target_id, target_model_id=config.target_model,
+                      identity_id=identity_id, image_index=image_index,
+                      config_checksum=checksum)
         try:
-            result = run_attack(spec, pool, settings, backend)
-            rec = result_record(
-                result, target_id=target_id, target_model_id=config.target_model,
-                identity_id=identity_id, image_index=image_index,
-                config_checksum=checksum)
+            rec = result_record(run_attack(spec, pool, settings, backend), **header)
             _log(f"[attack] {i + 1}/{len(targets)} {target_id} "
                  f"sim={rec['final_similarity']:.4f}")
         except EmbinvertError as exc:
-            rec = failure_record(
-                target_id=target_id, target_model_id=config.target_model,
-                identity_id=identity_id, image_index=image_index,
-                config_checksum=checksum, error=f"{type(exc).__name__}: {exc}")
+            rec = failure_record(**header, error=f"{type(exc).__name__}: {exc}")
             _log(f"[attack] {i + 1}/{len(targets)} {target_id} FAILED")
         records.append(rec)
     write_results(config.results_path, records)

@@ -1,8 +1,11 @@
 """Shared domain types and the similarity primitive.
 
-Everything downstream (screening, ranking, refinement, evaluation) compares
-identities through one function: cosine similarity of embedding vectors.
-The types here are immutable value objects.
+Identities are compared by the cosine similarity of embedding vectors.
+``cosine_similarity`` defines it for one pair: lengths must agree, a
+zero-norm embedding raises, and the result is clamped to [-1, 1].
+Ranking, evaluation and ``AttackSession`` compute the same cosine inline
+over arrays and follow the same rules.  The types here are immutable
+value objects.
 """
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -48,15 +51,6 @@ class LatentCode:
 
     def __len__(self) -> int:
         return self.values.size
-
-    def with_screening(self, p_K=None, p_D=None) -> "LatentCode":
-        """Copy with screening metadata filled in (fields are immutable)."""
-        return LatentCode(
-            values=self.values,
-            seed=self.seed,
-            p_K=self.p_K if p_K is None else p_K,
-            p_D=self.p_D if p_D is None else p_D,
-        )
 
 
 @dataclass(frozen=True, eq=False)

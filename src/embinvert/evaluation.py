@@ -28,14 +28,13 @@ import numpy as np
 from .core import ImageSample, decide_match
 from .errors import (
     ConfigInvalid,
-    DimensionMismatch,
     EmptyCalibration,
     InsufficientImages,
     LengthMismatch,
     ShapeMismatch,
     TargetLeak,
-    ZeroNormEmbedding,
 )
+from .models import _embedding_rows
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,13 @@ class CalibrationSet:
         for s in self.genuine_scores + self.impostor_scores:
             if not -1.0 <= s <= 1.0:
                 raise ValueError(f"calibration score {s} outside [-1, 1]")
+
+    @property
+    def tau_C(self) -> float:
+        """The confidence threshold: the maximum same-identity score."""
+        if not self.genuine_scores:
+            raise EmptyCalibration("tau_C needs at least one genuine score")
+        return max(self.genuine_scores)
 
 
 def compute_eer_threshold(cal: CalibrationSet) -> Tuple[float, float]:
@@ -105,15 +111,7 @@ def _unit_embeddings(groups: Sequence[Sequence[ImageSample]],
     shapes = {img.shape for img in images}
     if len(shapes) != 1:
         raise ShapeMismatch(f"images of differing shapes {sorted(shapes)}")
-    rows = np.asarray(embedder.embed_batch(np.stack([img.values for img in images])),
-                      dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] != len(images):
-        raise DimensionMismatch(
-            f"embeddings of shape {rows.shape} for {len(images)} images; "
-            "expected one row per image")
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms == 0.0):
-        raise ZeroNormEmbedding("cosine similarity undefined for zero-norm embedding")
+    rows, norms = _embedding_rows(embedder, np.stack([img.values for img in images]))
     return rows / norms[:, None], starts
 
 
@@ -176,12 +174,14 @@ def calibration_set_from_images(images_by_identity: Sequence[Sequence[ImageSampl
 
 def compute_confidence_threshold(images_by_identity: Sequence[Sequence[ImageSample]],
                                  embedder) -> float:
-    """Maximum similarity over real same-identity pairs of distinct images."""
+    """``CalibrationSet.tau_C`` over real same-identity pairs of distinct
+    images: the maximum similarity among them."""
     if all(len(group) < 2 for group in images_by_identity):
         raise InsufficientImages(
             "confidence threshold needs at least one identity with two images")
     unit, starts = _unit_embeddings(images_by_identity, embedder)
-    return float(_genuine_scores(unit, starts).max())
+    return CalibrationSet(genuine_scores=_genuine_scores(unit, starts),
+                          impostor_scores=()).tau_C
 
 
 def _image_digest(image: ImageSample) -> str:

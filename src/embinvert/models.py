@@ -24,7 +24,7 @@ charged evaluation whose gradient comes free; ``loss_eval`` and
 ``loss_gradient`` stay as the plain reference composition.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,6 +105,24 @@ class EmbedderHandle:
         sample = ImageSample(image)
         embedding = self.embed(sample).values
         return embedding, lambda embedding_cotangent: self.vjp(sample, embedding_cotangent)
+
+
+def _embedding_rows(embedder: EmbedderHandle,
+                    images: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``embedder.embed_batch(images)`` as float64 rows, and their L2 norms.
+
+    Raises DimensionMismatch unless there is one row per image and
+    ZeroNormEmbedding if any row is zero, since no cosine is defined then.
+    """
+    rows = np.asarray(embedder.embed_batch(images), dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] != len(images):
+        raise DimensionMismatch(
+            f"embeddings of shape {rows.shape} for {len(images)} images; "
+            "expected one row per image")
+    norms = np.linalg.norm(rows, axis=1)
+    if np.any(norms == 0.0):
+        raise ZeroNormEmbedding("cosine similarity undefined for zero-norm embedding")
+    return rows, norms
 
 
 class DetectorHandle:
@@ -264,26 +282,25 @@ class SyntheticDetector(DetectorHandle):
     """
 
     def __init__(self, template: np.ndarray, offset: float, slope: float,
-                 detector_id: str = "synthetic-detector",
-                 input_shape: Optional[Tuple[int, int, int]] = None):
+                 input_shape: Tuple[int, int, int],
+                 detector_id: str = "synthetic-detector"):
         t = np.asarray(template, dtype=np.float64).reshape(-1)
+        self.input_shape = tuple(int(v) for v in input_shape)
+        if int(np.prod(self.input_shape)) != t.size:
+            raise ShapeMismatch(
+                f"detector {detector_id}: input shape {self.input_shape} does "
+                f"not hold the {t.size}-value template")
         self.template = t / np.linalg.norm(t)
         self.offset = float(offset)
         self.slope = float(slope)
         self.detector_id = detector_id
-        self.input_shape = tuple(input_shape) if input_shape is not None else None
-        self.input_size = t.size
 
     def detect(self, image: ImageSample) -> float:
-        if self.input_shape is not None and image.shape != self.input_shape:
+        if image.shape != self.input_shape:
             raise ShapeMismatch(
                 f"detector {self.detector_id}: image shape {image.shape} != "
                 f"{self.input_shape}")
         flat = image.flat()
-        if flat.size != self.input_size:
-            raise ShapeMismatch(
-                f"detector {self.detector_id}: image size {flat.size} != {self.input_size}"
-            )
         norm = np.linalg.norm(flat)
         corr = 0.0 if norm == 0.0 else float(flat @ self.template / norm)
         score = 1.0 / (1.0 + math.exp(-self.slope * (corr - self.offset)))
@@ -447,8 +464,7 @@ def _calibrate_detector(gen: SyntheticGenerator, identities) -> SyntheticDetecto
         for rec in identities for img in rec.images
     ]
     offset = min(corrs) - _DETECTOR_MARGIN
-    return SyntheticDetector(template, offset, _DETECTOR_SLOPE,
-                             input_shape=gen.output_shape)
+    return SyntheticDetector(template, offset, _DETECTOR_SLOPE, gen.output_shape)
 
 
 def loss_eval(g: GeneratorHandle, f: EmbedderHandle, latent: LatentCode,
@@ -481,9 +497,9 @@ class QueryLedger:
     """Exact count of target-model evaluations, split into the selection
     phase (q_topn) and the refinement phase (q_adv).
 
-    When ``q_max`` is set the ledger refuses to overrun it; refiners are
-    expected to check ``remaining_adv()`` first, so a raise here indicates
-    a bookkeeping bug rather than a user error.
+    When ``q_max`` is set the ledger refuses to overrun it.  The attack
+    sizes its refinement budget beforehand (``pipeline.compute_tmax``), so
+    a raise here indicates a bookkeeping bug rather than a user error.
     """
 
     def __init__(self, q_max: Optional[int] = None):
@@ -502,11 +518,6 @@ class QueryLedger:
     def charge_adv(self, n: int = 1):
         self._check(n)
         self.q_adv += n
-
-    def remaining(self) -> Optional[int]:
-        if self.q_max is None:
-            return None
-        return self.q_max - self.total
 
     def _check(self, n: int):
         if self.q_max is not None and self.total + n > self.q_max:

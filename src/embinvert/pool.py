@@ -30,7 +30,7 @@ pools hold float32-representable values, so round-trips are lossless.
 """
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import List, Optional, Tuple
 
@@ -40,14 +40,12 @@ from .core import ImageSample, LatentCode
 from .errors import (
     ChecksumMismatch,
     ConfigInvalid,
-    DimensionMismatch,
     FormatVersionMismatch,
     IoFailure,
     PoolExhausted,
-    ZeroNormEmbedding,
 )
 from .fileio import replace_file
-from .models import DetectorHandle, EmbedderHandle, GeneratorHandle
+from .models import DetectorHandle, EmbedderHandle, GeneratorHandle, _embedding_rows
 from .normality import k2_screen
 
 _MAGIC = b"LPOOL"
@@ -138,14 +136,9 @@ class LatentPool:
         cached = self._embedding_cache.get(id(embedder))
         if cached is not None:
             return cached[1], cached[2]
-        rows = embedder.embed_batch(self.image_stack).view()
-        if rows.ndim != 2 or rows.shape[0] != len(self.entries):
-            raise DimensionMismatch(
-                f"embeddings of shape {rows.shape} for {len(self.entries)} "
-                "images; expected one row per image")
-        norms = np.linalg.norm(rows, axis=1)
-        if np.any(norms == 0.0):
-            raise ZeroNormEmbedding("cosine similarity undefined for zero-norm embedding")
+        rows, norms = _embedding_rows(embedder, self.image_stack)
+        # A view, so that the array the embedder returned stays writable.
+        rows = rows.view()
         rows.flags.writeable = False
         norms.flags.writeable = False
         self._embedding_cache[id(embedder)] = (embedder, rows, norms)
@@ -253,17 +246,6 @@ def sample_latent(d_lat: int, seed: int) -> LatentCode:
     return LatentCode(values=_draw_block(d_lat, seed, 1)[0], seed=seed)
 
 
-def screen_face(image: ImageSample, detector: DetectorHandle,
-                tau_D: float) -> Tuple[bool, float]:
-    """Run the face detector; accept iff confidence >= tau_D.
-
-    Returns (accepted, p_D).  Confidences never exceed 1, so a threshold
-    above 1 rejects every image.
-    """
-    p_D = detector.detect(image)
-    return p_D >= tau_D, p_D
-
-
 def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
                tau_K: float, tau_D: float, build_seed: int,
                max_draw_factor: int = DEFAULT_MAX_DRAW_FACTOR,
@@ -308,12 +290,11 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
             image = generator.generate(code)
             image = ImageSample(
                 image.values.astype(np.float32).astype(np.float64))
-            face_ok, p_D = screen_face(image, detector, tau_D)
-            if not face_ok:
+            p_D = detector.detect(image)
+            if not p_D >= tau_D:
                 continue
             n_face += 1
-            entries.append(PoolEntry(latent=code.with_screening(p_D=p_D),
-                                     image=image))
+            entries.append(PoolEntry(latent=replace(code, p_D=p_D), image=image))
             if len(entries) == V:
                 # Candidates after the V-th acceptance in this chunk were
                 # drawn speculatively; only count up to the winner.
@@ -389,8 +370,8 @@ def load_pool(path) -> LatentPool:
     try:
         return _parse_pool(data[:-4], path)
     except ValueError as exc:
-        # Checksums match but a field is out of range: a generator id that
-        # is not UTF-8, or a p_K, p_D or pixel the value types reject.
+        # Checksums match but a field is out of range: V = 0, a generator
+        # id that is not UTF-8, or a p_K, p_D or pixel the value types reject.
         raise IoFailure(f"{path}: malformed pool file: {exc}") from exc
 
 
@@ -404,6 +385,8 @@ def _parse_pool(data: bytes, path) -> LatentPool:
     if algo != _CHECKSUM_CRC32:
         raise FormatVersionMismatch(f"{path}: unknown checksum algorithm {algo}")
     d_lat, c, h, w, v = r.unpack("<5I")
+    if v < 1:
+        raise ValueError(f"pool volume V = {v}; a pool holds at least one entry")
     tau_K, tau_D, build_seed, count = r.unpack("<ddqI")
     (id_len,) = r.unpack("<H")
     generator_id = r.take(id_len).decode("utf-8")

@@ -7,7 +7,7 @@ rows and a commented summary block.
 """
 import json
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .errors import IoFailure
 from .evaluation import EvaluationReport
@@ -21,9 +21,10 @@ REPORT_COLUMNS = ("target_id", "target_model", "eval_model", "similarity",
                   "type1_hit", "type2_rate", "queries", "wall_time")
 
 
-def result_record(result: AttackResult, *, target_id: str, target_model_id: str,
-                  identity_id: str, image_index: int,
-                  config_checksum: str) -> dict:
+def failure_record(*, target_id: str, target_model_id: str, identity_id: str,
+                   image_index: int, config_checksum: str,
+                   error: Optional[str]) -> dict:
+    """The record header every result shares, with ``error`` set."""
     return {
         "schema": RESULT_SCHEMA,
         "config_checksum": config_checksum,
@@ -31,6 +32,16 @@ def result_record(result: AttackResult, *, target_id: str, target_model_id: str,
         "target_model_id": target_model_id,
         "identity_id": identity_id,
         "image_index": image_index,
+        "error": error,
+    }
+
+
+def result_record(result: AttackResult, **header) -> dict:
+    """A success record: ``failure_record``'s header keys (``target_id``,
+    ``target_model_id``, ``identity_id``, ``image_index``,
+    ``config_checksum``) with ``error`` None, plus the attack's outcome."""
+    return {
+        **failure_record(**header, error=None),
         "chosen_rank": result.chosen_rank,
         "final_similarity": result.final_similarity,
         "ledger": {
@@ -53,20 +64,6 @@ def result_record(result: AttackResult, *, target_id: str, target_model_id: str,
             }
             for cand, ref in zip(result.candidates, result.candidate_traces)
         ],
-        "error": None,
-    }
-
-
-def failure_record(*, target_id: str, target_model_id: str, identity_id: str,
-                   image_index: int, config_checksum: str, error: str) -> dict:
-    return {
-        "schema": RESULT_SCHEMA,
-        "config_checksum": config_checksum,
-        "target_id": target_id,
-        "target_model_id": target_model_id,
-        "identity_id": identity_id,
-        "image_index": image_index,
-        "error": error,
     }
 
 

@@ -2,7 +2,9 @@ import json
 import math
 import os
 import re
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +399,25 @@ class TestAttackCommand:
         cfg_path, _ = write_config(tmp_path)  # pool never built
         assert main(["attack", "--config", str(cfg_path)]) == 4
 
+    def test_empty_pool_file_exits_4(self, tmp_path, capsys):
+        # The header of a built pool with V = 0, no entries and a valid
+        # checksum: a malformed pool file, not a pool to attack with.
+        cfg_path, config = write_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        data = (tmp_path / "pool.lpool").read_bytes()
+        (id_len,) = struct.unpack_from("<H", data, 56)
+        header = bytearray(data[:58 + id_len])
+        struct.pack_into("<I", header, 24, 0)  # V
+        struct.pack_into("<I", header, 52, 0)  # entry count
+        header += struct.pack("<I", zlib.crc32(bytes(header)))
+        (tmp_path / "pool.lpool").write_bytes(bytes(header))
+        capsys.readouterr()
+        assert main(["attack", "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "malformed" in err
+        assert not os.path.exists(config.results_path)
+
     def test_every_target_failing_exits_5(self, tmp_path, monkeypatch):
         # every refinement aborting fails every target; each is recorded
         # in-line and the run exits 5
@@ -534,7 +555,7 @@ def register_toy_adapters(calibration_factory):
     def det_factory(config):
         gen = toy_generator(config)
         return SyntheticDetector(np.tanh(gen.bias), offset=-1.0, slope=50.0,
-                                 detector_id="toy-det")
+                                 input_shape=gen.output_shape, detector_id="toy-det")
 
     registry.register_generator("toy-gen", toy_generator)
     registry.register_embedder("toy-emb-a", emb_factory(1, "toy-emb-a"))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -90,13 +92,15 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             LatentCode(np.zeros(4), p_D=-0.1)
 
-    def test_latent_code_with_screening_copies(self):
-        code = LatentCode(np.arange(4.0), seed=9)
-        updated = code.with_screening(p_K=0.5)
-        assert code.p_K is None
-        assert updated.p_K == 0.5
-        assert updated.seed == 9
+    def test_latent_code_replace_copies_and_validates(self):
+        # build_pool fills in p_D with dataclasses.replace.
+        code = LatentCode(np.arange(4.0), seed=9, p_K=0.5)
+        updated = dataclasses.replace(code, p_D=0.25)
+        assert code.p_D is None
+        assert (updated.seed, updated.p_K, updated.p_D) == (9, 0.5, 0.25)
         assert np.array_equal(updated.values, code.values)
+        with pytest.raises(ValueError):
+            dataclasses.replace(code, p_D=1.5)
 
     def test_embedding_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -182,6 +182,15 @@ class TestConfidenceThreshold:
         grouped = [[images[0], images[1]], [images[2]]]
         assert compute_confidence_threshold(grouped, embedder) == pytest.approx(0.4)
 
+    def test_calibration_set_tau_C_is_the_same_rule(self, desk_world):
+        groups = [rec.images for rec in desk_world.identities]
+        for k, emb in enumerate(desk_world.embedders):
+            cal = calibration_set_from_images(groups, emb, seed=k)
+            assert cal.tau_C == max(cal.genuine_scores)
+            assert cal.tau_C == compute_confidence_threshold(groups, emb)
+        with pytest.raises(EmptyCalibration):
+            CalibrationSet(genuine_scores=(), impostor_scores=(0.1,)).tau_C
+
     def test_world_confidence_bar_above_decision_bar(self):
         for seed in (DESK_SEED, 19, 23):
             world = make_synthetic_world(WorldConfig(n_identities=8), seed)

@@ -21,6 +21,7 @@ from embinvert.models import (
     EmbedderHandle,
     GeneratorHandle,
     QueryLedger,
+    SyntheticDetector,
     SyntheticEmbedder,
     SyntheticGenerator,
     WorldConfig,
@@ -155,6 +156,16 @@ class TestSyntheticDetector:
     def test_shape_mismatch_rejected(self, desk_world):
         with pytest.raises(ShapeMismatch):
             desk_world.detector.detect(ImageSample(np.zeros((1, 2, 2))))
+
+    def test_input_shape_must_hold_the_template(self, desk_world):
+        d = desk_world.detector
+        with pytest.raises(ShapeMismatch):
+            SyntheticDetector(d.template, d.offset, d.slope, input_shape=(3, 16, 15))
+        # The same number of values in another shape is checked per image.
+        flat = SyntheticDetector(d.template, d.offset, d.slope,
+                                 input_shape=(1, 1, d.template.size))
+        with pytest.raises(ShapeMismatch):
+            flat.detect(desk_world.identities[0].images[0])
 
     def test_confidence_in_unit_interval(self, desk_world):
         g = desk_world.generator
@@ -533,7 +544,7 @@ class TestQueryLedger:
     def test_budget_overrun_is_a_hard_error(self):
         ledger = QueryLedger(q_max=5)
         ledger.charge_topn(5)
-        assert ledger.remaining() == 0
+        assert ledger.total == ledger.q_max
         with pytest.raises(RuntimeError):
             ledger.charge_adv(1)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embinvert.core import ImageSample, LatentCode
+from embinvert.core import ImageSample
 from embinvert.errors import (
     ChecksumMismatch,
     ConfigInvalid,
@@ -29,7 +29,6 @@ from embinvert.pool import (
     load_pool,
     sample_latent,
     save_pool,
-    screen_face,
 )
 
 
@@ -162,22 +161,48 @@ class TestScreenNormality:
         assert calls == []
 
 
+class _ScriptedDetector:
+    """Returns the given confidences in turn, one per ``detect`` call."""
+
+    def __init__(self, scores):
+        self._scores = iter(scores)
+
+    def detect(self, image):
+        return next(self._scores)
+
+
 class TestScreenFace:
+    """The face screen: ``build_pool`` keeps a survivor iff ``p_D >= tau_D``."""
+
     def test_identity_image_accepted_at_paper_threshold(self, desk_world):
         image = desk_world.identities[3].images[1]
-        accepted, p_D = screen_face(image, desk_world.detector, tau_D=0.999)
-        assert accepted and p_D >= 0.999
+        assert desk_world.detector.detect(image) >= 0.999
 
     def test_threshold_above_one_rejects_any_image(self, desk_world):
-        image = desk_world.identities[0].images[0]
-        accepted, p_D = screen_face(image, desk_world.detector, tau_D=1.0 + 1e-9)
-        assert not accepted and p_D <= 1.0
+        # Confidences never exceed 1, and the build refuses a tau_D above 1
+        # before drawing, so no image passes a threshold above 1.
+        for rec in desk_world.identities[:5]:
+            for image in rec.images:
+                assert desk_world.detector.detect(image) <= 1.0
+        with pytest.raises(ConfigInvalid):
+            build_pool(desk_world.generator, desk_world.detector, V=1,
+                       tau_K=0.0, tau_D=1.0 + 1e-9, build_seed=0)
 
     def test_zero_image_rejected_per_pinned_score(self, desk_world):
         zero = ImageSample(np.zeros(desk_world.config.image_shape))
-        accepted, p_D = screen_face(zero, desk_world.detector, tau_D=0.999)
-        assert not accepted
+        p_D = desk_world.detector.detect(zero)
+        assert not p_D >= 0.999
         assert p_D == pytest.approx(4.252928021431088e-24, rel=1e-9)
+
+    def test_survivor_scoring_exactly_tau_D_is_kept(self, desk_world):
+        below = np.nextafter(0.75, 0.0)
+        detector = _ScriptedDetector([0.75, below, 0.75, below, 0.75])
+        pool = build_pool(desk_world.generator, detector, V=3, tau_K=0.0,
+                          tau_D=0.75, build_seed=40)
+        assert [e.latent.seed for e in pool.entries] == [40, 42, 44]
+        assert [e.latent.p_D for e in pool.entries] == [0.75] * 3
+        assert pool.stats.detector_accepted == 3
+        assert pool.stats.normality_accepted == 5
 
 
 class TestBuildPool:
@@ -495,6 +520,16 @@ class TestMalformedPool:
         data = reseal(bytearray(small_pool_bytes))
         assert data == small_pool_bytes
         assert load_bytes(tmp_path_factory, data).V == 3
+
+    def test_empty_pool_rejected(self, small_pool_bytes, tmp_path_factory):
+        # V = 0 with no entries and valid checksums: a pool holds at least
+        # one entry, so this is malformed rather than an empty pool.
+        (id_len,) = struct.unpack_from("<H", small_pool_bytes, 56)
+        data = bytearray(small_pool_bytes[:_ID_OFFSET + id_len] + bytes(4))
+        struct.pack_into("<I", data, _HEADER_FIELDS["V"], 0)
+        struct.pack_into("<I", data, _HEADER_FIELDS["count"], 0)
+        with pytest.raises(IoFailure, match="malformed"):
+            load_bytes(tmp_path_factory, reseal(data))
 
     def test_non_utf8_generator_id(self, small_pool_bytes, tmp_path_factory):
         data = bytearray(small_pool_bytes)
