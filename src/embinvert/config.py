@@ -11,7 +11,9 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple, Union
 
 from .errors import ConfigInvalid
+from .models import WorldConfig
 from .pipeline import MODE_WHITEBOX, check_mode_budget
+from .pool import DEFAULT_MAX_DRAW_FACTOR
 from .refine import NORM_L2, PerturbationBudget
 
 ENV_PREFIX = "EMBINVERT_"
@@ -63,18 +65,18 @@ class RunConfig:
     target_model: str = "synthetic-embedder-0"
 
     # synthetic world geometry
-    d_lat: int = 64
-    image_shape: Tuple[int, int, int] = (3, 16, 16)
-    embedder_dims: Tuple[int, ...] = (32, 32)
-    n_identities: int = 20
-    images_per_identity: int = 4
-    identity_noise: float = 0.35
+    d_lat: int = WorldConfig.d_lat
+    image_shape: Tuple[int, int, int] = WorldConfig.image_shape
+    embedder_dims: Tuple[int, ...] = WorldConfig.embedder_dims
+    n_identities: int = WorldConfig.n_identities
+    images_per_identity: int = WorldConfig.images_per_identity
+    identity_noise: float = WorldConfig.identity_noise
 
     # pool building
     volume: int = 100
     tau_k: float = 0.999
     tau_d: float = 0.999
-    max_draw_factor: int = 10_000
+    max_draw_factor: int = DEFAULT_MAX_DRAW_FACTOR
 
     # attack
     top_n: int = 3
@@ -114,6 +116,9 @@ class RunConfig:
             raise ConfigInvalid(f"tau_c must be in (0, 1], got {self.tau_c}")
         if self.volume < 1:
             raise ConfigInvalid("volume must be >= 1")
+        if self.max_draw_factor < 1:
+            raise ConfigInvalid(
+                f"max_draw_factor must be >= 1, got {self.max_draw_factor}")
         if self.num_targets < 1:
             raise ConfigInvalid("num_targets must be >= 1")
         if self.jobs != 1:

@@ -3,9 +3,9 @@
 Identities are compared by the cosine similarity of embedding vectors.
 ``cosine_similarity`` defines it for one pair: lengths must agree, a
 zero-norm embedding raises, and the result is clamped to [-1, 1].
-Ranking, evaluation and ``AttackSession`` compute the same cosine inline
-over arrays and follow the same rules.  The types here are immutable
-value objects.
+``AttackSession`` shares its code; ranking and evaluation compute the
+same cosine inline over arrays and follow the same rules.  The types here
+are immutable value objects.
 """
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -129,7 +129,11 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     Raises DimensionMismatch on length disagreement and ZeroNormEmbedding
     if either argument has zero norm.
     """
-    va, vb = a.values, b.values
+    return _cosine(a.values, b.values)[0]
+
+
+def _cosine(va: np.ndarray, vb: np.ndarray) -> Tuple[float, float]:
+    """``cosine_similarity`` of two float vectors, and the norm of ``vb``."""
     if va.size != vb.size:
         raise DimensionMismatch(f"embedding lengths differ: {va.size} vs {vb.size}")
     na = np.linalg.norm(va)
@@ -138,7 +142,7 @@ def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
         raise ZeroNormEmbedding("cosine similarity undefined for zero-norm embedding")
     s = float(np.dot(va, vb) / (na * nb))
     # Clamp floating spill so downstream threshold logic sees a valid cosine.
-    return min(1.0, max(-1.0, s))
+    return min(1.0, max(-1.0, s)), nb
 
 
 def decide_match(s: float, tau_F: float) -> bool:

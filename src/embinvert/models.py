@@ -8,20 +8,19 @@ the adapter registry; the synthetic versions below are small, smooth,
 fully seeded stand-ins that keep the whole pipeline's geometry (latent ->
 image -> embedding -> cosine) while running in milliseconds.
 
-Gradient support is expressed through vector-Jacobian products so that the
-white-box loss gradient composes generically:
+Gradients compose through one forward pass per handle:
 
-    d loss / d latent = G.vjp(latent, F.vjp(image, d cos / d embedding))
+    image, G_pullback = G.generate_vjp(latent)
+    embedding, F_pullback = F.embed_vjp(image)
+    d loss / d latent = G_pullback(F_pullback(d cos / d embedding))
 
-The attack loop runs each forward pass once: ``generate_vjp`` and
-``embed_vjp`` return the forward output together with a pullback that
-runs the backward pass on the kept activations.  Their base-class
-defaults are built from ``generate``/``embed`` and ``vjp``, so an adapter
-that implements only those works unchanged; the synthetic handles
-override them to keep their activations and skip the value-object
-wrappers.  ``AttackSession.value_and_grad`` composes the two into one
-charged evaluation whose gradient comes free; ``loss_eval`` and
-``loss_gradient`` stay as the plain reference composition.
+Each pullback runs the backward pass on the activations its forward pass
+kept.  The base-class ``*_vjp`` defaults run ``generate``/``embed`` and
+return a pullback that raises GradientUnavailable, so a forward-only
+adapter implements just those; a handle with gradients overrides both
+and sets ``supports_gradient``.  ``AttackSession.value_and_grad`` makes
+the composition one charged evaluation whose gradient comes free;
+``loss_eval`` and ``loss_gradient`` are the plain reference.
 """
 import math
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ from .core import (
     ImageSample,
     LatentCode,
     _as_float_vector,
+    _cosine,
     cosine_similarity,
 )
 from .errors import (
@@ -47,30 +47,33 @@ from .errors import (
 )
 
 
+def _no_gradient(handle: str):
+    """The pullback of a handle without gradients: it raises."""
+    def pullback(cotangent: np.ndarray) -> np.ndarray:
+        raise GradientUnavailable(f"{handle} has no gradient")
+    return pullback
+
+
 class GeneratorHandle:
     """Maps any length-d_lat vector deterministically to an image."""
 
     d_lat: int
     output_shape: Tuple[int, int, int]
-    supports_gradient: bool
+    supports_gradient: bool = False
     generator_id: str
 
     def generate(self, latent: LatentCode) -> ImageSample:
         raise NotImplementedError
 
-    def vjp(self, latent_values: np.ndarray, image_cotangent: np.ndarray) -> np.ndarray:
-        """Pull an image-space cotangent back to latent space."""
-        raise GradientUnavailable(f"generator {self.generator_id!r} has no gradient")
-
     def generate_vjp(self, latent_values: np.ndarray):
         """One forward pass: ``(image array, pullback)``.
 
         ``pullback(image_cotangent)`` returns the latent-space cotangent.
-        This default calls ``generate`` and ``vjp``, so the pullback redoes
-        the forward pass; override it to keep the activations instead.
+        This default calls ``generate`` and its pullback raises
+        GradientUnavailable; a generator with gradients overrides it.
         """
-        image = self.generate(LatentCode(latent_values)).values
-        return image, lambda image_cotangent: self.vjp(latent_values, image_cotangent)
+        return (self.generate(LatentCode(latent_values)).values,
+                _no_gradient(f"generator {self.generator_id!r}"))
 
 
 class EmbedderHandle:
@@ -78,7 +81,7 @@ class EmbedderHandle:
 
     d_emb: int
     tau_F: Optional[float]
-    supports_gradient: bool
+    supports_gradient: bool = False
     model_id: str
 
     def embed(self, image: ImageSample) -> EmbeddingVector:
@@ -92,19 +95,15 @@ class EmbedderHandle:
         """
         return np.stack([self.embed(ImageSample(image)).values for image in images])
 
-    def vjp(self, image: ImageSample, embedding_cotangent: np.ndarray) -> np.ndarray:
-        raise GradientUnavailable(f"embedder {self.model_id!r} has no gradient")
-
     def embed_vjp(self, image: np.ndarray):
         """One forward pass: ``(unit embedding, pullback)``.
 
         ``pullback(embedding_cotangent)`` returns the image-space cotangent.
-        This default calls ``embed`` and ``vjp``, so the pullback redoes the
-        forward pass; override it to keep the activations instead.
+        This default calls ``embed`` and its pullback raises
+        GradientUnavailable; an embedder with gradients overrides it.
         """
-        sample = ImageSample(image)
-        embedding = self.embed(sample).values
-        return embedding, lambda embedding_cotangent: self.vjp(sample, embedding_cotangent)
+        return (self.embed(ImageSample(image)).values,
+                _no_gradient(f"embedder {self.model_id!r}"))
 
 
 def _embedding_rows(embedder: EmbedderHandle,
@@ -169,9 +168,6 @@ class SyntheticGenerator(GeneratorHandle):
 
     def generate(self, latent: LatentCode) -> ImageSample:
         return ImageSample(self.generate_vjp(latent.values)[0])
-
-    def vjp(self, latent_values: np.ndarray, image_cotangent: np.ndarray) -> np.ndarray:
-        return self.generate_vjp(latent_values)[1](image_cotangent)
 
     def generate_vjp(self, latent_values: np.ndarray):
         """The image and a pullback that reuses its tanh activation."""
@@ -246,9 +242,6 @@ class SyntheticEmbedder(EmbedderHandle):
         if not np.all(np.isfinite(norms)):
             raise ValueError("embedding entries must be finite")
         return raw / norms[:, None]
-
-    def vjp(self, image: ImageSample, embedding_cotangent: np.ndarray) -> np.ndarray:
-        return self.embed_vjp(image.values)[1](embedding_cotangent)
 
     def embed_vjp(self, image: np.ndarray):
         """The unit embedding and a pullback that reuses its raw embedding
@@ -479,18 +472,13 @@ def loss_gradient(g: GeneratorHandle, f: EmbedderHandle, latent: LatentCode,
     """Gradient of loss_eval with respect to the latent values."""
     if not (g.supports_gradient and f.supports_gradient):
         raise GradientUnavailable("generator or embedder does not expose gradients")
-    x = latent.values
-    image = g.generate(latent)
+    image, generator_pullback = g.generate_vjp(latent.values)
+    e, embedder_pullback = f.embed_vjp(image)
     t = target.values
-    t_norm = np.linalg.norm(t)
-    if t_norm == 0.0:
-        raise ZeroNormEmbedding("target embedding has zero norm")
-    t_hat = t / t_norm
+    _s, t_norm = _cosine(e, t)
     # loss = e . t_hat with e already unit-norm; the normalization
-    # Jacobian lives inside the embedder's vjp.
-    cot_embedding = t_hat
-    cot_image = f.vjp(image, cot_embedding)
-    return g.vjp(x, cot_image)
+    # Jacobian lives inside the embedder's pullback.
+    return generator_pullback(embedder_pullback(t / t_norm))
 
 
 class QueryLedger:
@@ -565,21 +553,15 @@ class AttackSession:
         return self._forward(latent_values, target)
 
     def _forward(self, latent_values, target: EmbeddingVector):
-        # The value is cosine_similarity's arithmetic and the gradient
-        # loss_gradient's, op for op, so results match loss_eval and
+        # The value is cosine_similarity's code and the gradient
+        # loss_gradient's composition, so results match loss_eval and
         # loss_gradient bit for bit.
         self.ledger.charge_adv(1)
         x = _as_float_vector(latent_values)
         image, generator_pullback = self.generator.generate_vjp(x)
         e, embedder_pullback = self.embedder.embed_vjp(image)
         t = target.values
-        if e.size != t.size:
-            raise DimensionMismatch(f"embedding lengths differ: {e.size} vs {t.size}")
-        e_norm = np.linalg.norm(e)
-        t_norm = np.linalg.norm(t)
-        if e_norm == 0.0 or t_norm == 0.0:
-            raise ZeroNormEmbedding("cosine similarity undefined for zero-norm embedding")
-        s = min(1.0, max(-1.0, float(np.dot(e, t) / (e_norm * t_norm))))
+        s, t_norm = _cosine(e, t)
 
         def grad_fn() -> np.ndarray:
             return generator_pullback(embedder_pullback(t / t_norm))

@@ -17,16 +17,12 @@ cached generations under one embedder are the same for every target:
 ``LatentPool.embeddings`` computes them once per embedder handle and keeps
 them in memory beside the pool.  They are never written to the file.
 
-File format (version 1, little-endian):
-    magic "LPOOL" | u16 version | u8 checksum algo (1 = crc32)
-    u32 d_lat | u32 C | u32 H | u32 W | u32 V
-    f64 tau_K | f64 tau_D | i64 build_seed | u32 entry count
-    u16 generator id length | utf-8 generator id
-    per entry: i64 seed | f64 p_K | f64 p_D | f32[d_lat] latent
-               | f32[C*H*W] image | u32 crc32 of the entry bytes
-    u32 crc32 of everything before it
-Latent and image payloads are stored as IEEE-754 32-bit floats; in-memory
-pools hold float32-representable values, so round-trips are lossless.
+File format (version 1, little-endian): the ``_HEADER`` struct, the
+utf-8 generator id, the entries as one packed array of ``_entry_dtype``
+(each ending in the crc32 of its other bytes), then the crc32 of
+everything before it.  Latent and image payloads are stored as IEEE-754
+32-bit floats; in-memory pools hold float32-representable values, so
+round-trips are lossless.
 """
 import struct
 import zlib
@@ -51,6 +47,9 @@ from .normality import k2_screen
 _MAGIC = b"LPOOL"
 _FORMAT_VERSION = 1
 _CHECKSUM_CRC32 = 1
+# magic "LPOOL", format version, checksum algorithm (1 = crc32), d_lat,
+# C, H, W, V, tau_K, tau_D, build seed, entry count, generator id length.
+_HEADER = struct.Struct("<5sHB5IddqIH")
 
 DEFAULT_MAX_DRAW_FACTOR = 10_000
 
@@ -257,12 +256,14 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
     (cheap filter first); the detector sees only normality survivors, so
     generator invocations equal the count of normality acceptances.
     Raises PoolExhausted once max_draw_factor * V candidates have been
-    drawn without filling the pool, and ConfigInvalid before drawing if
-    any of their seeds would fall outside the pool file's signed 64-bit
-    seed field.
+    drawn without filling the pool, and ConfigInvalid before drawing if V
+    or max_draw_factor is below 1 or any candidate seed would fall outside
+    the pool file's signed 64-bit seed field.
     """
     if V < 1:
         raise ConfigInvalid(f"V must be >= 1, got {V}")
+    if max_draw_factor < 1:
+        raise ConfigInvalid(f"max_draw_factor must be >= 1, got {max_draw_factor}")
     if not 0.0 <= tau_K <= 1.0 or not 0.0 <= tau_D <= 1.0:
         raise ConfigInvalid("thresholds must be in [0, 1]")
     cap = max_draw_factor * V
@@ -313,45 +314,39 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
                       build_seed=build_seed, stats=stats)
 
 
+def _entry_dtype(d_lat: int, d_pix: int) -> np.dtype:
+    """One pool file entry: the CRC covers every byte before it."""
+    return np.dtype([("seed", "<i8"), ("p_K", "<f8"), ("p_D", "<f8"),
+                     ("latent", "<f4", (d_lat,)), ("image", "<f4", (d_pix,)),
+                     ("crc", "<u4")])
+
+
+def _entry_crcs(entries: np.ndarray) -> List[int]:
+    rows = entries.view(np.uint8).reshape(len(entries), entries.dtype.itemsize)
+    return [zlib.crc32(row[:-4]) for row in rows]
+
+
 def save_pool(pool: LatentPool, path):
     """Write the versioned binary pool file described in the module docstring."""
     gen_id = pool.generator_id.encode("utf-8")
     c, h, w = pool.image_shape
-    buf = bytearray()
-    buf += _MAGIC
-    buf += struct.pack("<HB", _FORMAT_VERSION, _CHECKSUM_CRC32)
-    buf += struct.pack("<5I", pool.d_lat, c, h, w, pool.V)
-    buf += struct.pack("<ddqI", pool.tau_K, pool.tau_D, pool.build_seed,
-                       len(pool.entries))
-    buf += struct.pack("<H", len(gen_id)) + gen_id
-    for e in pool.entries:
-        entry = bytearray()
-        entry += struct.pack("<qdd", e.latent.seed, e.latent.p_K, e.latent.p_D)
-        entry += e.latent.values.astype("<f4").tobytes()
-        entry += e.image.values.astype("<f4").tobytes()
-        entry += struct.pack("<I", zlib.crc32(bytes(entry)))
-        buf += entry
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
+    entries = np.zeros(len(pool.entries), _entry_dtype(pool.d_lat, c * h * w))
+    entries["seed"] = [e.latent.seed for e in pool.entries]
+    entries["p_K"] = [e.latent.p_K for e in pool.entries]
+    entries["p_D"] = [e.latent.p_D for e in pool.entries]
+    entries["latent"] = [e.latent.values for e in pool.entries]
+    entries["image"] = [e.image.flat() for e in pool.entries]
+    entries["crc"] = _entry_crcs(entries)
+    data = bytearray(_HEADER.pack(
+        _MAGIC, _FORMAT_VERSION, _CHECKSUM_CRC32, pool.d_lat, c, h, w, pool.V,
+        pool.tau_K, pool.tau_D, pool.build_seed, len(pool.entries), len(gen_id)))
+    data += gen_id
+    data += entries.data
+    data += struct.pack("<I", zlib.crc32(data))
     try:
-        replace_file(path, bytes(buf))
+        replace_file(path, data)
     except OSError as exc:
         raise IoFailure(f"cannot write pool file {path}: {exc}") from exc
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ChecksumMismatch("pool file truncated")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
 def load_pool(path) -> LatentPool:
@@ -364,47 +359,56 @@ def load_pool(path) -> LatentPool:
     if len(data) < len(_MAGIC) + 4 or data[:len(_MAGIC)] != _MAGIC:
         raise IoFailure(f"{path} is not a latent pool file")
     stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(data[:-4]) != stored_crc:
+    body = memoryview(data)[:-4]
+    if zlib.crc32(body) != stored_crc:
         raise ChecksumMismatch(f"{path}: whole-file checksum mismatch")
 
     try:
-        return _parse_pool(data[:-4], path)
-    except ValueError as exc:
-        # Checksums match but a field is out of range: V = 0, a generator
-        # id that is not UTF-8, or a p_K, p_D or pixel the value types reject.
+        return _parse_pool(body, path)
+    except (ValueError, ConfigInvalid) as exc:
+        # Checksums match but the contents do not make a pool: V = 0, an
+        # entry count other than V, bytes after the last entry, a generator
+        # id that is not UTF-8, or a p_K, p_D or pixel that the value types
+        # or the file's own thresholds reject.
         raise IoFailure(f"{path}: malformed pool file: {exc}") from exc
 
 
-def _parse_pool(data: bytes, path) -> LatentPool:
-    r = _Reader(data)
-    r.take(len(_MAGIC))
-    version, algo = r.unpack("<HB")
+def _parse_pool(data: memoryview, path) -> LatentPool:
+    if len(data) < _HEADER.size:
+        raise ChecksumMismatch(f"{path}: pool file truncated")
+    (_magic, version, algo, d_lat, c, h, w, v, tau_K, tau_D, build_seed, count,
+     id_len) = _HEADER.unpack_from(data)
     if version != _FORMAT_VERSION:
         raise FormatVersionMismatch(
             f"{path}: format version {version}, supported {_FORMAT_VERSION}")
     if algo != _CHECKSUM_CRC32:
         raise FormatVersionMismatch(f"{path}: unknown checksum algorithm {algo}")
-    d_lat, c, h, w, v = r.unpack("<5I")
     if v < 1:
         raise ValueError(f"pool volume V = {v}; a pool holds at least one entry")
-    tau_K, tau_D, build_seed, count = r.unpack("<ddqI")
-    (id_len,) = r.unpack("<H")
-    generator_id = r.take(id_len).decode("utf-8")
+    if count != v:
+        raise ValueError(f"header holds {count} entries but V = {v}")
+    start = _HEADER.size + id_len
+    # An entry too large for numpy raises ValueError here.
+    dtype = _entry_dtype(d_lat, c * h * w)
+    if len(data) < start + count * dtype.itemsize:
+        raise ChecksumMismatch(f"{path}: pool file truncated")
+    if len(data) > start + count * dtype.itemsize:
+        raise ValueError("bytes after the last entry")
+    generator_id = str(data[_HEADER.size:start], "utf-8")
 
-    d_pix = c * h * w
-    entries = []
-    for _ in range(count):
-        start = r.pos
-        seed, p_K, p_D = r.unpack("<qdd")
-        latent = np.frombuffer(r.take(4 * d_lat), dtype="<f4").astype(np.float64)
-        image = np.frombuffer(r.take(4 * d_pix), dtype="<f4").astype(np.float64)
-        body = r.data[start:r.pos]
-        (crc,) = r.unpack("<I")
-        if zlib.crc32(body) != crc:
-            raise ChecksumMismatch(f"{path}: entry checksum mismatch")
-        entries.append(PoolEntry(
-            latent=LatentCode(values=latent, seed=seed, p_K=p_K, p_D=p_D),
-            image=ImageSample(image.reshape(c, h, w)),
-        ))
-    return LatentPool(entries=tuple(entries), V=v, tau_K=tau_K, tau_D=tau_D,
-                      generator_id=generator_id, build_seed=build_seed)
+    entries = np.frombuffer(data, dtype, count, start)
+    if _entry_crcs(entries) != entries["crc"].tolist():
+        raise ChecksumMismatch(f"{path}: entry checksum mismatch")
+    # Each entry gets its own float64 copies: views of one float64 block
+    # per column raised the peak RSS of an attack on a V=1000 pool by ~3%.
+    return LatentPool(
+        entries=tuple(
+            PoolEntry(latent=LatentCode(values=latent.astype(np.float64),
+                                        seed=seed, p_K=p_K, p_D=p_D),
+                      image=ImageSample(image.astype(np.float64)))
+            for latent, image, seed, p_K, p_D in zip(
+                entries["latent"], entries["image"].reshape(count, c, h, w),
+                entries["seed"].tolist(),
+                entries["p_K"].tolist(), entries["p_D"].tolist())),
+        V=v, tau_K=tau_K, tau_D=tau_D, generator_id=generator_id,
+        build_seed=build_seed)

@@ -33,6 +33,9 @@ from embinvert.models import (
 )
 from embinvert.records import read_results, read_thresholds
 
+from test_models import PlainEmbedder, PlainGenerator
+from test_pool import reseal
+
 
 class TestConfigFormat:
     def test_round_trip_identity(self):
@@ -259,6 +262,15 @@ class TestBuildPoolCommand:
         assert "build seed" in err
         assert not os.path.exists(config.pool_path)
 
+    @pytest.mark.parametrize("factor", [0, -5])
+    def test_max_draw_factor_below_one_exits_2(self, tmp_path, capsys, factor):
+        cfg_path, config = write_config(tmp_path, max_draw_factor=factor)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "max_draw_factor must be >= 1" in err
+        assert not os.path.exists(config.pool_path)
+
     def test_out_flag_overrides_path(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
         alt = tmp_path / "alt.lpool"
@@ -418,6 +430,27 @@ class TestAttackCommand:
         assert "malformed" in err
         assert not os.path.exists(config.results_path)
 
+    @pytest.mark.parametrize("craft", [
+        "count-other-than-v", "entry-below-tau-k", "bytes-after-last-entry"])
+    def test_malformed_pool_file_exits_4(self, tmp_path, capsys, craft):
+        cfg_path, config = write_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        data = bytearray((tmp_path / "pool.lpool").read_bytes())
+        (id_len,) = struct.unpack_from("<H", data, 56)
+        if craft == "count-other-than-v":
+            struct.pack_into("<I", data, 24, config.volume - 1)  # V
+        elif craft == "entry-below-tau-k":
+            struct.pack_into("<d", data, 58 + id_len + 8, config.tau_k / 2)
+        else:
+            data[-4:] = bytes(8)
+        (tmp_path / "pool.lpool").write_bytes(reseal(data))
+        capsys.readouterr()
+        assert main(["attack", "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "malformed pool file" in err
+        assert not os.path.exists(config.results_path)
+
     def test_every_target_failing_exits_5(self, tmp_path, monkeypatch):
         # every refinement aborting fails every target; each is recorded
         # in-line and the run exits 5
@@ -540,16 +573,34 @@ def toy_generator(config):
                               generator_id="toy-gen")
 
 
-def register_toy_adapters(calibration_factory):
+def toy_identity_images(config):
+    gen = toy_generator(config)
+    from embinvert.core import LatentCode
+    rng = np.random.default_rng(5)
+    groups = []
+    for _ in range(4):
+        center = rng.standard_normal(config.d_lat)
+        groups.append(tuple(
+            gen.generate(LatentCode(center + 0.3 * rng.standard_normal(config.d_lat)))
+            for _ in range(3)))
+    return groups
+
+
+def register_toy_adapters(calibration_factory, forward_only=False):
     """Register adapters that wrap the synthetic machinery under external
     ids, as a real generator/embedder adapter would wrap its model processes.
+    With ``forward_only`` the generator and embedders have no gradients.
     """
+    def gen_factory(config):
+        gen = toy_generator(config)
+        return PlainGenerator(gen) if forward_only else gen
+
     def emb_factory(k, model_id):
         def factory(config):
             e = SyntheticEmbedder(24, config.image_shape,
                                   np.random.SeedSequence([1234, k]), model_id)
             e.tau_F = 0.5
-            return e
+            return PlainEmbedder(e) if forward_only else e
         return factory
 
     def det_factory(config):
@@ -557,16 +608,15 @@ def register_toy_adapters(calibration_factory):
         return SyntheticDetector(np.tanh(gen.bias), offset=-1.0, slope=50.0,
                                  input_shape=gen.output_shape, detector_id="toy-det")
 
-    registry.register_generator("toy-gen", toy_generator)
+    registry.register_generator("toy-gen", gen_factory)
     registry.register_embedder("toy-emb-a", emb_factory(1, "toy-emb-a"))
     registry.register_embedder("toy-emb-b", emb_factory(2, "toy-emb-b"))
     registry.register_detector("toy-det", det_factory)
     registry.register_calibration_source("toy-cal", calibration_factory)
 
 
-def write_toy_adapter_config(tmp_path):
-    return write_config(
-        tmp_path,
+def write_toy_adapter_config(tmp_path, **overrides):
+    params = dict(
         backend="adapter",
         adapter_generator="toy-gen",
         adapter_embedders=("toy-emb-a", "toy-emb-b"),
@@ -575,23 +625,13 @@ def write_toy_adapter_config(tmp_path):
         target_model="toy-emb-a",
         tau_k=0.5, tau_d=0.5, volume=10, num_targets=2,
     )
+    params.update(overrides)
+    return write_config(tmp_path, **params)
 
 
 class TestAdapterRegistry:
     def test_full_pipeline_through_registered_adapters(self, tmp_path):
-        def calibration_factory(config):
-            gen = toy_generator(config)
-            from embinvert.core import LatentCode
-            rng = np.random.default_rng(5)
-            groups = []
-            for _ in range(4):
-                center = rng.standard_normal(config.d_lat)
-                groups.append(tuple(
-                    gen.generate(LatentCode(center + 0.3 * rng.standard_normal(config.d_lat)))
-                    for _ in range(3)))
-            return groups
-
-        register_toy_adapters(calibration_factory)
+        register_toy_adapters(toy_identity_images)
         cfg_path, config = write_toy_adapter_config(tmp_path)
         assert main(["build-pool", "--config", str(cfg_path)]) == 0
         assert main(["calibrate", "--config", str(cfg_path)]) == 0
@@ -599,6 +639,24 @@ class TestAdapterRegistry:
         assert main(["report", "--config", str(cfg_path)]) == 0
         by_model = read_thresholds(config.thresholds_path)
         assert set(by_model) == {"toy-emb-a", "toy-emb-b"}
+
+    def test_forward_only_adapters(self, tmp_path, capsys):
+        # Black-box needs no gradient; white-box fails each target with
+        # GradientUnavailable in its record.
+        register_toy_adapters(toy_identity_images, forward_only=True)
+        cfg_path, config = write_toy_adapter_config(
+            tmp_path, mode="blackbox", t_max=None, q_max=100)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        assert main(["attack", "--config", str(cfg_path)]) == 0
+        assert all(r.get("error") is None
+                   for r in read_results(config.results_path))
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        capsys.readouterr()
+        assert main(["attack", "--config", str(cfg_path)]) == 5
+        assert "Traceback" not in capsys.readouterr().err
+        records = read_results(config.results_path)
+        assert len(records) == config.num_targets
+        assert all(r["error"].startswith("GradientUnavailable") for r in records)
 
     @pytest.mark.parametrize("groups, message", [
         ([], "backend provides no identities"),
@@ -643,6 +701,15 @@ class TestExitCodes:
         for cls in classes:
             assert (cls.__name__, cli._exit_code(cls("x"))) == \
                 (cls.__name__, documented[cls.__name__])
+
+
+class TestReadme:
+    def test_library_use_block_runs(self, capsys):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("```python\n")[-1].split("```", 1)[0]
+        assert "run_attack" in block
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.strip()
 
 
 THRESHOLDS_OK = {"schema": "embinvert-thresholds-v1",

@@ -257,37 +257,29 @@ def random_target(rng, d_emb):
 
 
 class PlainGenerator(GeneratorHandle):
-    """An adapter that implements only generate and vjp."""
+    """A forward-only adapter: it implements only generate."""
 
     def __init__(self, inner):
         self.inner = inner
         self.d_lat = inner.d_lat
         self.output_shape = inner.output_shape
-        self.supports_gradient = True
-        self.generator_id = "plain-generator"
+        self.generator_id = inner.generator_id
 
     def generate(self, latent):
         return self.inner.generate(latent)
 
-    def vjp(self, latent_values, image_cotangent):
-        return self.inner.vjp(latent_values, image_cotangent)
-
 
 class PlainEmbedder(EmbedderHandle):
-    """An adapter that implements only embed and vjp."""
+    """A forward-only adapter: it implements only embed."""
 
-    def __init__(self, inner, supports_gradient=True):
+    def __init__(self, inner):
         self.inner = inner
         self.d_emb = inner.d_emb
         self.tau_F = inner.tau_F
-        self.supports_gradient = supports_gradient
-        self.model_id = "plain-embedder"
+        self.model_id = inner.model_id
 
     def embed(self, image):
         return self.inner.embed(image)
-
-    def vjp(self, image, embedding_cotangent):
-        return self.inner.vjp(image, embedding_cotangent)
 
 
 class TestValueAndGrad:
@@ -312,19 +304,32 @@ class TestValueAndGrad:
         assert s == loss_eval(g, f, x, target)
         assert np.array_equal(grad_fn(), loss_gradient(g, f, x, target))
 
-    def test_base_class_defaults_match_the_overrides(self, desk_world):
+    def test_forward_only_defaults_give_the_value_and_no_gradient(self, desk_world):
         g, f = desk_world.generator, desk_world.embedders[0]
+        plain_g, plain_f = PlainGenerator(g), PlainEmbedder(f)
+        assert not (plain_g.supports_gradient or plain_f.supports_gradient)
         fused = AttackSession(g, f, QueryLedger(), allow_gradient=True)
-        plain = AttackSession(PlainGenerator(g), PlainEmbedder(f), QueryLedger(),
-                              allow_gradient=True)
+        ledger = QueryLedger()
+        plain = AttackSession(plain_g, plain_f, ledger, allow_gradient=True)
         rng = np.random.default_rng(506)
         for _ in range(10):
             x = rng.standard_normal(g.d_lat)
             target = random_target(rng, f.d_emb)
-            s, grad_fn = fused.value_and_grad(x, target)
-            s_plain, grad_fn_plain = plain.value_and_grad(x, target)
-            assert s == s_plain
-            assert np.array_equal(grad_fn(), grad_fn_plain())
+            assert plain.loss(x, target) == fused.loss(x, target)
+            charged = ledger.total
+            with pytest.raises(GradientUnavailable):
+                plain.value_and_grad(x, target)
+            assert ledger.total == charged
+        image, generator_pullback = plain_g.generate_vjp(x)
+        embedding, embedder_pullback = plain_f.embed_vjp(image)
+        assert np.array_equal(image, g.generate(LatentCode(x)).values)
+        assert np.array_equal(embedding, f.embed(ImageSample(image)).values)
+        with pytest.raises(GradientUnavailable, match=f.model_id):
+            embedder_pullback(target.values)
+        with pytest.raises(GradientUnavailable, match=g.generator_id):
+            generator_pullback(image)
+        with pytest.raises(GradientUnavailable):
+            loss_gradient(plain_g, plain_f, LatentCode(x), target)
 
     def test_one_query_and_a_free_gradient(self, desk_world):
         g, f = desk_world.generator, desk_world.embedders[0]
@@ -350,8 +355,8 @@ class TestValueAndGrad:
 
     def test_handle_without_gradient_raises(self, desk_world):
         g, f = desk_world.generator, desk_world.embedders[0]
-        session = AttackSession(g, PlainEmbedder(f, supports_gradient=False),
-                                QueryLedger(), allow_gradient=True)
+        session = AttackSession(g, PlainEmbedder(f), QueryLedger(),
+                                allow_gradient=True)
         target = f.embed(desk_world.identities[0].images[0])
         with pytest.raises(GradientUnavailable):
             session.value_and_grad(np.zeros(g.d_lat), target)
@@ -404,10 +409,6 @@ class TestValueAndGrad:
                 count("generate")
                 return super().generate(latent)
 
-            def vjp(self, latent_values, image_cotangent):
-                count("generator vjp")
-                return super().vjp(latent_values, image_cotangent)
-
             def generate_vjp(self, latent_values):
                 count("generator forward")
                 image, pullback = super().generate_vjp(latent_values)
@@ -417,10 +418,6 @@ class TestValueAndGrad:
             def embed(self, image):
                 count("embed")
                 return super().embed(image)
-
-            def vjp(self, image, embedding_cotangent):
-                count("embedder vjp")
-                return super().vjp(image, embedding_cotangent)
 
             def embed_vjp(self, image):
                 count("embedder forward")

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import struct
 import zlib
 
@@ -12,7 +13,6 @@ from embinvert.errors import (
     ChecksumMismatch,
     ConfigInvalid,
     DimensionMismatch,
-    EmbinvertError,
     FormatVersionMismatch,
     IoFailure,
     PoolExhausted,
@@ -392,6 +392,20 @@ class TestPoolPersistence:
         save_pool(quick_pool, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_bytes_pinned_across_code_versions(self, desk_world, tmp_path):
+        # Two saves by the same code cannot catch a codec rewrite that
+        # drifts; these are the bytes format version 1 holds for this pool.
+        pool = build_pool(desk_world.generator, desk_world.detector, V=8,
+                          tau_K=0.5, tau_D=0.5, build_seed=7)
+        first, again = tmp_path / "a.lpool", tmp_path / "b.lpool"
+        save_pool(pool, first)
+        data = first.read_bytes()
+        assert len(data) == 26937
+        assert hashlib.sha256(data).hexdigest() == (
+            "b5dd75e1421950a10a53c0ab8cc0ffc0d92e1d81f715a4f0ff3510aa287070e1")
+        save_pool(load_pool(first), again)
+        assert again.read_bytes() == data
+
 
 
 class FlakyEmbedder(EmbedderHandle):
@@ -476,6 +490,10 @@ _HEADER_FIELDS = {"d_lat": 8, "C": 12, "H": 16, "W": 20, "V": 24, "count": 52}
 _ID_OFFSET = 58  # magic, version, algo, five u32, two f64, i64, u32, u16
 
 
+# What a malformed pool file may raise: the classes the CLI maps to exit 4.
+EXIT_4_ERRORS = (IoFailure, ChecksumMismatch, FormatVersionMismatch)
+
+
 def reseal(data: bytearray) -> bytes:
     """Recompute every entry CRC the reader will check, then the file CRC.
 
@@ -540,6 +558,7 @@ class TestMalformedPool:
     @pytest.mark.parametrize("field_offset, value", [
         (8, 1.5), (8, -0.25), (8, float("nan")),      # p_K
         (16, 2.0), (16, float("inf")),                  # p_D
+        (8, 0.25), (16, 0.25),   # valid, but below the file's tau_K, tau_D
     ])
     def test_score_out_of_range(self, small_pool_bytes, tmp_path_factory,
                                 field_offset, value):
@@ -555,6 +574,19 @@ class TestMalformedPool:
         data = bytearray(small_pool_bytes)
         struct.pack_into("<f", data, _ID_OFFSET + id_len + 24 + 4 * d_lat + 8, 1.5)
         with pytest.raises(IoFailure, match="malformed"):
+            load_bytes(tmp_path_factory, reseal(data))
+
+    @pytest.mark.parametrize("field, value", [("V", 2), ("count", 2), ("count", 4)])
+    def test_entry_count_other_than_v(self, small_pool_bytes, tmp_path_factory,
+                                      field, value):
+        data = bytearray(small_pool_bytes)
+        struct.pack_into("<I", data, _HEADER_FIELDS[field], value)
+        with pytest.raises(IoFailure, match="malformed"):
+            load_bytes(tmp_path_factory, reseal(data))
+
+    def test_bytes_after_the_last_entry(self, small_pool_bytes, tmp_path_factory):
+        data = bytearray(small_pool_bytes[:-4] + bytes(8))
+        with pytest.raises(IoFailure, match="malformed.*after the last entry"):
             load_bytes(tmp_path_factory, reseal(data))
 
     @settings(max_examples=300, deadline=None)
@@ -575,7 +607,7 @@ class TestMalformedPool:
             data = data[:cut % len(data)]
         try:
             load_bytes(tmp_path_factory, data)
-        except EmbinvertError:
+        except EXIT_4_ERRORS:
             pass
 
     @settings(max_examples=200, deadline=None)
@@ -587,5 +619,5 @@ class TestMalformedPool:
         for candidate in (prefix + body, data):
             try:
                 load_bytes(tmp_path_factory, candidate)
-            except EmbinvertError:
+            except EXIT_4_ERRORS:
                 pass
