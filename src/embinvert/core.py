@@ -91,7 +91,8 @@ class ImageSample:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 3:
             raise DimensionMismatch(f"expected (C, H, W), got shape {arr.shape}")
-        if arr.size and (np.min(arr) < -1.0 or np.max(arr) > 1.0):
+        # Written so that a NaN pixel fails it too.
+        if arr.size and not (-1.0 <= arr.min() and arr.max() <= 1.0):
             raise ValueError("pixel values must lie in [-1, 1]")
         object.__setattr__(self, "values", arr)
 

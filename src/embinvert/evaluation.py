@@ -15,9 +15,11 @@ Evaluation is batch-first: each function embeds all of its images with one
 ``embed_batch`` call per model, normalises the rows, and scores pairs as
 row dot products (same-identity pairs are the upper triangle of each
 identity's Gram block), clamped to [-1, 1] like ``cosine_similarity``.
-Scores differ from a per-pair loop over ``embed`` by float rounding only;
-impostor pairs are still drawn one at a time, so a seed names the same
-pairs as before.
+Scores differ from a per-pair loop over ``embed`` by float rounding only.
+Impostor pairs are decoded from one block of raw generator words, the way
+numpy's ``choice`` and ``integers`` would consume them one pair at a
+time, so a seed names the same pairs as the per-pair draw, bit for bit;
+the per-pair draw still runs where the block cannot be decoded exactly.
 """
 import hashlib
 from dataclasses import dataclass
@@ -158,18 +160,79 @@ def calibration_set_from_images(images_by_identity: Sequence[Sequence[ImageSampl
         raise InsufficientImages("impostor pairs need an image of every identity")
     unit, starts = _unit_embeddings(images_by_identity, embedder)
     genuine = _genuine_scores(unit, starts)
-    # Impostor pairs are drawn one at a time, as when each was scored on
-    # the spot, so a seed keeps naming the same pairs; only scoring is batched.
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rows_a, rows_b = _impostor_rows(
+        np.random.default_rng(np.random.SeedSequence(seed)), starts, genuine.size)
+    return CalibrationSet(genuine_scores=genuine,
+                          impostor_scores=_pair_scores(unit, rows_a, rows_b))
+
+
+def _impostor_rows(rng, starts: np.ndarray, count: int):
+    """Rows of ``count`` seeded impostor pairs, as ``_impostor_rows_one_by_one``
+    draws them: decoded from one block of words where that is exact, else
+    drawn pair by pair from the generator's state before the block."""
+    state = rng.bit_generator.state
+    rows = _impostor_rows_from_block(rng, starts, count)
+    if rows is None:
+        rng.bit_generator.state = state
+        rows = _impostor_rows_one_by_one(rng, starts, count)
+    return rows
+
+
+def _impostor_rows_one_by_one(rng, starts: np.ndarray, count: int):
+    """Per pair: two distinct identities, ``rng.choice(n, 2, replace=False)``,
+    then one image of each, ``rng.integers(0, size)``."""
     first = starts.tolist()
-    sizes = [len(group) for group in images_by_identity]
+    sizes = np.diff(starts).tolist()
     rows_a, rows_b = [], []
-    for _ in range(genuine.size):
+    for _ in range(count):
         i, j = rng.choice(len(sizes), size=2, replace=False)
         rows_a.append(first[i] + rng.integers(0, sizes[i]))
         rows_b.append(first[j] + rng.integers(0, sizes[j]))
-    return CalibrationSet(genuine_scores=genuine,
-                          impostor_scores=_pair_scores(unit, rows_a, rows_b))
+    return rows_a, rows_b
+
+
+def _bounded(words: np.ndarray, m):
+    """numpy's bounded draw over ``m`` values from one 32-bit word each
+    (Lemire's method), and whether numpy would reject the word and draw
+    another one instead."""
+    m = np.asarray(m, dtype=np.uint64)
+    scaled = words * m
+    return ((scaled >> 32).astype(np.intp),
+            (scaled & 0xFFFFFFFF) < np.uint64(1 << 32) % m)
+
+
+def _impostor_rows_from_block(rng, starts: np.ndarray, count: int):
+    """``_impostor_rows_one_by_one`` decoded from one block of 32-bit words,
+    or None where the decoding would not be exact.
+
+    For two of n values, numpy's ``choice`` runs Floyd's algorithm and then
+    a shuffle: a bounded draw over n - 1 values gives a, one over n values
+    gives b (n - 1 if b == a), and a draw over 2 values swaps them when it
+    is 0.  Each ``integers(0, size)`` is one more bounded draw.  A bounded
+    draw over one value takes no word; over more, one word unless numpy
+    rejects it.  So with two images of every identity each pair takes the
+    same words, and any rejected word gives None.
+    """
+    sizes = np.diff(starts)
+    n = sizes.size
+    if sizes.min() < 2:
+        return None
+    # A draw over 2**32 values takes one 32-bit word whatever the dtype;
+    # uint64 leaves room for the words' products with m.
+    words = rng.integers(0, 1 << 32, size=(count, 5 - (n == 2)), dtype=np.uint64)
+    if n == 2:  # a's draw over one value takes no word
+        words = np.column_stack([np.zeros(count, np.uint64), words])
+    a, rejected_a = _bounded(words[:, 0], n - 1)
+    b, rejected_b = _bounded(words[:, 1], n)
+    b[b == a] = n - 1
+    keep = _bounded(words[:, 2], 2)[0] == 1  # over two values, never rejected
+    i = np.where(keep, a, b)
+    j = np.where(keep, b, a)
+    image_i, rejected_i = _bounded(words[:, 3], sizes[i])
+    image_j, rejected_j = _bounded(words[:, 4], sizes[j])
+    if (rejected_a | rejected_b | rejected_i | rejected_j).any():
+        return None
+    return starts[i] + image_i, starts[j] + image_j
 
 
 def compute_confidence_threshold(images_by_identity: Sequence[Sequence[ImageSample]],

@@ -350,7 +350,14 @@ def save_pool(pool: LatentPool, path):
 
 
 def load_pool(path) -> LatentPool:
-    """Read and verify a pool file; raises on version or checksum problems."""
+    """Read and verify a pool file.
+
+    Raises ``FormatVersionMismatch`` for an unknown version or checksum
+    algorithm, ``ChecksumMismatch`` for a bad or truncated file, and
+    ``IoFailure`` for an unreadable file or one whose checksums match but
+    whose contents do not make a pool, a latent value that is not finite
+    among them.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -368,8 +375,9 @@ def load_pool(path) -> LatentPool:
     except (ValueError, ConfigInvalid) as exc:
         # Checksums match but the contents do not make a pool: V = 0, an
         # entry count other than V, bytes after the last entry, a generator
-        # id that is not UTF-8, or a p_K, p_D or pixel that the value types
-        # or the file's own thresholds reject.
+        # id that is not UTF-8, a latent value that is not finite, or a p_K,
+        # p_D or pixel that the value types or the file's own thresholds
+        # reject.
         raise IoFailure(f"{path}: malformed pool file: {exc}") from exc
 
 
@@ -399,6 +407,8 @@ def _parse_pool(data: memoryview, path) -> LatentPool:
     entries = np.frombuffer(data, dtype, count, start)
     if _entry_crcs(entries) != entries["crc"].tolist():
         raise ChecksumMismatch(f"{path}: entry checksum mismatch")
+    if not np.isfinite(entries["latent"]).all():
+        raise ValueError("a latent value is not finite")
     # Each entry gets its own float64 copies: views of one float64 block
     # per column raised the peak RSS of an attack on a V=1000 pool by ~3%.
     return LatentPool(

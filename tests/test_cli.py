@@ -431,7 +431,8 @@ class TestAttackCommand:
         assert not os.path.exists(config.results_path)
 
     @pytest.mark.parametrize("craft", [
-        "count-other-than-v", "entry-below-tau-k", "bytes-after-last-entry"])
+        "count-other-than-v", "entry-below-tau-k", "bytes-after-last-entry",
+        "nan-latent"])
     def test_malformed_pool_file_exits_4(self, tmp_path, capsys, craft):
         cfg_path, config = write_config(tmp_path)
         assert main(["build-pool", "--config", str(cfg_path)]) == 0
@@ -441,6 +442,8 @@ class TestAttackCommand:
             struct.pack_into("<I", data, 24, config.volume - 1)  # V
         elif craft == "entry-below-tau-k":
             struct.pack_into("<d", data, 58 + id_len + 8, config.tau_k / 2)
+        elif craft == "nan-latent":
+            struct.pack_into("<f", data, 58 + id_len + 24, float("nan"))
         else:
             data[-4:] = bytes(8)
         (tmp_path / "pool.lpool").write_bytes(reseal(data))

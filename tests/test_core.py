@@ -117,6 +117,15 @@ class TestDomainTypes:
         assert img.shape == (3, 4, 4)
         assert img.flat().shape == (48,)
 
+    @pytest.mark.parametrize("bad", [1.5, -1.5, np.nan, np.inf])
+    def test_image_rejects_pixels_outside_the_range(self, bad):
+        ImageSample(np.full((1, 2, 2), 1.0))
+        ImageSample(np.full((1, 2, 2), -1.0))
+        values = np.zeros((1, 2, 2))
+        values[0, 1, 0] = bad
+        with pytest.raises(ValueError, match="pixel values"):
+            ImageSample(values)
+
     def test_target_spec_identity_is_optional_metadata(self):
         spec = TargetSpec(vec(1.0, 0.0), "model-a")
         assert spec.identity_id is None

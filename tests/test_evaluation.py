@@ -2,7 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from embinvert import evaluation
 from embinvert.core import EmbeddingVector, ImageSample, cosine_similarity, decide_match
 from embinvert.errors import (
     ConfigInvalid,
@@ -23,7 +26,13 @@ from embinvert.evaluation import (
     type1_accuracy,
     type2_accuracy,
 )
-from embinvert.models import EmbedderHandle, SyntheticEmbedder, WorldConfig, make_synthetic_world
+from embinvert.models import (
+    EmbedderHandle,
+    SyntheticEmbedder,
+    WorldConfig,
+    impostor_stream,
+    make_synthetic_world,
+)
 
 from conftest import DESK_SEED
 
@@ -616,3 +625,135 @@ class TestBatchedEvaluationErrors:
             calibration_set_from_images([ids[0].images, ()], f, seed=0)
         with pytest.raises(InsufficientImages):
             compute_confidence_threshold([], f)
+
+
+def seeded_rng(seed):
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def layout_starts(sizes):
+    return np.cumsum([0] + list(sizes))
+
+
+def genuine_count(sizes):
+    return sum(m * (m - 1) // 2 for m in sizes)
+
+
+def assert_same_rows(rows, ref):
+    assert np.array_equal(np.asarray(rows[0]), np.asarray(ref[0]))
+    assert np.array_equal(np.asarray(rows[1]), np.asarray(ref[1]))
+
+
+# numpy's PCG64 steps a 128-bit LCG and emits the XSL-RR output of the new
+# state; each 64-bit output gives two uint32 words, the low half first.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_INC = 0x5851F42D4C957F2D14057B7EF767814F
+
+
+def generator_with_word(word, index):
+    """A ``Generator`` whose ``index``-th uint32 word is ``word``."""
+    other = 0x9E3779B9  # the other half of the same 64-bit output
+    output = word | other << 32 if index % 2 == 0 else other | word << 32
+    high = 0x0123456789ABCDEF  # top six bits 0: XSL-RR does not rotate
+    state = high << 64 | (high ^ output)
+    inverse = pow(_PCG64_MULTIPLIER, -1, 1 << 128)
+    for _ in range(index // 2 + 1):
+        state = (state - _PCG64_INC) * inverse % (1 << 128)
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {"bit_generator": "PCG64",
+                           "state": {"state": state, "inc": _PCG64_INC},
+                           "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_generator)
+
+
+# tau_F, EER and tau_C per (world, seed, embedder), as hex floats, from the
+# per-pair impostor draw.
+WORLDS = {
+    "desk": WorldConfig(),
+    "200x8": WorldConfig(n_identities=200, images_per_identity=8,
+                         embedder_dims=(128, 128)),
+}
+PINNED_THRESHOLDS = {
+    ("desk", 7, 0): ("0x1.3dbe1d786fdbbp-1", "0x0.0p+0", "0x1.eec27301669e9p-1"),
+    ("desk", 7, 1): ("0x1.676f51621f5d6p-1", "0x0.0p+0", "0x1.ee2c4351e96b1p-1"),
+    ("desk", 1009, 0): ("0x1.33ae51f473fecp-1", "0x0.0p+0", "0x1.e9f8e0400228ap-1"),
+    ("desk", 1009, 1): ("0x1.4f094132292fep-1", "0x0.0p+0", "0x1.ec7372fed1002p-1"),
+    ("200x8", 7, 0): ("0x1.594e5c181170ep-1", "0x0.0p+0", "0x1.ee14a91599505p-1"),
+    ("200x8", 7, 1): ("0x1.445decbe9d8bap-1", "0x0.0p+0", "0x1.ee15a5f8c7bb0p-1"),
+    ("200x8", 1009, 0): ("0x1.4c71566fd2a2cp-1", "0x0.0p+0", "0x1.ec3c00e5794b5p-1"),
+    ("200x8", 1009, 1): ("0x1.6af0b83f5075ap-1", "0x0.0p+0", "0x1.edf0a83010626p-1"),
+}
+
+
+class TestImpostorBlockDraw:
+    """The block decode names exactly the pairs of the per-pair draw."""
+
+    def test_reference_worlds(self, reference_world):
+        seed, world = reference_world
+        sizes = [len(rec.images) for rec in world.identities]
+        starts, count = layout_starts(sizes), genuine_count(sizes)
+        for k in range(len(world.embedders)):
+            stream = impostor_stream(seed, k)
+            rows = evaluation._impostor_rows_from_block(seeded_rng(stream), starts, count)
+            assert rows is not None
+            assert_same_rows(rows, evaluation._impostor_rows_one_by_one(
+                seeded_rng(stream), starts, count))
+
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 9), min_size=2, max_size=30),
+           seed=st.integers(0, 2**64 - 1) | st.sampled_from([0, 7, 1009]))
+    def test_generated_layouts(self, sizes, seed):
+        starts, count = layout_starts(sizes), max(1, genuine_count(sizes))
+        ref = evaluation._impostor_rows_one_by_one(seeded_rng(seed), starts, count)
+        block = evaluation._impostor_rows_from_block(seeded_rng(seed), starts, count)
+        # A size-1 identity's image draw takes no word, so the block cannot
+        # be decoded; otherwise a rejected word is the only way out, and at
+        # most 30 values per draw make one about 1 in 10**8 per word.
+        assert (block is not None) == (min(sizes) >= 2)
+        if block is not None:
+            assert_same_rows(block, ref)
+        assert_same_rows(evaluation._impostor_rows(seeded_rng(seed), starts, count), ref)
+
+    def test_generator_with_word(self):
+        for index in (0, 1, 6, 77):
+            rng = generator_with_word(0xDEADBEEF, index)
+            words = rng.integers(0, 1 << 32, size=index + 1, dtype=np.uint32)
+            assert words[index] == 0xDEADBEEF
+
+    # Seven identities of three images: the draws in slots 0, 1, 3 and 4 are
+    # over 6, 7, 3 and 3 values, and numpy rejects the word 0 for each.
+    @pytest.mark.parametrize("slot", [0, 1, 3, 4])
+    @pytest.mark.parametrize("pair", [0, 13])
+    def test_rejected_word_falls_back(self, slot, pair):
+        starts, count = layout_starts([3] * 7), 21
+        assert evaluation._bounded(np.zeros(1, np.uint32), (6, 7, 2, 3, 3)[slot])[1]
+        index = 5 * pair + slot
+        block = evaluation._impostor_rows_from_block(
+            generator_with_word(0, index), starts, count)
+        assert block is None
+        ref = evaluation._impostor_rows_one_by_one(
+            generator_with_word(0, index), starts, count)
+        assert_same_rows(evaluation._impostor_rows(
+            generator_with_word(0, index), starts, count), ref)
+
+    @pytest.mark.parametrize("word", [0, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF])
+    def test_swap_draw_never_rejects(self, word):
+        # 2**32 % 2 == 0: the shuffle's draw over two values takes any word.
+        starts, count = layout_starts([3] * 7), 21
+        assert not evaluation._bounded(np.array([word], np.uint32), 2)[1]
+        block = evaluation._impostor_rows_from_block(
+            generator_with_word(word, 5 * 13 + 2), starts, count)
+        assert block is not None
+        assert_same_rows(block, evaluation._impostor_rows_one_by_one(
+            generator_with_word(word, 5 * 13 + 2), starts, count))
+
+    @pytest.mark.parametrize("world, seed", [
+        ("desk", 7), ("desk", 1009), ("200x8", 7), ("200x8", 1009)])
+    def test_pinned_thresholds(self, world, seed):
+        w = make_synthetic_world(WORLDS[world], seed)
+        groups = [rec.images for rec in w.identities]
+        for k, emb in enumerate(w.embedders):
+            cal = calibration_set_from_images(groups, emb, seed=impostor_stream(seed, k))
+            tau_f, eer = compute_eer_threshold(cal)
+            assert (tau_f.hex(), eer.hex(), cal.tau_C.hex()) == \
+                PINNED_THRESHOLDS[world, seed, k]

@@ -571,9 +571,18 @@ class TestMalformedPool:
     def test_pixel_out_of_range(self, small_pool_bytes, tmp_path_factory):
         (id_len,) = struct.unpack_from("<H", small_pool_bytes, 56)
         (d_lat,) = struct.unpack_from("<I", small_pool_bytes, 8)
+        for value in (1.5, float("nan")):
+            data = bytearray(small_pool_bytes)
+            struct.pack_into("<f", data, _ID_OFFSET + id_len + 24 + 4 * d_lat + 8, value)
+            with pytest.raises(IoFailure, match="malformed.*pixel values"):
+                load_bytes(tmp_path_factory, reseal(data))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_latent_not_finite(self, small_pool_bytes, tmp_path_factory, value):
+        (id_len,) = struct.unpack_from("<H", small_pool_bytes, 56)
         data = bytearray(small_pool_bytes)
-        struct.pack_into("<f", data, _ID_OFFSET + id_len + 24 + 4 * d_lat + 8, 1.5)
-        with pytest.raises(IoFailure, match="malformed"):
+        struct.pack_into("<f", data, _ID_OFFSET + id_len + 24 + 4, value)
+        with pytest.raises(IoFailure, match="malformed.*latent value is not finite"):
             load_bytes(tmp_path_factory, reseal(data))
 
     @pytest.mark.parametrize("field, value", [("V", 2), ("count", 2), ("count", 4)])
