@@ -13,11 +13,11 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .config import RunConfig, config_checksum, load_config
-from .core import LatentCode, TargetSpec
+from .core import ImageSample, LatentCode, TargetSpec
 from .errors import (
     BudgetTooSmall,
     ChecksumMismatch,
@@ -57,14 +57,8 @@ def _log(message: str):
 
 def build_backend(config: RunConfig):
     if config.backend == "synthetic":
-        world_config = WorldConfig(
-            d_lat=config.d_lat,
-            image_shape=config.image_shape,
-            embedder_dims=config.embedder_dims,
-            n_identities=config.n_identities,
-            images_per_identity=config.images_per_identity,
-            identity_noise=config.identity_noise,
-        )
+        world_config = WorldConfig(**{f.name: getattr(config, f.name)
+                                      for f in fields(WorldConfig)})
         return make_synthetic_world(world_config, config.seed)
     if not config.adapter_generator or not config.adapter_embedders:
         raise ConfigInvalid(
@@ -80,7 +74,8 @@ def build_backend(config: RunConfig):
 
 
 def _identity_groups(backend) -> List[Tuple[str, tuple]]:
-    """The backend's identities as (id, images), each with at least one image."""
+    """The backend's identities as (id, images), each with at least one
+    image and nothing but ImageSample values."""
     if backend.identity_images is None:
         raise ConfigInvalid(
             "backend provides no identity images (configure adapter_calibration)")
@@ -91,7 +86,26 @@ def _identity_groups(backend) -> List[Tuple[str, tuple]]:
     for identity_id, images in groups:
         if not images:
             raise InsufficientImages(f"identity {identity_id} has no images")
+        for image in images:
+            if not isinstance(image, ImageSample):
+                raise ConfigInvalid(
+                    f"identity {identity_id} holds a {type(image).__name__}; "
+                    "calibration images must be ImageSample")
     return groups
+
+
+def _has_genuine_pairs(images_by_identity) -> bool:
+    return any(len(images) >= 2 for images in images_by_identity)
+
+
+def _eer_calibration(images_by_identity, embedder, seed: int, k: int):
+    """``(CalibrationSet, tau_F, eer)`` for embedder ``k`` of the backend
+    built with ``seed``; ``calibrate`` and ``report`` share it, so their
+    thresholds are the same float."""
+    cal = calibration_set_from_images(images_by_identity, embedder,
+                                      seed=impostor_stream(seed, k))
+    tau_f, eer = compute_eer_threshold(cal)
+    return cal, tau_f, eer
 
 
 def cmd_build_pool(config: RunConfig) -> int:
@@ -123,16 +137,14 @@ def cmd_calibrate(config: RunConfig) -> int:
     if not config.thresholds_path:
         raise ConfigInvalid("thresholds_path is required for calibrate")
     backend = build_backend(config)
-    groups = _identity_groups(backend)
-    if all(len(images) < 2 for _, images in groups):
+    images_by_identity = [images for _, images in _identity_groups(backend)]
+    if not _has_genuine_pairs(images_by_identity):
         raise InsufficientImages(
             "calibration needs at least one identity with two images")
-    images_by_identity = [images for _, images in groups]
     by_model = {}
     for k, embedder in enumerate(backend.embedders):
-        cal = calibration_set_from_images(
-            images_by_identity, embedder, seed=impostor_stream(config.seed, k))
-        tau_f, eer = compute_eer_threshold(cal)
+        cal, tau_f, eer = _eer_calibration(images_by_identity, embedder,
+                                           config.seed, k)
         tau_c = cal.tau_C
         by_model[embedder.model_id] = {"tau_F": tau_f, "eer": eer, "tau_C": tau_c}
         _log(f"[calibrate] {embedder.model_id}: tau_F={tau_f:.4f} "
@@ -235,14 +247,11 @@ def cmd_report(config: RunConfig) -> int:
     backend = build_backend(config)
     records = read_results(config.results_path)
     groups = dict(_identity_groups(backend))
-    # Decision thresholds come from a calibrate run when one happened;
-    # otherwise each backend handle's tau_F is read, which calibrates a
-    # synthetic embedder on that first read.
-    tau_overrides = None
+    # Decision thresholds come from a calibrate run when one happened.
+    thresholds = {}
     if config.thresholds_path and os.path.exists(config.thresholds_path):
-        by_model = read_thresholds(config.thresholds_path)
-        tau_overrides = {mid: float(entry["tau_F"])
-                         for mid, entry in by_model.items()}
+        thresholds = {mid: float(entry["tau_F"]) for mid, entry
+                      in read_thresholds(config.thresholds_path).items()}
 
     cases = []
     for rec in records:
@@ -272,7 +281,15 @@ def cmd_report(config: RunConfig) -> int:
         ))
     if not cases:
         raise ConfigInvalid("no successful results to report on")
-    report = cross_model_report(cases, backend.embedders, tau_overrides)
+    # A model with neither such a threshold nor a tau_F of its own is
+    # calibrated as calibrate would; without genuine pairs it has none.
+    images_by_identity = list(groups.values())
+    if _has_genuine_pairs(images_by_identity):
+        for k, model in enumerate(backend.embedders):
+            if model.model_id not in thresholds and model.tau_F is None:
+                thresholds[model.model_id] = _eer_calibration(
+                    images_by_identity, model, config.seed, k)[1]
+    report = cross_model_report(cases, backend.embedders, thresholds)
     write_report(config.report_path, report)
     print(f"{len(report.rows)} rows -> {config.report_path}")
     print(f"cross-model type1 = {report.cross_model_type1:.4f}  "

@@ -1,9 +1,10 @@
 """Run configuration: a flat, fail-closed key = value file format.
 
-Every key is documented in _FIELDS; unknown keys are errors because a
-typo'd threshold silently falling back to a default is the classic way
-attack experiments go wrong.  Every key can be overridden through an
-environment variable named EMBINVERT_<KEY> (upper case).
+Every key is a RunConfig field, read and written by the codec of its type
+in _CODECS.  Unknown keys are errors because a typo'd threshold silently
+falling back to a default is the classic way attack experiments go wrong.
+Every key can be overridden through an environment variable named
+EMBINVERT_<KEY> (upper case).
 """
 import hashlib
 import os
@@ -134,39 +135,20 @@ class RunConfig:
         return self
 
 
-# key -> (parse from string, emit to string)
-_FIELDS = {
-    "backend": (str, str),
-    "target_model": (str, str),
-    "d_lat": (int, str),
-    "image_shape": (_parse_shape, lambda v: "x".join(str(x) for x in v)),
-    "embedder_dims": (_parse_int_tuple, lambda v: ",".join(str(x) for x in v)),
-    "n_identities": (int, str),
-    "images_per_identity": (int, str),
-    "identity_noise": (float, repr),
-    "volume": (int, str),
-    "tau_k": (float, repr),
-    "tau_d": (float, repr),
-    "max_draw_factor": (int, str),
-    "top_n": (int, str),
-    "mode": (str, str),
-    "norm": (str, str),
-    "epsilon": (float, repr),
-    "tau_c": (_parse_tau_c, lambda v: v if isinstance(v, str) else repr(v)),
-    "t_max": (_parse_optional_int, lambda v: "" if v is None else str(v)),
-    "q_max": (_parse_optional_int, lambda v: "" if v is None else str(v)),
-    "num_targets": (int, str),
-    "seed": (int, str),
-    "jobs": (int, str),
-    "adapter_generator": (str, str),
-    "adapter_embedders": (_parse_str_tuple, lambda v: ",".join(v)),
-    "adapter_detector": (str, str),
-    "adapter_calibration": (str, str),
-    "pool_path": (str, str),
-    "thresholds_path": (str, str),
-    "results_path": (str, str),
-    "report_path": (str, str),
+# field type -> (parse from string, emit to string)
+_CODECS = {
+    str: (str, str),
+    int: (int, str),
+    float: (float, repr),
+    Tuple[int, int, int]: (_parse_shape, lambda v: "x".join(str(x) for x in v)),
+    Tuple[int, ...]: (_parse_int_tuple, lambda v: ",".join(str(x) for x in v)),
+    Tuple[str, ...]: (_parse_str_tuple, ",".join),
+    Union[float, str]: (_parse_tau_c, lambda v: v if isinstance(v, str) else repr(v)),
+    Optional[int]: (_parse_optional_int, lambda v: "" if v is None else str(v)),
 }
+
+# key -> (parse from string, emit to string), one per RunConfig field
+_FIELDS = {f.name: _CODECS[f.type] for f in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:

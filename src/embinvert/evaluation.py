@@ -3,7 +3,10 @@
 Two thresholds are calibrated here: the decision threshold tau_F (minimum
 equal error rate over genuine/impostor score sets) and the confidence
 threshold tau_C (maximum similarity among real same-identity image pairs,
-the early-stop bar for refinement).
+the early-stop bar for refinement).  No handle calibrates itself: the CLI's
+``calibrate``, and ``report`` without a thresholds file, compute each
+model's tau_F with ``calibration_set_from_images`` and
+``compute_eer_threshold`` on the seed ``models.impostor_stream`` names.
 
 Recovery is scored two ways: Type I (reconstruction matches the exact
 target image in embedding space) and Type II (reconstruction matches the
@@ -367,7 +370,8 @@ def cross_model_report(cases: Sequence[EvaluationCase],
 
     One row per (target, eval model); per-model averages over targets; the
     cross-model aggregate averages over ALL models, the target model
-    included.  tau_F defaults to each model's calibrated threshold.
+    included.  A model missing from ``tau_F_by_model`` is judged at its
+    own ``tau_F``; ConfigInvalid if that is None too.
     """
     if not cases:
         raise LengthMismatch("no evaluation cases")

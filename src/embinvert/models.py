@@ -184,10 +184,9 @@ class SyntheticEmbedder(EmbedderHandle):
     """Unit-normalized seeded linear map of the flattened image.
 
     Distinct seeds give genuinely different models, which is what makes
-    cross-model evaluation informative.  ``tau_F`` is None at construction.
-    World building attaches an EER calibration to it, which runs on the
-    first read and is cached; assigning ``tau_F`` sets the value and drops
-    any calibration not yet run.
+    cross-model evaluation informative.  ``tau_F`` is None, as for any
+    handle without a threshold of its own; ``calibrate`` computes the
+    model's threshold from the world's identity images.
     """
 
     supports_gradient = True
@@ -201,30 +200,6 @@ class SyntheticEmbedder(EmbedderHandle):
         d_pix = int(np.prod(self.input_shape))
         rng = np.random.default_rng(seed_seq)
         self.weight = rng.standard_normal((self.d_emb, d_pix)) / math.sqrt(d_pix)
-
-    @property
-    def tau_F(self) -> Optional[float]:
-        """The decision threshold, calibrated at minimum EER on first read
-        when a calibration is attached."""
-        if self._tau_F_calibration is not None:
-            # Looked up at call time so that patched evaluation functions
-            # (counters, tracers) see the call.
-            from . import evaluation
-            images_by_identity, seed = self._tau_F_calibration
-            cal = evaluation.calibration_set_from_images(
-                images_by_identity, self, seed=seed)
-            self._tau_F, _eer = evaluation.compute_eer_threshold(cal)
-            self._tau_F_calibration = None
-        return self._tau_F
-
-    @tau_F.setter
-    def tau_F(self, value: Optional[float]):
-        self._tau_F = value
-        self._tau_F_calibration = None
-
-    def _attach_tau_F_calibration(self, images_by_identity, seed):
-        """Calibrate ``tau_F`` on these images when it is first read."""
-        self._tau_F_calibration = (images_by_identity, seed)
 
     def embed(self, image: ImageSample) -> EmbeddingVector:
         return EmbeddingVector(self.embed_vjp(image.values)[0])
@@ -303,7 +278,6 @@ class SyntheticDetector(DetectorHandle):
 @dataclass(frozen=True, eq=False)
 class IdentityRecord:
     identity_id: str
-    center: np.ndarray
     latents: np.ndarray          # (images_per_identity, d_lat)
     images: Tuple[ImageSample, ...]
 
@@ -333,8 +307,9 @@ class WorldConfig:
             raise ConfigInvalid("need at least 2 identities")
         if self.images_per_identity < 1:
             raise ConfigInvalid("need at least 1 image per identity")
-        if not self.identity_noise > 0:
-            raise ConfigInvalid("identity_noise must be > 0")
+        if not 0 < self.identity_noise < math.inf:
+            raise ConfigInvalid(
+                f"identity_noise must be finite and > 0, got {self.identity_noise}")
 
 
 class Backend:
@@ -381,7 +356,7 @@ _STREAM_IMPOSTORS = 4
 def impostor_stream(master_seed: int, k: int) -> list:
     """Seed of the impostor pairs that calibrate embedder ``k``'s ``tau_F``.
 
-    The world's lazy ``tau_F`` and the ``calibrate`` command both draw from
+    ``calibrate`` and ``report`` without a thresholds file both draw from
     it, so the two thresholds are the same float.
     """
     return [master_seed, _STREAM_IMPOSTORS, k]
@@ -394,13 +369,11 @@ _DETECTOR_SLOPE = 200.0
 def make_synthetic_world(config: WorldConfig, master_seed: int) -> SyntheticWorld:
     """Build a fully deterministic desk-scale world.
 
-    All parameters derive from (config, master_seed).  Each embedder's
-    decision threshold ``tau_F`` is calibrated at minimum EER on the
-    world's own genuine/impostor pairs when it is first read, so a command
-    that never reads it never pays for it; the calibration draws its
-    impostor pairs from its own seed, so the value does not depend on when
-    it is read.  A world without genuine pairs leaves ``tau_F`` None.  The
-    detector is calibrated so every identity image clears 0.999.
+    All parameters derive from (config, master_seed).  Building calibrates
+    no decision threshold: each embedder's ``tau_F`` is None, and
+    ``calibrate`` computes the thresholds at minimum EER on the world's
+    identity images with impostor pairs drawn from ``impostor_stream``.
+    The detector is calibrated so every identity image clears 0.999.
     """
     config.validate()
     shape_tag = "x".join(str(v) for v in config.image_shape)
@@ -429,16 +402,10 @@ def make_synthetic_world(config: WorldConfig, master_seed: int) -> SyntheticWorl
             gen.generate(LatentCode(latents[j], seed=-1))
             for j in range(config.images_per_identity)
         )
-        identities.append(IdentityRecord(f"id{k:03d}", center, latents, images))
+        identities.append(IdentityRecord(f"id{k:03d}", latents, images))
     identities = tuple(identities)
 
     detector = _calibrate_detector(gen, identities)
-    images_by_identity = [rec.images for rec in identities]
-    if any(len(images) >= 2 for images in images_by_identity):
-        for k, emb in enumerate(embedders):
-            emb._attach_tau_F_calibration(
-                images_by_identity, impostor_stream(master_seed, k))
-
     return SyntheticWorld(
         config=config,
         master_seed=master_seed,

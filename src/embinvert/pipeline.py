@@ -6,13 +6,14 @@ every candidate is refined and the one with the highest final similarity
 wins (ties go to the lower rank, the cheaper find).  The query ledger adds
 the selection cost V to whatever the refiners consumed, and in black-box
 mode the per-candidate iteration cap is derived from the global budget so
-the total can never overrun it.
+the total can never overrun it.  The attack returns the refined latent,
+not an image: a caller that needs the reconstruction generates it.
 """
 import time
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from .core import EmbeddingVector, ImageSample, LatentCode, TargetSpec
+from .core import EmbeddingVector, LatentCode, TargetSpec
 from .errors import AllCandidatesFailed, BudgetTooSmall, ConfigInvalid, NonFiniteLoss
 from .models import AttackSession, QueryLedger
 from .pool import LatentPool
@@ -31,7 +32,9 @@ MODE_BLACKBOX = "blackbox"
 
 @dataclass(frozen=True)
 class AttackResult:
-    reconstruction: ImageSample
+    """The chosen candidate's refined latent, whose image is
+    ``generator.generate(refined_latent)``, and the attack's accounting."""
+
     refined_latent: LatentCode
     chosen_rank: int
     final_similarity: float
@@ -121,9 +124,7 @@ def ranked_adversary(pool: LatentPool, candidates: Sequence[RankedCandidate],
         if refined[i][1].final_similarity > refined[best_idx][1].final_similarity:
             best_idx = i
     chosen_cand, chosen_result = refined[best_idx]
-    reconstruction = session.generator.generate(chosen_result.refined)
     return AttackResult(
-        reconstruction=reconstruction,
         refined_latent=chosen_result.refined,
         chosen_rank=chosen_cand.rank,
         final_similarity=chosen_result.final_similarity,

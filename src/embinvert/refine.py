@@ -58,8 +58,8 @@ class PerturbationBudget:
     def __post_init__(self):
         if self.norm not in (NORM_L2, NORM_LINF):
             raise ConfigInvalid(f"norm must be {NORM_L2!r} or {NORM_LINF!r}, got {self.norm!r}")
-        if not self.epsilon > 0:
-            raise ConfigInvalid(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigInvalid(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

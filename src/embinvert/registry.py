@@ -36,36 +36,37 @@ def register_calibration_source(source_id: str, factory: Callable):
     _calibration_sources[source_id] = factory
 
 
-def _create(table, kind, key, config):
+def _create(table, kind, key, config, base):
+    """``table[key](config)``; ConfigInvalid unless it is a ``base``."""
     if key not in table:
         raise UnknownModel(f"no {kind} registered under id {key!r}")
-    return table[key](config)
+    created = table[key](config)
+    if not isinstance(created, base):
+        raise ConfigInvalid(
+            f"{kind} factory {key!r} returned a {type(created).__name__}; "
+            f"expected {base.__name__}")
+    return created
 
 
 def create_generator(generator_id: str, config) -> GeneratorHandle:
-    generator = _create(_generator_factories, "generator", generator_id, config)
-    if not isinstance(generator, GeneratorHandle):
-        raise ConfigInvalid(
-            f"generator factory {generator_id!r} returned a "
-            f"{type(generator).__name__}, not a GeneratorHandle")
-    return generator
+    return _create(_generator_factories, "generator", generator_id, config,
+                   GeneratorHandle)
 
 
 def create_embedder(model_id: str, config) -> EmbedderHandle:
-    embedder = _create(_embedder_factories, "embedder", model_id, config)
-    if not isinstance(embedder, EmbedderHandle):
-        raise ConfigInvalid(
-            f"embedder factory {model_id!r} returned a {type(embedder).__name__}, "
-            "not an EmbedderHandle")
-    return embedder
+    return _create(_embedder_factories, "embedder", model_id, config,
+                   EmbedderHandle)
 
 
 def create_detector(detector_id: str, config) -> DetectorHandle:
-    return _create(_detector_factories, "detector", detector_id, config)
+    return _create(_detector_factories, "detector", detector_id, config,
+                   DetectorHandle)
 
 
 def create_calibration_source(source_id: str, config):
-    return _create(_calibration_sources, "calibration source", source_id, config)
+    """The source's images grouped by identity; ``cli`` checks the images."""
+    return _create(_calibration_sources, "calibration source", source_id,
+                   config, object)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from embinvert import evaluation, registry
+from embinvert import cli, evaluation, registry
 from embinvert.models import WorldConfig, make_synthetic_world
 from embinvert.pool import build_pool
 
@@ -11,6 +11,14 @@ settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
 DESK_SEED = 7
+
+
+def world_tau_F(world):
+    """{model id: tau_F} for ``world``'s embedders, calibrated on its
+    identity images the way the ``calibrate`` command does."""
+    return {emb.model_id: cli._eer_calibration(
+                world.identity_images, emb, world.master_seed, k)[1]
+            for k, emb in enumerate(world.embedders)}
 
 
 @pytest.fixture(autouse=True)

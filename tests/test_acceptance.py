@@ -42,6 +42,8 @@ from oracle_normality import oracle_k2, oracle_kurt_z, oracle_skew_z
 from test_evaluation import eer_sweep_oracle, fixed_sim_pairs, GramEmbedder
 from test_refine import RecordingSession
 
+from conftest import world_tau_F
+
 SEED = 7
 
 
@@ -267,6 +269,7 @@ def test_criterion_07_end_to_end_desk_efficacy():
     pool = build_pool(world.generator, world.detector, V=100,
                       tau_K=0.999, tau_D=0.999, build_seed=SEED)
     f0, f1 = world.embedders
+    tau_F1 = world_tau_F(world)[f1.model_id]
     settings = AttackSettings(
         mode=MODE_WHITEBOX, budget=PerturbationBudget("l2", 35.0),
         tau_C=0.95, n_top=3, t_max=200)
@@ -283,11 +286,12 @@ def test_criterion_07_end_to_end_desk_efficacy():
         finals.append(result.final_similarity)
         rec = world.identities[k]
         alts = [img for jj, img in enumerate(rec.images) if jj != j]
+        reconstruction = world.generator.generate(result.refined_latent)
         attack_t2.append(type2_accuracy(
-            [result.reconstruction], [alts], f1, f1.tau_F, [rec.images[j]]))
+            [reconstruction], [alts], f1, tau_F1, [rec.images[j]]))
         random_entry = pool.entries[baseline_rng.integers(0, len(pool.entries))]
         baseline_t2.append(type2_accuracy(
-            [random_entry.image], [alts], f1, f1.tau_F, [rec.images[j]]))
+            [random_entry.image], [alts], f1, tau_F1, [rec.images[j]]))
 
     rate = reached / len(targets)
     assert rate >= 0.90, f"only {reached}/50 targets reached tau_C"
@@ -314,6 +318,7 @@ def _sign_test_greater(diffs):
 def test_criterion_08_ablation_trends(transfer_world, transfer_pool):
     world = transfer_world
     f0, f1 = world.embedders
+    tau_F1 = world_tau_F(world)[f1.model_id]
     targets = world_targets(world, 50)
 
     def run_sweep(n_top, tau_c):
@@ -325,8 +330,9 @@ def test_criterion_08_ablation_trends(transfer_world, transfer_pool):
             result = run_attack(spec, transfer_pool, settings, world)
             rec = world.identities[k]
             alts = [img for jj, img in enumerate(rec.images) if jj != j]
-            t2s.append(type2_accuracy([result.reconstruction], [alts],
-                                      f1, f1.tau_F, [rec.images[j]]))
+            reconstruction = world.generator.generate(result.refined_latent)
+            t2s.append(type2_accuracy([reconstruction], [alts],
+                                      f1, tau_F1, [rec.images[j]]))
             queries.append(result.ledger.total)
         return np.array(t2s), np.array(queries)
 
@@ -397,7 +403,7 @@ def test_criterion_09_evaluation_metric_oracles():
             target_id=f"t{t}", target_model_id=world.embedders[0].model_id,
             reconstruction=rec.images[1], target_image=rec.images[0],
             alt_images=tuple(rec.images[2:]), queries=10, wall_time=0.1))
-    rep = cross_model_report(cases, world.embedders)
+    rep = cross_model_report(cases, world.embedders, world_tau_F(world))
     for avg in rep.per_model:
         rows = [r for r in rep.rows if r.eval_model_id == avg.eval_model_id]
         assert abs(avg.type1_accuracy - sum(r.type1_hit for r in rows) / len(rows)) < 1e-12

@@ -31,7 +31,7 @@ from embinvert.models import (
     SyntheticEmbedder,
     SyntheticGenerator,
 )
-from embinvert.records import read_results, read_thresholds
+from embinvert.records import read_results, read_thresholds, write_thresholds
 
 from test_models import PlainEmbedder, PlainGenerator
 from test_pool import reseal
@@ -92,10 +92,66 @@ class TestConfigFormat:
         config = parse_config("adapter_embedders = a, b ,c\n")
         assert config.adapter_embedders == ("a", "b", "c")
 
+    def test_default_config_text_and_checksum_are_pinned(self):
+        assert emit_config(RunConfig()) == DEFAULT_CONFIG_TEXT
+        assert config_checksum(RunConfig()) == (
+            "3f1413045052da907c83ae33fd113aa6f748c6041061a12b3ecedc3016ff8eff")
+
+    def test_adapter_config_text_and_checksum_are_pinned(self):
+        config = RunConfig(
+            backend="adapter", target_model="emb-a", mode="blackbox",
+            t_max=None, q_max=20000, tau_c="calibrate", epsilon=0.25,
+            norm="linf", image_shape=(1, 8, 8), adapter_generator="gen",
+            adapter_embedders=("emb-a", "emb-b"), adapter_detector="det",
+            adapter_calibration="cal", pool_path="pool.lpool")
+        text = emit_config(config)
+        for line in ("backend = adapter", "image_shape = 1x8x8",
+                     "epsilon = 0.25", "tau_c = calibrate", "t_max = ",
+                     "q_max = 20000", "adapter_embedders = emb-a,emb-b",
+                     "pool_path = pool.lpool"):
+            assert line + "\n" in text
+        assert parse_config(text) == config
+        assert config_checksum(config) == (
+            "b9916b9f0c60458c2e0e9a65f7ae05a6f728569b50197adfd3cb7323f114da05")
+
     def test_tau_c_accepts_calibrate_keyword(self):
         config = parse_config("tau_c = calibrate\n")
         config_roundtrip = parse_config(emit_config(config))
         assert config_roundtrip.tau_c == "calibrate"
+
+
+DEFAULT_CONFIG_TEXT = """\
+backend = synthetic
+target_model = synthetic-embedder-0
+d_lat = 64
+image_shape = 3x16x16
+embedder_dims = 32,32
+n_identities = 20
+images_per_identity = 4
+identity_noise = 0.35
+volume = 100
+tau_k = 0.999
+tau_d = 0.999
+max_draw_factor = 10000
+top_n = 3
+mode = whitebox
+norm = l2
+epsilon = 35.0
+tau_c = 0.95
+t_max = 200
+q_max = 
+num_targets = 50
+seed = 7
+jobs = 1
+adapter_generator = 
+adapter_embedders = 
+adapter_detector = 
+adapter_calibration = 
+pool_path = 
+thresholds_path = 
+results_path = 
+report_path = 
+"""
 
 
 def posix_env_text(raw: bytes) -> str:
@@ -262,6 +318,21 @@ class TestBuildPoolCommand:
         assert "build seed" in err
         assert not os.path.exists(config.pool_path)
 
+    @pytest.mark.parametrize("command, key, message", [
+        ("attack", "epsilon", "epsilon must be finite"),
+        ("build-pool", "identity_noise", "identity_noise must be finite"),
+        ("calibrate", "identity_noise", "identity_noise must be finite"),
+    ])
+    def test_infinite_value_exits_2(self, tmp_path, capsys, command, key,
+                                    message):
+        cfg_path, config = write_config(tmp_path, **{key: math.inf})
+        assert main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: {message}" in err
+        assert not os.path.exists(config.pool_path)
+        assert not os.path.exists(config.thresholds_path)
+
     @pytest.mark.parametrize("factor", [0, -5])
     def test_max_draw_factor_below_one_exits_2(self, tmp_path, capsys, factor):
         cfg_path, config = write_config(tmp_path, max_draw_factor=factor)
@@ -299,8 +370,8 @@ class TestCalibrateCommand:
 
 class TestCalibrationOnlyWhereRead:
     def test_calls_per_command(self, tmp_path, monkeypatch, calibration_calls):
-        # calibrate calls cli's own reference; a tau_F read looks the
-        # function up in evaluation, which the fixture has patched.
+        # calibrate and report call cli's own reference; point it at the
+        # function the fixture has patched.
         monkeypatch.setattr(cli, "calibration_set_from_images",
                             evaluation.calibration_set_from_images)
         cfg_path, _ = write_config(tmp_path)
@@ -318,15 +389,18 @@ class TestCalibrationOnlyWhereRead:
         assert calibrations("report") == []       # reads the thresholds file
 
     @pytest.mark.parametrize("seed", [7, 1009])
-    def test_tau_f_is_the_worlds_lazy_tau_f(self, tmp_path, seed):
-        # calibrate and the world's tau_F draw the same impostor pairs.
+    def test_report_without_thresholds_matches_report_after_calibrate(
+            self, tmp_path, seed):
+        # report calibrates as calibrate does, so the thresholds, and with
+        # them the report's bytes, are the same either way.
         cfg_path, config = write_config(tmp_path, seed=seed)
+        for command in ("build-pool", "attack", "report"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+        assert not os.path.exists(config.thresholds_path)
+        without = Path(config.report_path).read_bytes()
         assert main(["calibrate", "--config", str(cfg_path)]) == 0
-        by_model = read_thresholds(config.thresholds_path)
-        backend = cli.build_backend(config)
-        assert len(backend.embedders) == 2
-        for embedder in backend.embedders:
-            assert by_model[embedder.model_id]["tau_F"] == embedder.tau_F
+        assert main(["report", "--config", str(cfg_path)]) == 0
+        assert Path(config.report_path).read_bytes() == without
 
     @pytest.mark.parametrize("seed", [7, 1009])
     def test_tau_c_is_the_confidence_threshold(self, tmp_path, seed):
@@ -565,6 +639,18 @@ class TestReportCommand:
         assert main(["report", "--config", str(cfg_path)]) == 2
         assert "ghost-model" in capsys.readouterr().err
 
+    def test_without_genuine_pairs_exits_2(self, tmp_path, capsys):
+        # One image per identity leaves nothing to calibrate tau_F on.
+        cfg_path, config = write_config(tmp_path, images_per_identity=1)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        assert main(["attack", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: no tau_F for eval model 'synthetic-embedder-0'" in err
+        assert not os.path.exists(config.report_path)
+
     def test_report_without_results_exits_4(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
         assert main(["report", "--config", str(cfg_path)]) == 4
@@ -673,6 +759,54 @@ class TestAdapterRegistry:
         assert main(["attack", "--config", str(cfg_path)]) == 3
         assert f"error: {message}" in capsys.readouterr().err
         assert not os.path.exists(config.results_path)
+
+    def test_detector_of_the_wrong_type_exits_2(self, tmp_path, capsys):
+        register_toy_adapters(toy_identity_images)
+        registry.register_detector("toy-det", lambda config: "not a detector")
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: detector factory 'toy-det' returned a str" in err
+        assert not os.path.exists(config.pool_path)
+
+    def test_calibration_images_other_than_image_samples_exit_2(
+            self, tmp_path, capsys):
+        def array_groups(config):
+            return [tuple(image.values for image in group)
+                    for group in toy_identity_images(config)]
+
+        register_toy_adapters(array_groups)
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        assert main(["calibrate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: identity id000 holds a ndarray" in err
+        assert not os.path.exists(config.thresholds_path)
+
+    def test_report_calibrates_an_adapter_model_without_tau_f(self, tmp_path):
+        # report calibrates a model whose tau_F is None as calibrate
+        # would, and reads a set tau_F as it is.
+        register_toy_adapters(toy_identity_images)
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        untuned = registry._embedder_factories["toy-emb-b"]
+
+        def no_threshold(config):
+            embedder = untuned(config)
+            embedder.tau_F = None
+            return embedder
+
+        registry.register_embedder("toy-emb-b", no_threshold)
+        for command in ("build-pool", "attack", "report"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+        without = Path(config.report_path).read_bytes()
+        assert main(["calibrate", "--config", str(cfg_path)]) == 0
+        by_model = read_thresholds(config.thresholds_path)
+        write_thresholds(config.thresholds_path, {
+            "toy-emb-a": dict(by_model["toy-emb-a"], tau_F=0.5),
+            "toy-emb-b": by_model["toy-emb-b"]})
+        assert main(["report", "--config", str(cfg_path)]) == 0
+        assert Path(config.report_path).read_bytes() == without
 
     def test_unregistered_adapter_exits_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, backend="adapter",

@@ -34,7 +34,7 @@ from embinvert.models import (
     make_synthetic_world,
 )
 
-from conftest import DESK_SEED
+from conftest import DESK_SEED, world_tau_F
 
 
 def eer_sweep_oracle(genuine, impostor):
@@ -204,9 +204,10 @@ class TestConfidenceThreshold:
         for seed in (DESK_SEED, 19, 23):
             world = make_synthetic_world(WorldConfig(n_identities=8), seed)
             groups = [rec.images for rec in world.identities]
+            taus = world_tau_F(world)
             for emb in world.embedders:
                 tau_c = compute_confidence_threshold(groups, emb)
-                assert tau_c >= emb.tau_F
+                assert tau_c >= taus[emb.model_id]
 
 
 def fixed_sim_pairs(sims, tau_F=0.5):
@@ -230,7 +231,8 @@ class TestTypeOneAccuracy:
     def test_perfect_reconstructions(self, desk_world):
         f = desk_world.embedders[0]
         targets = [rec.images[0] for rec in desk_world.identities[:5]]
-        assert type1_accuracy(targets, targets, f, f.tau_F) == 1.0
+        tau_F = world_tau_F(desk_world)[f.model_id]
+        assert type1_accuracy(targets, targets, f, tau_F) == 1.0
 
     def test_all_below_threshold(self):
         recs, tgts, embedder = fixed_sim_pairs([0.1, 0.2, 0.3])
@@ -279,7 +281,7 @@ class TestTypeTwoAccuracy:
         target = rec_images[0]
         with pytest.raises(TargetLeak):
             type2_accuracy([rec_images[1]], [[rec_images[2], target]],
-                           f, f.tau_F, [target])
+                           f, world_tau_F(desk_world)[f.model_id], [target])
 
     def test_alternate_counts_must_match(self, desk_world):
         f = desk_world.embedders[0]
@@ -288,7 +290,7 @@ class TestTypeTwoAccuracy:
             type2_accuracy(
                 [ids[0].images[0], ids[1].images[0]],
                 [[ids[0].images[1]], [ids[1].images[1], ids[1].images[2]]],
-                f, f.tau_F,
+                f, world_tau_F(desk_world)[f.model_id],
                 [ids[0].images[3], ids[1].images[3]])
 
     def test_reorder_invariance(self, desk_world):
@@ -297,10 +299,11 @@ class TestTypeTwoAccuracy:
         recs = [rec.images[0] for rec in ids]
         alts = [list(rec.images[1:3]) for rec in ids]
         tgts = [rec.images[3] for rec in ids]
-        base = type2_accuracy(recs, alts, f, f.tau_F, tgts)
+        tau_F = world_tau_F(desk_world)[f.model_id]
+        base = type2_accuracy(recs, alts, f, tau_F, tgts)
         perm = [2, 0, 3, 1]
         shuffled = type2_accuracy([recs[i] for i in perm],
-                                  [alts[i] for i in perm], f, f.tau_F,
+                                  [alts[i] for i in perm], f, tau_F,
                                   [tgts[i] for i in perm])
         assert base == shuffled
 
@@ -322,12 +325,14 @@ class TestCrossModelReport:
         return out
 
     def test_row_and_average_combinatorics(self, desk_world, cases):
-        report = cross_model_report(cases, desk_world.embedders)
+        report = cross_model_report(cases, desk_world.embedders,
+                                    world_tau_F(desk_world))
         assert len(report.rows) == 4  # 2 targets x 2 models
         assert len(report.per_model) == 2
 
     def test_averages_recompute_from_rows(self, desk_world, cases):
-        report = cross_model_report(cases, desk_world.embedders)
+        report = cross_model_report(cases, desk_world.embedders,
+                                    world_tau_F(desk_world))
         for avg in report.per_model:
             rows = [r for r in report.rows if r.eval_model_id == avg.eval_model_id]
             assert avg.type1_accuracy == pytest.approx(
@@ -341,7 +346,8 @@ class TestCrossModelReport:
             abs=1e-12)
 
     def test_cross_model_average_includes_target_model(self, desk_world, cases):
-        report = cross_model_report(cases, desk_world.embedders)
+        report = cross_model_report(cases, desk_world.embedders,
+                                    world_tau_F(desk_world))
         eval_ids = {r.eval_model_id for r in report.rows}
         assert desk_world.embedders[0].model_id in eval_ids  # the target model
         assert desk_world.embedders[1].model_id in eval_ids
@@ -363,6 +369,9 @@ class TestCrossModelReport:
 
         with pytest.raises(ConfigInvalid):
             cross_model_report(cases, [Bare()])
+        # A synthetic embedder has no tau_F of its own either.
+        with pytest.raises(ConfigInvalid, match="no tau_F"):
+            cross_model_report(cases, desk_world.embedders)
 
     def test_no_cases_rejected(self, desk_world):
         with pytest.raises(LengthMismatch):
@@ -399,16 +408,17 @@ def confidence_loop_reference(images_by_identity, embedder):
                for a in range(len(group)) for b in range(a + 1, len(group)))
 
 
-def report_rows_loop_reference(cases, eval_models):
+def report_rows_loop_reference(cases, eval_models, thresholds):
     rows = []
     for case in cases:
         for model in eval_models:
+            tau_F = thresholds[model.model_id]
             rec_emb = model.embed(case.reconstruction)
             sim = cosine_similarity(rec_emb, model.embed(case.target_image))
             hits = sum(decide_match(cosine_similarity(rec_emb, model.embed(alt)),
-                                    model.tau_F)
+                                    tau_F)
                        for alt in case.alt_images)
-            rows.append((sim, decide_match(sim, model.tau_F),
+            rows.append((sim, decide_match(sim, tau_F),
                          hits / len(case.alt_images)))
     return rows
 
@@ -481,6 +491,7 @@ class TestBatchedEvaluationMatchesLoops:
     def test_calibration_scores_and_thresholds(self, reference_world):
         seed, world = reference_world
         groups = [rec.images for rec in world.identities]
+        taus = world_tau_F(world)
         for k, emb in enumerate(world.embedders):
             cal = calibration_set_from_images(groups, emb, seed=[seed, 4, k])
             ref = calibration_loop_reference(groups, emb, seed=[seed, 4, k])
@@ -494,7 +505,7 @@ class TestBatchedEvaluationMatchesLoops:
             ref_tau_f, ref_eer = compute_eer_threshold(ref)
             assert abs(tau_f - ref_tau_f) <= 1e-12
             assert abs(eer - ref_eer) <= 1e-12
-            assert abs(emb.tau_F - ref_tau_f) <= 1e-12  # calibrated on first read
+            assert abs(taus[emb.model_id] - ref_tau_f) <= 1e-12  # calibrate's
             tau_c = compute_confidence_threshold(groups, emb)
             assert abs(tau_c - confidence_loop_reference(groups, emb)) <= 1e-12
 
@@ -515,8 +526,9 @@ class TestBatchedEvaluationMatchesLoops:
     def test_cross_model_report_rows(self, reference_world):
         _seed, world = reference_world
         cases = evaluation_cases(world, 40)
-        report = cross_model_report(cases, world.embedders)
-        ref = report_rows_loop_reference(cases, world.embedders)
+        taus = world_tau_F(world)
+        report = cross_model_report(cases, world.embedders, taus)
+        ref = report_rows_loop_reference(cases, world.embedders, taus)
         assert len(report.rows) == len(ref)
         assert any(not row.type1_hit for row in report.rows)
         for row, (sim, hit, rate) in zip(report.rows, ref):
@@ -526,8 +538,9 @@ class TestBatchedEvaluationMatchesLoops:
 
     def test_cross_model_report_with_differing_alternate_counts(self, desk_world):
         cases = evaluation_cases(desk_world, 9, n_alts=lambda t: 1 + t % 3)
-        report = cross_model_report(cases, desk_world.embedders)
-        ref = report_rows_loop_reference(cases, desk_world.embedders)
+        taus = world_tau_F(desk_world)
+        report = cross_model_report(cases, desk_world.embedders, taus)
+        ref = report_rows_loop_reference(cases, desk_world.embedders, taus)
         assert [(r.type1_hit, r.type2_rate) for r in report.rows] == \
             [(hit, rate) for _sim, hit, rate in ref]
 
@@ -536,12 +549,14 @@ class TestBatchedEvaluationMatchesLoops:
         recs = [c.reconstruction for c in cases]
         tgts = [c.target_image for c in cases]
         alts = [c.alt_images for c in cases]
+        taus = world_tau_F(desk_world)
         for emb in desk_world.embedders:
-            ref = report_rows_loop_reference(cases, [emb])
-            assert type1_accuracy(recs, tgts, emb, emb.tau_F) == \
+            tau_F = taus[emb.model_id]
+            ref = report_rows_loop_reference(cases, [emb], taus)
+            assert type1_accuracy(recs, tgts, emb, tau_F) == \
                 sum(hit for _s, hit, _r in ref) / len(cases)
             hits = sum(round(rate * len(alts[0])) for _s, _h, rate in ref)
-            assert type2_accuracy(recs, alts, emb, emb.tau_F, tgts) == \
+            assert type2_accuracy(recs, alts, emb, tau_F, tgts) == \
                 hits / (len(cases) * len(alts[0]))
 
 
@@ -565,7 +580,7 @@ class TestBatchedEvaluationCalls:
             call(emb)
             assert (name, emb.batch_calls, emb.embed_calls) == (name, 1, 0)
         models = [CountingEmbedder(e) for e in desk_world.embedders]
-        cross_model_report(cases, models)
+        cross_model_report(cases, models, world_tau_F(desk_world))
         assert [(m.batch_calls, m.embed_calls) for m in models] == [(1, 0), (1, 0)]
 
 
@@ -578,12 +593,14 @@ class TestBatchedEvaluationErrors:
             leaked.target_image, leaked.alt_images + (leaked.target_image,),
             leaked.queries, leaked.wall_time)
         with pytest.raises(TargetLeak, match="alternate of target 2 equals"):
-            cross_model_report(cases, desk_world.embedders)
+            cross_model_report(cases, desk_world.embedders,
+                               world_tau_F(desk_world))
 
     def test_empty_alternates_rejected(self, desk_world):
         cases = evaluation_cases(desk_world, 3, n_alts=lambda t: 0 if t == 1 else 2)
         with pytest.raises(LengthMismatch, match="at least one alternate"):
-            cross_model_report(cases, desk_world.embedders)
+            cross_model_report(cases, desk_world.embedders,
+                               world_tau_F(desk_world))
         f = desk_world.embedders[0]
         ids = desk_world.identities[:2]
         with pytest.raises(LengthMismatch, match="at least one alternate"):

@@ -1,6 +1,4 @@
-import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,7 +29,7 @@ from embinvert.models import (
 )
 from embinvert.pool import sample_latent
 
-from conftest import DESK_SEED
+from conftest import DESK_SEED, world_tau_F
 
 
 class TestSyntheticGenerator:
@@ -70,17 +68,19 @@ class TestSyntheticEmbedder:
 
     def test_same_identity_pairs_pass_threshold(self, desk_world):
         f = desk_world.embedders[0]
+        tau_F = world_tau_F(desk_world)[f.model_id]
         hits = total = 0
         for rec in desk_world.identities:
             embs = [f.embed(img) for img in rec.images]
             for a in range(len(embs)):
                 for b in range(a + 1, len(embs)):
-                    hits += cosine_similarity(embs[a], embs[b]) >= f.tau_F
+                    hits += cosine_similarity(embs[a], embs[b]) >= tau_F
                     total += 1
         assert hits / total >= 0.95
 
     def test_cross_identity_pairs_fail_threshold(self, desk_world):
         f = desk_world.embedders[0]
+        tau_F = world_tau_F(desk_world)[f.model_id]
         rng = np.random.default_rng(99)
         hits = 0
         trials = 200
@@ -90,7 +90,7 @@ class TestSyntheticEmbedder:
             b = rng.integers(0, 4)
             s = cosine_similarity(f.embed(desk_world.identities[i].images[a]),
                                   f.embed(desk_world.identities[j].images[b]))
-            hits += s < f.tau_F
+            hits += s < tau_F
         assert hits / trials >= 0.95
 
 
@@ -449,7 +449,7 @@ class TestMakeSyntheticWorld:
         assert np.array_equal(w1.generator.bias, w2.generator.bias)
         for e1, e2 in zip(w1.embedders, w2.embedders):
             assert np.array_equal(e1.weight, e2.weight)
-            assert e1.tau_F == e2.tau_F
+        assert world_tau_F(w1) == world_tau_F(w2)
         assert w1.detector.offset == w2.detector.offset
         for r1, r2 in zip(w1.identities, w2.identities):
             assert np.array_equal(r1.latents, r2.latents)
@@ -466,6 +466,11 @@ class TestMakeSyntheticWorld:
         make_synthetic_world(WorldConfig(), 17)
         assert time.perf_counter() - start < 10.0
 
+    def test_world_build_calibrates_no_threshold(self, calibration_calls):
+        world = make_synthetic_world(WorldConfig(), 7)
+        assert [e.tau_F for e in world.embedders] == [None, None]
+        assert calibration_calls == []
+
     def test_single_embedder_rejected(self):
         with pytest.raises(ConfigInvalid):
             make_synthetic_world(WorldConfig(embedder_dims=(32,)), 7)
@@ -479,55 +484,8 @@ class TestMakeSyntheticWorld:
             assert eer <= 0.10
 
     def test_embedders_get_distinct_thresholds(self, desk_world):
-        taus = {e.tau_F for e in desk_world.embedders}
+        taus = set(world_tau_F(desk_world).values())
         assert len(taus) == len(desk_world.embedders)
-
-
-class TestLazyTauF:
-    @pytest.mark.parametrize("seed", [7, 19, 1009])
-    def test_equals_a_direct_calibration(self, seed):
-        world = make_synthetic_world(WorldConfig(), seed)
-        groups = [rec.images for rec in world.identities]
-        for k, emb in enumerate(world.embedders):
-            direct, _eer = compute_eer_threshold(
-                calibration_set_from_images(groups, emb, seed=[seed, 4, k]))
-            assert emb.tau_F == direct
-
-    def test_world_build_does_not_calibrate(self, calibration_calls):
-        make_synthetic_world(WorldConfig(), 7)
-        assert calibration_calls == []
-
-    def test_two_reads_calibrate_once(self, calibration_calls):
-        emb = make_synthetic_world(WorldConfig(), 7).embedders[1]
-        first = emb.tau_F
-        assert emb.tau_F == first
-        assert calibration_calls == [emb.model_id]
-
-    def test_concurrent_first_reads_agree(self):
-        seed = 19
-        direct = make_synthetic_world(WorldConfig(), seed).embedders[0].tau_F
-        emb = make_synthetic_world(WorldConfig(), seed).embedders[0]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(lambda: emb.tau_F) for _ in range(8)]
-                reads = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert reads == [direct] * 8
-        assert emb.tau_F == direct
-
-    def test_assignment_before_reading_never_calibrates(self, calibration_calls):
-        emb = make_synthetic_world(WorldConfig(), 7).embedders[0]
-        emb.tau_F = 0.25
-        assert emb.tau_F == 0.25
-        assert calibration_calls == []
-
-    def test_single_image_identities_read_none(self, calibration_calls):
-        world = make_synthetic_world(WorldConfig(images_per_identity=1), 7)
-        assert [e.tau_F for e in world.embedders] == [None, None]
-        assert calibration_calls == []
 
 
 class TestQueryLedger:

@@ -22,6 +22,8 @@ from embinvert.records import (
 from embinvert.refine import PerturbationBudget
 from embinvert.core import TargetSpec
 
+from conftest import world_tau_F
+
 
 @pytest.fixture()
 def one_result(desk_world, quick_pool):
@@ -134,7 +136,8 @@ class TestReportFormatting:
             queries=123,
             wall_time=1.5,
         )
-        text = format_report(cross_model_report([case], desk_world.embedders))
+        text = format_report(cross_model_report([case], desk_world.embedders,
+                                                world_tau_F(desk_world)))
         lines = text.splitlines()
         assert lines[0] == ("target_id,target_model,eval_model,similarity,"
                             "type1_hit,type2_rate,queries,wall_time")

@@ -68,6 +68,12 @@ class TestRegistry:
         with pytest.raises(ConfigInvalid, match="duck-gen"):
             registry.create_generator("duck-gen", config=None)
 
+    @pytest.mark.parametrize("returned", ["a detector's name", None])
+    def test_detector_factory_must_return_a_handle(self, returned):
+        registry.register_detector("duck-det", lambda config: returned)
+        with pytest.raises(ConfigInvalid, match="duck-det.*DetectorHandle"):
+            registry.create_detector("duck-det", config=None)
+
     def test_factory_receives_the_config(self):
         seen = []
 
