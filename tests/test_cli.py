@@ -30,6 +30,7 @@ from embinvert.models import (
     SyntheticDetector,
     SyntheticEmbedder,
     SyntheticGenerator,
+    impostor_stream,
 )
 from embinvert.records import read_results, read_thresholds, write_thresholds
 
@@ -401,6 +402,24 @@ class TestCalibrationOnlyWhereRead:
         assert main(["calibrate", "--config", str(cfg_path)]) == 0
         assert main(["report", "--config", str(cfg_path)]) == 0
         assert Path(config.report_path).read_bytes() == without
+
+    @pytest.mark.parametrize("seed", [7, 1009])
+    def test_tau_f_is_the_worlds_lazy_tau_f(self, tmp_path, seed):
+        # calibrate's tau_F is the EER threshold of the world's images on
+        # embedder k's impostor stream, the calibration the world's tau_F
+        # once ran on first read.
+        cfg_path, config = write_config(tmp_path, seed=seed)
+        assert main(["calibrate", "--config", str(cfg_path)]) == 0
+        by_model = read_thresholds(config.thresholds_path)
+        backend = cli.build_backend(config)
+        assert len(backend.embedders) == 2
+        for k, embedder in enumerate(backend.embedders):
+            assert embedder.tau_F is None
+            cal = evaluation.calibration_set_from_images(
+                backend.identity_images, embedder,
+                seed=impostor_stream(config.seed, k))
+            assert by_model[embedder.model_id]["tau_F"] == \
+                evaluation.compute_eer_threshold(cal)[0]
 
     @pytest.mark.parametrize("seed", [7, 1009])
     def test_tau_c_is_the_confidence_threshold(self, tmp_path, seed):
