@@ -20,11 +20,8 @@ from .evaluation import (
     EvaluationCase,
     EvaluationReport,
     calibration_set_from_images,
-    compute_confidence_threshold,
     compute_eer_threshold,
     cross_model_report,
-    type1_accuracy,
-    type2_accuracy,
 )
 from .models import (
     AttackSession,

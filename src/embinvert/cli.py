@@ -2,12 +2,13 @@
 
 Every command is driven by one config file (see config.py) plus a few
 overriding flags, and is deterministic given (config, seed) apart from
-wall-clock fields.  Exit codes (README.md lists the error class behind
-each): 0 success, 1 any other error (empty calibration, zero-norm
-embedding, target leak, non-finite objective, ...), 2 invalid
-configuration or unknown model, 3 pool exhaustion or insufficient
-calibration images, 4 file I/O, corruption or a malformed results or
-thresholds file, 5 all attack targets failed.
+wall-clock fields.  ``report`` judges each model at the thresholds file's
+tau_F, else the model's own, else one calibrated as ``calibrate`` would.
+Exit codes (README.md lists the error class behind each): 0 success, 1 any
+other error (empty calibration, zero-norm embedding, target leak, ...),
+2 invalid configuration (a calibrated tau_C outside (0, 1] too) or unknown
+model, 3 pool exhaustion or too few calibration images, 4 file I/O or a
+corrupt pool, results or thresholds file, 5 all attack targets failed.
 """
 import argparse
 import os
@@ -73,14 +74,24 @@ def build_backend(config: RunConfig):
     )
 
 
+def _items(value, what: str) -> tuple:
+    """``tuple(value)``; ConfigInvalid naming ``what`` if it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError as exc:
+        raise ConfigInvalid(
+            f"{what} is a {type(value).__name__}, not a sequence") from exc
+
+
 def _identity_groups(backend) -> List[Tuple[str, tuple]]:
     """The backend's identities as (id, images), each with at least one
     image and nothing but ImageSample values."""
     if backend.identity_images is None:
         raise ConfigInvalid(
             "backend provides no identity images (configure adapter_calibration)")
-    groups = [(f"id{i:03d}", tuple(group))
-              for i, group in enumerate(backend.identity_images)]
+    groups = [(f"id{i:03d}", _items(group, f"identity id{i:03d}"))
+              for i, group in enumerate(
+                  _items(backend.identity_images, "the calibration source's output"))]
     if not groups:
         raise InsufficientImages("backend provides no identities")
     for identity_id, images in groups:
@@ -247,11 +258,9 @@ def cmd_report(config: RunConfig) -> int:
     backend = build_backend(config)
     records = read_results(config.results_path)
     groups = dict(_identity_groups(backend))
-    # Decision thresholds come from a calibrate run when one happened.
-    thresholds = {}
+    from_file = {}
     if config.thresholds_path and os.path.exists(config.thresholds_path):
-        thresholds = {mid: float(entry["tau_F"]) for mid, entry
-                      in read_thresholds(config.thresholds_path).items()}
+        from_file = read_thresholds(config.thresholds_path)
 
     cases = []
     for rec in records:
@@ -281,14 +290,18 @@ def cmd_report(config: RunConfig) -> int:
         ))
     if not cases:
         raise ConfigInvalid("no successful results to report on")
-    # A model with neither such a threshold nor a tau_F of its own is
-    # calibrated as calibrate would; without genuine pairs it has none.
+    # Without genuine pairs nothing is calibrated, and cross_model_report
+    # names the model left out.
     images_by_identity = list(groups.values())
-    if _has_genuine_pairs(images_by_identity):
-        for k, model in enumerate(backend.embedders):
-            if model.model_id not in thresholds and model.tau_F is None:
-                thresholds[model.model_id] = _eer_calibration(
-                    images_by_identity, model, config.seed, k)[1]
+    thresholds = {}
+    for k, model in enumerate(backend.embedders):
+        if model.model_id in from_file:
+            thresholds[model.model_id] = float(from_file[model.model_id]["tau_F"])
+        elif model.tau_F is not None:
+            thresholds[model.model_id] = float(model.tau_F)
+        elif _has_genuine_pairs(images_by_identity):
+            thresholds[model.model_id] = _eer_calibration(
+                images_by_identity, model, config.seed, k)[1]
     report = cross_model_report(cases, backend.embedders, thresholds)
     write_report(config.report_path, report)
     print(f"{len(report.rows)} rows -> {config.report_path}")

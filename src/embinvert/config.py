@@ -13,8 +13,8 @@ from typing import Optional, Tuple, Union
 
 from .errors import ConfigInvalid
 from .models import WorldConfig
-from .pipeline import MODE_WHITEBOX, check_mode_budget
-from .pool import DEFAULT_MAX_DRAW_FACTOR
+from .pipeline import MODE_WHITEBOX, check_mode_budget, check_tau_C
+from .pool import DEFAULT_MAX_DRAW_FACTOR, check_build_settings
 from .refine import NORM_L2, PerturbationBudget
 
 ENV_PREFIX = "EMBINVERT_"
@@ -106,20 +106,13 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         check_mode_budget(self.mode, self.t_max, self.q_max, self.top_n)
         PerturbationBudget(norm=self.norm, epsilon=self.epsilon)
-        for name in ("tau_k", "tau_d"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigInvalid(f"{name} must be in [0, 1], got {v}")
+        check_build_settings(self.volume, self.tau_k, self.tau_d,
+                             self.max_draw_factor)
         if isinstance(self.tau_c, str):
             if self.tau_c != "calibrate":
                 raise ConfigInvalid(f"tau_c must be a number or 'calibrate', got {self.tau_c!r}")
-        elif not 0.0 < self.tau_c <= 1.0:
-            raise ConfigInvalid(f"tau_c must be in (0, 1], got {self.tau_c}")
-        if self.volume < 1:
-            raise ConfigInvalid("volume must be >= 1")
-        if self.max_draw_factor < 1:
-            raise ConfigInvalid(
-                f"max_draw_factor must be >= 1, got {self.max_draw_factor}")
+        else:
+            check_tau_C(self.tau_c)
         if self.num_targets < 1:
             raise ConfigInvalid("num_targets must be >= 1")
         if self.jobs != 1:

@@ -4,15 +4,17 @@ Two thresholds are calibrated here: the decision threshold tau_F (minimum
 equal error rate over genuine/impostor score sets) and the confidence
 threshold tau_C (maximum similarity among real same-identity image pairs,
 the early-stop bar for refinement).  No handle calibrates itself: the CLI's
-``calibrate``, and ``report`` without a thresholds file, compute each
+``calibrate``, and ``report`` for a model with no other tau_F, compute a
 model's tau_F with ``calibration_set_from_images`` and
 ``compute_eer_threshold`` on the seed ``models.impostor_stream`` names.
 
-Recovery is scored two ways: Type I (reconstruction matches the exact
-target image in embedding space) and Type II (reconstruction matches the
-identity's other images, the target itself excluded).  Cross-model rows
-evaluate every reconstruction under every configured model, target model
-included, and averages span all of them.
+Recovery is scored two ways, both by ``cross_model_report``: Type I
+(reconstruction matches the exact target image in embedding space) and
+Type II (reconstruction matches the identity's other images, the target
+itself excluded).  Cross-model rows evaluate every reconstruction under
+every configured model, target model included, at the tau_F the caller
+gives for each model, and averages span all of them.  The tau_C of a set
+of identity images is ``calibration_set_from_images(...).tau_C``.
 
 Evaluation is batch-first: each function embeds all of its images with one
 ``embed_batch`` call per model, normalises the rows, and scores pairs as
@@ -26,7 +28,7 @@ the per-pair draw still runs where the block cannot be decoded exactly.
 """
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -238,86 +240,28 @@ def _impostor_rows_from_block(rng, starts: np.ndarray, count: int):
     return starts[i] + image_i, starts[j] + image_j
 
 
-def compute_confidence_threshold(images_by_identity: Sequence[Sequence[ImageSample]],
-                                 embedder) -> float:
-    """``CalibrationSet.tau_C`` over real same-identity pairs of distinct
-    images: the maximum similarity among them."""
-    if all(len(group) < 2 for group in images_by_identity):
-        raise InsufficientImages(
-            "confidence threshold needs at least one identity with two images")
-    unit, starts = _unit_embeddings(images_by_identity, embedder)
-    return CalibrationSet(genuine_scores=_genuine_scores(unit, starts),
-                          impostor_scores=()).tau_C
-
-
 def _image_digest(image: ImageSample) -> str:
     return hashlib.sha256(image.values.tobytes()).hexdigest()
 
 
-def _scores_to_first(unit: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Each row's score against the first row of its group."""
-    firsts = np.repeat(starts[:-1], np.diff(starts))
-    return _pair_scores(unit, firsts, np.arange(len(unit)))
-
-
-def _check_alternates(alt_images: Sequence[Sequence[ImageSample]],
-                      targets: Sequence[ImageSample]):
+def _check_alternates(cases: Sequence["EvaluationCase"]):
     """Every target needs an alternate, and no alternate may be the target
     image itself (detected by checksum)."""
-    for i, (group, tgt) in enumerate(zip(alt_images, targets)):
-        if len(group) < 1:
+    for i, case in enumerate(cases):
+        if len(case.alt_images) < 1:
             raise LengthMismatch("need at least one alternate image per target")
-        tgt_digest = _image_digest(tgt)
-        for alt in group:
+        tgt_digest = _image_digest(case.target_image)
+        for alt in case.alt_images:
             if _image_digest(alt) == tgt_digest:
                 raise TargetLeak(f"alternate of target {i} equals the target image")
 
 
-def _type2_hits(scores: np.ndarray, starts: np.ndarray, first_alt: int,
+def _type2_hits(scores: np.ndarray, starts: np.ndarray,
                 tau_F: float) -> np.ndarray:
-    """Per group, how many alternates (rows ``first_alt`` onwards within the
-    group) match the group's reconstruction (its first row)."""
+    """Per (reconstruction, target, *alternates) group, how many alternates
+    (rows 2 onwards within the group) match the reconstruction."""
     matched = np.concatenate(([0], np.cumsum(decide_match(scores, tau_F))))
-    return matched[starts[1:]] - matched[starts[:-1] + first_alt]
-
-
-def type1_accuracy(reconstructions: Sequence[ImageSample],
-                   targets: Sequence[ImageSample],
-                   embedder, tau_F: float) -> float:
-    """Fraction of reconstructions matching their exact target image."""
-    if len(reconstructions) != len(targets):
-        raise LengthMismatch(
-            f"{len(reconstructions)} reconstructions vs {len(targets)} targets")
-    if not reconstructions:
-        raise LengthMismatch("empty evaluation")
-    unit, starts = _unit_embeddings(list(zip(reconstructions, targets)), embedder)
-    hits = decide_match(_scores_to_first(unit, starts)[starts[:-1] + 1], tau_F)
-    return int(hits.sum()) / len(reconstructions)
-
-
-def type2_accuracy(reconstructions: Sequence[ImageSample],
-                   alt_images: Sequence[Sequence[ImageSample]],
-                   embedder, tau_F: float,
-                   targets: Sequence[ImageSample]) -> float:
-    """Fraction of (reconstruction, alternate) pairs that match.
-
-    Alternates are the identity's other images; the target image itself is
-    forbidden and detected by checksum (TargetLeak).
-    """
-    if not (len(reconstructions) == len(alt_images) == len(targets)):
-        raise LengthMismatch(
-            f"lengths differ: {len(reconstructions)} reconstructions, "
-            f"{len(alt_images)} alternate groups, {len(targets)} targets")
-    if not reconstructions:
-        raise LengthMismatch("empty evaluation")
-    j_counts = {len(group) for group in alt_images}
-    if len(j_counts) != 1:
-        raise LengthMismatch(f"alternate counts differ across identities: {sorted(j_counts)}")
-    _check_alternates(alt_images, targets)
-    unit, starts = _unit_embeddings(
-        [(rec, *group) for rec, group in zip(reconstructions, alt_images)], embedder)
-    hits = _type2_hits(_scores_to_first(unit, starts), starts, 1, tau_F)
-    return int(hits.sum()) / (len(reconstructions) * j_counts.pop())
+    return matched[starts[1:]] - matched[starts[:-1] + 2]
 
 
 @dataclass(frozen=True)
@@ -365,40 +309,34 @@ class EvaluationCase:
 
 def cross_model_report(cases: Sequence[EvaluationCase],
                        eval_models: Sequence,
-                       tau_F_by_model: Optional[Mapping[str, float]] = None) -> EvaluationReport:
+                       tau_F_by_model: Mapping[str, float]) -> EvaluationReport:
     """Score every reconstruction under every configured model.
 
     One row per (target, eval model); per-model averages over targets; the
     cross-model aggregate averages over ALL models, the target model
-    included.  A model missing from ``tau_F_by_model`` is judged at its
-    own ``tau_F``; ConfigInvalid if that is None too.
+    included.  Each model is judged at ``tau_F_by_model[model_id]``;
+    ConfigInvalid names a model the mapping leaves out.
     """
     if not cases:
         raise LengthMismatch("no evaluation cases")
     if not eval_models:
         raise ConfigInvalid("no evaluation models configured")
-    thresholds: Dict[str, float] = {}
     for model in eval_models:
-        tau = None
-        if tau_F_by_model is not None and model.model_id in tau_F_by_model:
-            tau = tau_F_by_model[model.model_id]
-        elif model.tau_F is not None:
-            tau = model.tau_F
-        if tau is None:
+        if model.model_id not in tau_F_by_model:
             raise ConfigInvalid(f"no tau_F for eval model {model.model_id!r}")
-        thresholds[model.model_id] = float(tau)
 
-    alt_images = [case.alt_images for case in cases]
-    _check_alternates(alt_images, [case.target_image for case in cases])
+    _check_alternates(cases)
     # One group per case: reconstruction, target, then the alternates.
     groups = [(case.reconstruction, case.target_image, *case.alt_images)
               for case in cases]
     scored = []
     for model in eval_models:
         unit, starts = _unit_embeddings(groups, model)
-        scores = _scores_to_first(unit, starts)
+        # Each row's score against its group's reconstruction.
+        scores = _pair_scores(unit, np.repeat(starts[:-1], np.diff(starts)),
+                              np.arange(len(unit)))
         scored.append((scores[starts[:-1] + 1],
-                       _type2_hits(scores, starts, 2, thresholds[model.model_id])))
+                       _type2_hits(scores, starts, tau_F_by_model[model.model_id])))
     rows = []
     for i, case in enumerate(cases):
         for model, (sims, hits) in zip(eval_models, scored):
@@ -408,8 +346,8 @@ def cross_model_report(cases: Sequence[EvaluationCase],
                 target_model_id=case.target_model_id,
                 eval_model_id=model.model_id,
                 similarity=sim,
-                type1_hit=decide_match(sim, thresholds[model.model_id]),
-                type2_rate=int(hits[i]) / len(alt_images[i]),
+                type1_hit=decide_match(sim, tau_F_by_model[model.model_id]),
+                type2_rate=int(hits[i]) / len(case.alt_images),
                 queries=case.queries,
                 wall_time=case.wall_time,
             ))

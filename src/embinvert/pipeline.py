@@ -68,6 +68,12 @@ def check_mode_budget(mode: str, t_max: Optional[int], q_max: Optional[int],
         raise ConfigInvalid(f"top_n must be >= 1, got {n}")
 
 
+def check_tau_C(tau_C: float):
+    """0 < tau_C <= 1, for a configured and a calibrated bar alike."""
+    if not 0.0 < tau_C <= 1.0:
+        raise ConfigInvalid(f"tau_c must be in (0, 1], got {tau_C}")
+
+
 def compute_tmax(q_max: int, v: int, n: int) -> int:
     """Per-candidate iteration cap that keeps N refinements plus the
     V selection queries inside the global budget: floor((q_max - v) / n).
@@ -148,6 +154,7 @@ class AttackSettings:
 
     def __post_init__(self):
         check_mode_budget(self.mode, self.t_max, self.q_max, self.n_top)
+        check_tau_C(self.tau_C)
 
 
 def run_attack(target_spec: TargetSpec, pool: LatentPool,

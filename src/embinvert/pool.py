@@ -245,6 +245,19 @@ def sample_latent(d_lat: int, seed: int) -> LatentCode:
     return LatentCode(values=_draw_block(d_lat, seed, 1)[0], seed=seed)
 
 
+def check_build_settings(V: int, tau_K: float, tau_D: float,
+                         max_draw_factor: int):
+    """The rule ``build_pool`` and ``RunConfig.validate`` share: V (the
+    config's ``volume``) and max_draw_factor >= 1, tau_K and tau_D in [0, 1]."""
+    if V < 1:
+        raise ConfigInvalid(f"volume must be >= 1, got {V}")
+    if max_draw_factor < 1:
+        raise ConfigInvalid(f"max_draw_factor must be >= 1, got {max_draw_factor}")
+    for name, tau in (("tau_k", tau_K), ("tau_d", tau_D)):
+        if not 0.0 <= tau <= 1.0:
+            raise ConfigInvalid(f"{name} must be in [0, 1], got {tau}")
+
+
 def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
                tau_K: float, tau_D: float, build_seed: int,
                max_draw_factor: int = DEFAULT_MAX_DRAW_FACTOR,
@@ -256,16 +269,11 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
     (cheap filter first); the detector sees only normality survivors, so
     generator invocations equal the count of normality acceptances.
     Raises PoolExhausted once max_draw_factor * V candidates have been
-    drawn without filling the pool, and ConfigInvalid before drawing if V
-    or max_draw_factor is below 1 or any candidate seed would fall outside
-    the pool file's signed 64-bit seed field.
+    drawn without filling the pool, and ConfigInvalid before drawing if
+    check_build_settings rejects the settings or any candidate seed would
+    fall outside the pool file's signed 64-bit seed field.
     """
-    if V < 1:
-        raise ConfigInvalid(f"V must be >= 1, got {V}")
-    if max_draw_factor < 1:
-        raise ConfigInvalid(f"max_draw_factor must be >= 1, got {max_draw_factor}")
-    if not 0.0 <= tau_K <= 1.0 or not 0.0 <= tau_D <= 1.0:
-        raise ConfigInvalid("thresholds must be in [0, 1]")
+    check_build_settings(V, tau_K, tau_D, max_draw_factor)
     cap = max_draw_factor * V
     if build_seed < 0 or build_seed + cap - 1 > _MAX_SEED:
         raise ConfigInvalid(

@@ -68,9 +68,13 @@ class RefineResult:
     initial_similarity: float
     final_similarity: float
     iterations_used: int
-    queries_used: int
     stop_reason: str
     trace: Tuple[float, ...]
+
+    @property
+    def queries_used(self) -> int:
+        """Queries charged: the initial evaluation plus one per iteration."""
+        return self.iterations_used + 1
 
 
 # White-box schedule: a review at each of _checkpoints(t_max) halves the
@@ -137,18 +141,14 @@ def _finite_or_raise(value: float, trace):
 def _result(x_G: LatentCode, best_delta, s0: float, best_s: float, trace,
             stop_reason: str) -> RefineResult:
     """The result of a refinement whose evaluations after the initial one
-    produced ``trace``; ``best_delta`` None means x_G itself is returned.
-
-    Each iteration costs one query on top of the initial evaluation.
-    """
+    produced ``trace``; ``best_delta`` None means x_G itself is returned."""
     refined = x_G
     if best_delta is not None:
         refined = LatentCode(values=x_G.values + best_delta, seed=x_G.seed,
                              p_K=x_G.p_K, p_D=x_G.p_D)
     return RefineResult(refined=refined, initial_similarity=s0,
                         final_similarity=best_s, iterations_used=len(trace),
-                        queries_used=len(trace) + 1, stop_reason=stop_reason,
-                        trace=tuple(trace))
+                        stop_reason=stop_reason, trace=tuple(trace))
 
 
 def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,

@@ -7,7 +7,6 @@ force identity alignment; at the 32-dim default the preimage of a target
 embedding is a ~33-dim family and nothing transfers, see notes in the
 repo's test suite).
 """
-import hashlib
 import json
 import time
 
@@ -24,8 +23,6 @@ from embinvert.evaluation import (
     EvaluationCase,
     compute_eer_threshold,
     cross_model_report,
-    type1_accuracy,
-    type2_accuracy,
 )
 from embinvert.models import AttackSession, QueryLedger, WorldConfig, make_synthetic_world
 from embinvert.pipeline import (
@@ -39,7 +36,7 @@ from embinvert.pool import build_pool, load_pool, save_pool
 from embinvert.refine import PerturbationBudget, refine_blackbox, refine_whitebox
 
 from oracle_normality import oracle_k2, oracle_kurt_z, oracle_skew_z
-from test_evaluation import eer_sweep_oracle, fixed_sim_pairs, GramEmbedder
+from test_evaluation import TOY_TAU_F, eer_sweep_oracle, toy_cases
 from test_refine import RecordingSession
 
 from conftest import world_tau_F
@@ -73,6 +70,21 @@ def world_targets(world, count):
         rec = world.identities[k]
         out.append((k, j, ei.TargetSpec(f0.embed(rec.images[j]), f0.model_id)))
     return out
+
+
+def type2_rates(world, targets, reconstructions, model, tau_F):
+    """Each target's Type II rate for its reconstruction under ``model``
+    alone, from one ``cross_model_report`` call."""
+    cases = []
+    for t, ((k, j, spec), reconstruction) in enumerate(zip(targets, reconstructions)):
+        images = world.identities[k].images
+        cases.append(EvaluationCase(
+            target_id=f"t{t}", target_model_id=spec.target_model_id,
+            reconstruction=reconstruction, target_image=images[j],
+            alt_images=tuple(img for jj, img in enumerate(images) if jj != j),
+            queries=0, wall_time=0.0))
+    report = cross_model_report(cases, [model], {model.model_id: tau_F})
+    return np.array([row.type2_rate for row in report.rows])
 
 
 def test_criterion_01_k2_oracle_equivalence():
@@ -277,21 +289,18 @@ def test_criterion_07_end_to_end_desk_efficacy():
     targets = world_targets(world, 50)
     reached = 0
     initials, finals = [], []
-    attack_t2, baseline_t2 = [], []
+    reconstructions, baseline_images = [], []
     baseline_rng = np.random.default_rng(777)
     for k, j, spec in targets:
         result = run_attack(spec, pool, settings, world)
         reached += result.final_similarity >= 0.95
         initials.append(result.candidates[0].initial_similarity)
         finals.append(result.final_similarity)
-        rec = world.identities[k]
-        alts = [img for jj, img in enumerate(rec.images) if jj != j]
-        reconstruction = world.generator.generate(result.refined_latent)
-        attack_t2.append(type2_accuracy(
-            [reconstruction], [alts], f1, tau_F1, [rec.images[j]]))
+        reconstructions.append(world.generator.generate(result.refined_latent))
         random_entry = pool.entries[baseline_rng.integers(0, len(pool.entries))]
-        baseline_t2.append(type2_accuracy(
-            [random_entry.image], [alts], f1, tau_F1, [rec.images[j]]))
+        baseline_images.append(random_entry.image)
+    attack_t2 = type2_rates(world, targets, reconstructions, f1, tau_F1)
+    baseline_t2 = type2_rates(world, targets, baseline_images, f1, tau_F1)
 
     rate = reached / len(targets)
     assert rate >= 0.90, f"only {reached}/50 targets reached tau_C"
@@ -325,16 +334,13 @@ def test_criterion_08_ablation_trends(transfer_world, transfer_pool):
         settings = AttackSettings(
             mode=MODE_WHITEBOX, budget=PerturbationBudget("l2", 5.0),
             tau_C=tau_c, n_top=n_top, t_max=60)
-        t2s, queries = [], []
+        reconstructions, queries = [], []
         for k, j, spec in targets:
             result = run_attack(spec, transfer_pool, settings, world)
-            rec = world.identities[k]
-            alts = [img for jj, img in enumerate(rec.images) if jj != j]
-            reconstruction = world.generator.generate(result.refined_latent)
-            t2s.append(type2_accuracy([reconstruction], [alts],
-                                      f1, tau_F1, [rec.images[j]]))
+            reconstructions.append(world.generator.generate(result.refined_latent))
             queries.append(result.ledger.total)
-        return np.array(t2s), np.array(queries)
+        return (type2_rates(world, targets, reconstructions, f1, tau_F1),
+                np.array(queries))
 
     # Top-N sweep: cross-model Type II must not decrease with N.
     t2_by_n = {}
@@ -370,30 +376,18 @@ def test_criterion_09_evaluation_metric_oracles():
         assert compute_eer_threshold(cal) == eer_sweep_oracle(
             list(genuine), list(impostor))
 
-    # Type I on a 3-identity toy: hits (yes, no, yes) -> 2/3 exactly.
-    recs, tgts, embedder = fixed_sim_pairs([0.9, 0.1, 0.8])
-    assert type1_accuracy(recs, tgts, embedder, 0.5) == 2 / 3
-
-    # Type II on a 3-identity toy, J = 2: hand count 3 hits of 6 -> 1/2.
-    table = {}
-
-    def img(tag, v):
-        image = ei.ImageSample(np.full((1, 1, 2), tag / 256.0))
-        table[hashlib.sha256(image.values.tobytes()).hexdigest()] = v
-        return image
-
-    def unit(s):
-        return np.array([s, np.sqrt(1 - s * s), 0.0])
-
-    recs = [img(float(i), np.array([1.0, 0.0, 0.0])) for i in range(3)]
-    tgts = [img(100.0 + i, unit(0.9)) for i in range(3)]
-    alts = [
-        [img(200.0, unit(0.8)), img(201.0, unit(0.2))],   # 1 hit
-        [img(210.0, unit(0.6)), img(211.0, unit(0.7))],   # 2 hits
-        [img(220.0, unit(0.1)), img(221.0, unit(0.3))],   # 0 hits
-    ]
-    toy = GramEmbedder(table)
-    assert type2_accuracy(recs, alts, toy, 0.5, tgts) == 0.5
+    # Type I and Type II on a 3-identity toy with J = 2: Type I hits
+    # (yes, no, yes) -> 2/3 exactly; Type II hand count 3 hits of 6 -> 1/2.
+    cases, toy = toy_cases([0.9, 0.1, 0.8], [
+        [0.8, 0.2],   # 1 hit
+        [0.6, 0.7],   # 2 hits
+        [0.1, 0.3],   # 0 hits
+    ])
+    rep = cross_model_report(cases, [toy], TOY_TAU_F)
+    assert [r.type1_hit for r in rep.rows] == [True, False, True]
+    assert [r.type2_rate for r in rep.rows] == [0.5, 1.0, 0.0]
+    assert rep.per_model[0].type1_accuracy == rep.cross_model_type1 == 2 / 3
+    assert rep.per_model[0].type2_accuracy == rep.cross_model_type2 == 0.5
 
     # Cross-model averages recompute from rows to 1e-12.
     world = make_synthetic_world(WorldConfig(n_identities=4), 31)

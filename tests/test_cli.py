@@ -24,7 +24,6 @@ from embinvert.config import (
     parse_config,
 )
 from embinvert.errors import AllCandidatesFailed, ConfigInvalid, EmbinvertError
-from embinvert.evaluation import compute_confidence_threshold
 from embinvert.models import (
     QueryLedger,
     SyntheticDetector,
@@ -34,6 +33,7 @@ from embinvert.models import (
 )
 from embinvert.records import read_results, read_thresholds, write_thresholds
 
+from test_evaluation import confidence_loop_reference
 from test_models import PlainEmbedder, PlainGenerator
 from test_pool import reseal
 
@@ -428,8 +428,8 @@ class TestCalibrationOnlyWhereRead:
         by_model = read_thresholds(config.thresholds_path)
         backend = cli.build_backend(config)
         for embedder in backend.embedders:
-            assert by_model[embedder.model_id]["tau_C"] == \
-                compute_confidence_threshold(backend.identity_images, embedder)
+            assert abs(by_model[embedder.model_id]["tau_C"] - confidence_loop_reference(
+                backend.identity_images, embedder)) <= 1e-12
 
 
 @pytest.fixture()
@@ -628,6 +628,20 @@ class TestAttackCommand:
         records = read_results(config.results_path)
         assert all(r["error"] is None for r in records)
 
+    @pytest.mark.parametrize("tau_c", [-0.5, 0.0, 1.5])
+    def test_calibrated_tau_c_outside_unit_interval_exits_2(self, tmp_path,
+                                                           capsys, tau_c):
+        cfg_path, config = write_config(tmp_path, tau_c="calibrate",
+                                        num_targets=2)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        write_thresholds(config.thresholds_path, {
+            config.target_model: {"tau_F": 0.5, "eer": 0.0, "tau_C": tau_c}})
+        assert main(["attack", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: tau_c must be in (0, 1], got {tau_c}" in err
+        assert not os.path.exists(config.results_path)
+
 
 class TestReportCommand:
     def test_rows_averages_and_consistency(self, attacked, capsys):
@@ -795,13 +809,20 @@ class TestAdapterRegistry:
             return [tuple(image.values for image in group)
                     for group in toy_identity_images(config)]
 
-        register_toy_adapters(array_groups)
-        cfg_path, config = write_toy_adapter_config(tmp_path)
-        assert main(["calibrate", "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert "error: identity id000 holds a ndarray" in err
-        assert not os.path.exists(config.thresholds_path)
+        for name, source, message in [
+            ("arrays", array_groups, "identity id000 holds a ndarray"),
+            ("int-groups", lambda config: [1, 2], "identity id000 is a int"),
+            ("int-source", lambda config: 5,
+             "the calibration source's output is a int"),
+        ]:
+            register_toy_adapters(source)
+            (tmp_path / name).mkdir()
+            cfg_path, config = write_toy_adapter_config(tmp_path / name)
+            assert main(["calibrate", "--config", str(cfg_path)]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert f"error: {message}" in err
+            assert not os.path.exists(config.thresholds_path)
 
     def test_report_calibrates_an_adapter_model_without_tau_f(self, tmp_path):
         # report calibrates a model whose tau_F is None as calibrate

@@ -20,11 +20,8 @@ from embinvert.evaluation import (
     CalibrationSet,
     EvaluationCase,
     calibration_set_from_images,
-    compute_confidence_threshold,
     compute_eer_threshold,
     cross_model_report,
-    type1_accuracy,
-    type2_accuracy,
 )
 from embinvert.models import (
     EmbedderHandle,
@@ -174,14 +171,15 @@ def images_with_gram(sims_matrix):
 class TestConfidenceThreshold:
     def test_max_same_identity_similarity(self):
         images, embedder = images_with_gram(
-            [[1.0, 0.91, 0.95], [0.91, 1.0, 0.88], [0.95, 0.88, 1.0]])
-        tau_c = compute_confidence_threshold([images], embedder)
-        assert tau_c == pytest.approx(0.95, abs=1e-12)
+            [[1.0, 0.91, 0.95, 0.0], [0.91, 1.0, 0.88, 0.0],
+             [0.95, 0.88, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        cal = calibration_set_from_images([images[:3], images[3:]], embedder, seed=0)
+        assert cal.tau_C == pytest.approx(0.95, abs=1e-12)
 
     def test_single_image_identities_rejected(self):
         images, embedder = images_with_gram([[1.0, 0.9], [0.9, 1.0]])
-        with pytest.raises(InsufficientImages):
-            compute_confidence_threshold([[images[0]], [images[1]]], embedder)
+        with pytest.raises(EmptyCalibration, match="no genuine pairs"):
+            calibration_set_from_images([[images[0]], [images[1]]], embedder, seed=0)
 
     def test_cross_identity_pairs_ignored(self):
         images, embedder = images_with_gram(
@@ -189,14 +187,15 @@ class TestConfidenceThreshold:
         # identities: {0, 1} and {2}; same-identity max is 0.4, the 0.99
         # cross-identity pair does not count
         grouped = [[images[0], images[1]], [images[2]]]
-        assert compute_confidence_threshold(grouped, embedder) == pytest.approx(0.4)
+        cal = calibration_set_from_images(grouped, embedder, seed=0)
+        assert cal.tau_C == pytest.approx(0.4)
 
     def test_calibration_set_tau_C_is_the_same_rule(self, desk_world):
         groups = [rec.images for rec in desk_world.identities]
         for k, emb in enumerate(desk_world.embedders):
             cal = calibration_set_from_images(groups, emb, seed=k)
             assert cal.tau_C == max(cal.genuine_scores)
-            assert cal.tau_C == compute_confidence_threshold(groups, emb)
+            assert abs(cal.tau_C - confidence_loop_reference(groups, emb)) <= 1e-12
         with pytest.raises(EmptyCalibration):
             CalibrationSet(genuine_scores=(), impostor_scores=(0.1,)).tau_C
 
@@ -205,107 +204,106 @@ class TestConfidenceThreshold:
             world = make_synthetic_world(WorldConfig(n_identities=8), seed)
             groups = [rec.images for rec in world.identities]
             taus = world_tau_F(world)
-            for emb in world.embedders:
-                tau_c = compute_confidence_threshold(groups, emb)
-                assert tau_c >= taus[emb.model_id]
+            for k, emb in enumerate(world.embedders):
+                cal = calibration_set_from_images(
+                    groups, emb, seed=impostor_stream(seed, k))
+                assert cal.tau_C >= taus[emb.model_id]
 
 
-def fixed_sim_pairs(sims, tau_F=0.5):
-    """Reconstruction/target image pairs with prescribed similarities."""
-    n = len(sims)
+def unit_at(s):
+    """A unit vector whose cosine with (1, 0, 0) is ``s``."""
+    return np.array([s, np.sqrt(1 - s * s), 0.0])
+
+
+def toy_cases(target_sims, alt_sims):
+    """Cases under one GramEmbedder, judged at tau_F 0.5 by ``TOY_TAU_F``:
+    every reconstruction embeds to (1, 0, 0), case i's target scores
+    ``target_sims[i]`` against it and its alternates ``alt_sims[i]``."""
     table = {}
-    recs, tgts = [], []
-    for i, s in enumerate(sims):
-        rec = ImageSample(np.full((1, 1, 2), float(i) / 256.0))
-        tgt = ImageSample(np.full((1, 1, 2), (float(i) + 100.0) / 256.0))
-        table[hashlib.sha256(rec.values.tobytes()).hexdigest()] = \
-            np.array([1.0, 0.0, 0.0])
-        table[hashlib.sha256(tgt.values.tobytes()).hexdigest()] = \
-            np.array([s, np.sqrt(1 - s * s), 0.0])
-        recs.append(rec)
-        tgts.append(tgt)
-    return recs, tgts, GramEmbedder(table)
+
+    def image(embedding):
+        img = ImageSample(np.full((1, 1, 2), len(table) / 256.0))
+        table[hashlib.sha256(img.values.tobytes()).hexdigest()] = embedding
+        return img
+
+    cases = [EvaluationCase(
+        target_id=f"t{i}", target_model_id="gram",
+        reconstruction=image(np.array([1.0, 0.0, 0.0])),
+        target_image=image(unit_at(s)),
+        alt_images=tuple(image(unit_at(a)) for a in alts),
+        queries=i, wall_time=0.0)
+        for i, (s, alts) in enumerate(zip(target_sims, alt_sims))]
+    return cases, GramEmbedder(table)
+
+
+TOY_TAU_F = {"gram": 0.5}
+
+
+def permuted(cases, perm):
+    return [cases[i] for i in perm]
 
 
 class TestTypeOneAccuracy:
     def test_perfect_reconstructions(self, desk_world):
+        cases = [EvaluationCase(
+            target_id=f"t{t}", target_model_id=desk_world.embedders[0].model_id,
+            reconstruction=rec.images[0], target_image=rec.images[0],
+            alt_images=tuple(rec.images[1:]), queries=0, wall_time=0.0)
+            for t, rec in enumerate(desk_world.identities[:5])]
         f = desk_world.embedders[0]
-        targets = [rec.images[0] for rec in desk_world.identities[:5]]
-        tau_F = world_tau_F(desk_world)[f.model_id]
-        assert type1_accuracy(targets, targets, f, tau_F) == 1.0
+        report = cross_model_report(cases, [f], world_tau_F(desk_world))
+        assert report.per_model[0].type1_accuracy == 1.0
 
     def test_all_below_threshold(self):
-        recs, tgts, embedder = fixed_sim_pairs([0.1, 0.2, 0.3])
-        assert type1_accuracy(recs, tgts, embedder, 0.5) == 0.0
+        cases, embedder = toy_cases([0.1, 0.2, 0.3], [[0.9]] * 3)
+        report = cross_model_report(cases, [embedder], TOY_TAU_F)
+        assert report.per_model[0].type1_accuracy == 0.0
 
     def test_hand_counted_two_of_three(self):
-        recs, tgts, embedder = fixed_sim_pairs([0.9, 0.1, 0.8])
-        assert type1_accuracy(recs, tgts, embedder, 0.5) == pytest.approx(2 / 3)
+        cases, embedder = toy_cases([0.9, 0.1, 0.8], [[0.9]] * 3)
+        report = cross_model_report(cases, [embedder], TOY_TAU_F)
+        assert [row.type1_hit for row in report.rows] == [True, False, True]
+        assert report.per_model[0].type1_accuracy == pytest.approx(2 / 3)
 
     def test_reorder_invariance(self):
-        sims = [0.9, 0.1, 0.8, 0.6, 0.2]
-        recs, tgts, embedder = fixed_sim_pairs(sims)
-        base = type1_accuracy(recs, tgts, embedder, 0.5)
-        perm = [3, 1, 4, 0, 2]
-        shuffled = type1_accuracy([recs[i] for i in perm],
-                                  [tgts[i] for i in perm], embedder, 0.5)
-        assert base == shuffled
-
-    def test_length_mismatch(self):
-        recs, tgts, embedder = fixed_sim_pairs([0.9, 0.1])
-        with pytest.raises(LengthMismatch):
-            type1_accuracy(recs, tgts[:1], embedder, 0.5)
+        cases, embedder = toy_cases([0.9, 0.1, 0.8, 0.6, 0.2], [[0.9]] * 5)
+        base = cross_model_report(cases, [embedder], TOY_TAU_F)
+        shuffled = cross_model_report(permuted(cases, [3, 1, 4, 0, 2]),
+                                      [embedder], TOY_TAU_F)
+        assert base.per_model[0].type1_accuracy == \
+            shuffled.per_model[0].type1_accuracy
 
 
 class TestTypeTwoAccuracy:
     def test_hand_counted_half(self):
         # one identity, two alternates: one hit, one miss
-        table = {}
-
-        def img(tag, vec):
-            image = ImageSample(np.full((1, 1, 2), tag / 256.0))
-            table[hashlib.sha256(image.values.tobytes()).hexdigest()] = vec
-            return image
-
-        rec = img(0.0, np.array([1.0, 0.0, 0.0]))
-        tgt = img(1.0, np.array([0.9, np.sqrt(1 - 0.81), 0.0]))
-        alt_hit = img(2.0, np.array([0.8, 0.6, 0.0]))
-        alt_miss = img(3.0, np.array([0.1, np.sqrt(1 - 0.01), 0.0]))
-        embedder = GramEmbedder(table)
-        rate = type2_accuracy([rec], [[alt_hit, alt_miss]], embedder, 0.5, [tgt])
-        assert rate == 0.5
+        cases, embedder = toy_cases([0.9], [[0.8, 0.1]])
+        report = cross_model_report(cases, [embedder], TOY_TAU_F)
+        assert report.rows[0].type2_rate == 0.5
 
     def test_target_leak_detected(self, desk_world):
         f = desk_world.embedders[0]
         rec_images = desk_world.identities[0].images
         target = rec_images[0]
+        case = EvaluationCase(
+            target_id="t0", target_model_id=f.model_id,
+            reconstruction=rec_images[1], target_image=target,
+            alt_images=(rec_images[2], target), queries=0, wall_time=0.0)
         with pytest.raises(TargetLeak):
-            type2_accuracy([rec_images[1]], [[rec_images[2], target]],
-                           f, world_tau_F(desk_world)[f.model_id], [target])
-
-    def test_alternate_counts_must_match(self, desk_world):
-        f = desk_world.embedders[0]
-        ids = desk_world.identities
-        with pytest.raises(LengthMismatch):
-            type2_accuracy(
-                [ids[0].images[0], ids[1].images[0]],
-                [[ids[0].images[1]], [ids[1].images[1], ids[1].images[2]]],
-                f, world_tau_F(desk_world)[f.model_id],
-                [ids[0].images[3], ids[1].images[3]])
+            cross_model_report([case], [f], world_tau_F(desk_world))
 
     def test_reorder_invariance(self, desk_world):
         f = desk_world.embedders[0]
-        ids = desk_world.identities[:4]
-        recs = [rec.images[0] for rec in ids]
-        alts = [list(rec.images[1:3]) for rec in ids]
-        tgts = [rec.images[3] for rec in ids]
-        tau_F = world_tau_F(desk_world)[f.model_id]
-        base = type2_accuracy(recs, alts, f, tau_F, tgts)
-        perm = [2, 0, 3, 1]
-        shuffled = type2_accuracy([recs[i] for i in perm],
-                                  [alts[i] for i in perm], f, tau_F,
-                                  [tgts[i] for i in perm])
-        assert base == shuffled
+        cases = [EvaluationCase(
+            target_id=f"t{t}", target_model_id=f.model_id,
+            reconstruction=rec.images[0], target_image=rec.images[3],
+            alt_images=tuple(rec.images[1:3]), queries=0, wall_time=0.0)
+            for t, rec in enumerate(desk_world.identities[:4])]
+        taus = world_tau_F(desk_world)
+        base = cross_model_report(cases, [f], taus)
+        shuffled = cross_model_report(permuted(cases, [2, 0, 3, 1]), [f], taus)
+        assert base.per_model[0].type2_accuracy == \
+            shuffled.per_model[0].type2_accuracy
 
 
 class TestCrossModelReport:
@@ -361,21 +359,23 @@ class TestCrossModelReport:
     def test_missing_threshold_rejected(self, desk_world, cases):
         class Bare:
             model_id = "bare"
-            tau_F = None
+            tau_F = 0.5
             d_emb = 32
 
             def embed(self, image):
                 return desk_world.embedders[0].embed(image)
 
-        with pytest.raises(ConfigInvalid):
-            cross_model_report(cases, [Bare()])
-        # A synthetic embedder has no tau_F of its own either.
+        # The mapping is the only source: a model's own tau_F is not read.
+        with pytest.raises(ConfigInvalid, match="no tau_F for eval model 'bare'"):
+            cross_model_report(cases, [Bare()], {})
+        taus = world_tau_F(desk_world)
+        del taus[desk_world.embedders[1].model_id]
         with pytest.raises(ConfigInvalid, match="no tau_F"):
-            cross_model_report(cases, desk_world.embedders)
+            cross_model_report(cases, desk_world.embedders, taus)
 
     def test_no_cases_rejected(self, desk_world):
         with pytest.raises(LengthMismatch):
-            cross_model_report([], desk_world.embedders)
+            cross_model_report([], desk_world.embedders, world_tau_F(desk_world))
 
 
 # The per-image, per-pair loops that the batched evaluation replaced, kept
@@ -506,8 +506,7 @@ class TestBatchedEvaluationMatchesLoops:
             assert abs(tau_f - ref_tau_f) <= 1e-12
             assert abs(eer - ref_eer) <= 1e-12
             assert abs(taus[emb.model_id] - ref_tau_f) <= 1e-12  # calibrate's
-            tau_c = compute_confidence_threshold(groups, emb)
-            assert abs(tau_c - confidence_loop_reference(groups, emb)) <= 1e-12
+            assert abs(cal.tau_C - confidence_loop_reference(groups, emb)) <= 1e-12
 
     def test_unequal_groups(self, desk_world):
         ids = desk_world.identities
@@ -520,8 +519,7 @@ class TestBatchedEvaluationMatchesLoops:
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(cal.impostor_scores, ref.impostor_scores,
                                    rtol=0, atol=1e-12)
-        assert abs(compute_confidence_threshold(groups, emb)
-                   - confidence_loop_reference(groups, emb)) <= 1e-12
+        assert abs(cal.tau_C - confidence_loop_reference(groups, emb)) <= 1e-12
 
     def test_cross_model_report_rows(self, reference_world):
         _seed, world = reference_world
@@ -544,41 +542,25 @@ class TestBatchedEvaluationMatchesLoops:
         assert [(r.type1_hit, r.type2_rate) for r in report.rows] == \
             [(hit, rate) for _sim, hit, rate in ref]
 
-    def test_type1_and_type2_accuracy(self, desk_world):
+    def test_model_averages(self, desk_world):
         cases = evaluation_cases(desk_world, 12)
-        recs = [c.reconstruction for c in cases]
-        tgts = [c.target_image for c in cases]
-        alts = [c.alt_images for c in cases]
         taus = world_tau_F(desk_world)
-        for emb in desk_world.embedders:
-            tau_F = taus[emb.model_id]
+        report = cross_model_report(cases, desk_world.embedders, taus)
+        for emb, avg in zip(desk_world.embedders, report.per_model):
             ref = report_rows_loop_reference(cases, [emb], taus)
-            assert type1_accuracy(recs, tgts, emb, tau_F) == \
+            assert avg.type1_accuracy == \
                 sum(hit for _s, hit, _r in ref) / len(cases)
-            hits = sum(round(rate * len(alts[0])) for _s, _h, rate in ref)
-            assert type2_accuracy(recs, alts, emb, tau_F, tgts) == \
-                hits / (len(cases) * len(alts[0]))
+            assert avg.type2_accuracy == \
+                sum(rate for _s, _h, rate in ref) / len(cases)
 
 
 class TestBatchedEvaluationCalls:
     def test_one_embed_batch_per_model_and_no_embed(self, desk_world):
         groups = [rec.images for rec in desk_world.identities]
         cases = evaluation_cases(desk_world, 5)
-        recs = [c.reconstruction for c in cases]
-        tgts = [c.target_image for c in cases]
-        alts = [c.alt_images for c in cases]
-        calls = {
-            "calibration_set_from_images":
-                lambda emb: calibration_set_from_images(groups, emb, seed=1),
-            "compute_confidence_threshold":
-                lambda emb: compute_confidence_threshold(groups, emb),
-            "type1_accuracy": lambda emb: type1_accuracy(recs, tgts, emb, 0.5),
-            "type2_accuracy": lambda emb: type2_accuracy(recs, alts, emb, 0.5, tgts),
-        }
-        for name, call in calls.items():
-            emb = CountingEmbedder(desk_world.embedders[0])
-            call(emb)
-            assert (name, emb.batch_calls, emb.embed_calls) == (name, 1, 0)
+        emb = CountingEmbedder(desk_world.embedders[0])
+        calibration_set_from_images(groups, emb, seed=1)
+        assert (emb.batch_calls, emb.embed_calls) == (1, 0)
         models = [CountingEmbedder(e) for e in desk_world.embedders]
         cross_model_report(cases, models, world_tau_F(desk_world))
         assert [(m.batch_calls, m.embed_calls) for m in models] == [(1, 0), (1, 0)]
@@ -601,11 +583,6 @@ class TestBatchedEvaluationErrors:
         with pytest.raises(LengthMismatch, match="at least one alternate"):
             cross_model_report(cases, desk_world.embedders,
                                world_tau_F(desk_world))
-        f = desk_world.embedders[0]
-        ids = desk_world.identities[:2]
-        with pytest.raises(LengthMismatch, match="at least one alternate"):
-            type2_accuracy([rec.images[1] for rec in ids], [[], []], f, 0.5,
-                           [rec.images[0] for rec in ids])
 
     def test_zero_norm_embedding_rejected(self):
         images, embedder = images_with_gram([[1.0, 0.5], [0.5, 1.0]])
@@ -613,11 +590,13 @@ class TestBatchedEvaluationErrors:
         embedder.table[hashlib.sha256(zero.values.tobytes()).hexdigest()] = \
             np.zeros(2)
         with pytest.raises(ZeroNormEmbedding):
-            compute_confidence_threshold([images + [zero]], embedder)
-        with pytest.raises(ZeroNormEmbedding):
             calibration_set_from_images([images, [zero]], embedder, seed=0)
+        case = EvaluationCase(
+            target_id="t0", target_model_id="gram", reconstruction=zero,
+            target_image=images[0], alt_images=(images[1],), queries=0,
+            wall_time=0.0)
         with pytest.raises(ZeroNormEmbedding):
-            type1_accuracy([zero], [images[0]], embedder, 0.5)
+            cross_model_report([case], [embedder], {"gram": 0.5})
 
     @pytest.mark.parametrize("trim_rows", [True, False])
     def test_bad_embed_batch_shape_rejected(self, desk_world, trim_rows):
@@ -626,9 +605,8 @@ class TestBatchedEvaluationErrors:
         with pytest.raises(DimensionMismatch):
             calibration_set_from_images(groups, embedder, seed=0)
         with pytest.raises(DimensionMismatch):
-            compute_confidence_threshold(groups, embedder)
-        with pytest.raises(DimensionMismatch):
-            cross_model_report(evaluation_cases(desk_world, 2), [embedder])
+            cross_model_report(evaluation_cases(desk_world, 2), [embedder],
+                               {"broken": 0.5})
 
     def test_too_few_images_rejected(self, desk_world):
         f = desk_world.embedders[0]
@@ -640,8 +618,6 @@ class TestBatchedEvaluationErrors:
                                         f, seed=0)
         with pytest.raises(InsufficientImages, match="every identity"):
             calibration_set_from_images([ids[0].images, ()], f, seed=0)
-        with pytest.raises(InsufficientImages):
-            compute_confidence_threshold([], f)
 
 
 def seeded_rng(seed):
