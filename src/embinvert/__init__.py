@@ -31,8 +31,6 @@ from .models import (
     QueryLedger,
     SyntheticWorld,
     WorldConfig,
-    loss_eval,
-    loss_gradient,
     make_synthetic_world,
 )
 from .normality import NormalityResult, k2_test, kurtosis_transform, skewness_transform

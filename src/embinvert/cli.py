@@ -6,9 +6,11 @@ wall-clock fields.  ``report`` judges each model at the thresholds file's
 tau_F, else the model's own, else one calibrated as ``calibrate`` would.
 Exit codes (README.md lists the error class behind each): 0 success, 1 any
 other error (empty calibration, zero-norm embedding, target leak, ...),
-2 invalid configuration (a calibrated tau_C outside (0, 1] too) or unknown
-model, 3 pool exhaustion or too few calibration images, 4 file I/O or a
-corrupt pool, results or thresholds file, 5 all attack targets failed.
+2 invalid configuration (also a calibrated tau_C outside (0, 1], a
+detector score outside [0, 1] and an adapter tau_F that is neither None
+nor a finite number) or unknown model, 3 pool exhaustion or too few
+calibration images, 4 file I/O or a corrupt pool, results or thresholds
+file, 5 all attack targets failed.
 """
 import argparse
 import os
@@ -40,6 +42,7 @@ from .models import WorldConfig, impostor_stream, make_synthetic_world
 from .pipeline import MODE_BLACKBOX, AttackSettings, compute_tmax, run_attack
 from .pool import build_pool, load_pool, save_pool
 from .records import (
+    _is_real,
     failure_record,
     read_results,
     read_thresholds,
@@ -298,6 +301,10 @@ def cmd_report(config: RunConfig) -> int:
         if model.model_id in from_file:
             thresholds[model.model_id] = float(from_file[model.model_id]["tau_F"])
         elif model.tau_F is not None:
+            if not _is_real(model.tau_F):
+                raise ConfigInvalid(
+                    f"embedder {model.model_id!r} has tau_F {model.tau_F!r}; "
+                    "expected None or a finite number")
             thresholds[model.model_id] = float(model.tau_F)
         elif _has_genuine_pairs(images_by_identity):
             thresholds[model.model_id] = _eer_calibration(

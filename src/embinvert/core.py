@@ -5,7 +5,8 @@ Identities are compared by the cosine similarity of embedding vectors.
 zero-norm embedding raises, and the result is clamped to [-1, 1].
 ``AttackSession`` shares its code; ranking and evaluation compute the
 same cosine inline over arrays and follow the same rules.  The types here
-are immutable value objects.
+are immutable value objects; a ``LatentCode`` is the vector alone, and
+what the pool's screens found out about it lives in ``pool.PoolEntry``.
 """
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -24,30 +25,17 @@ def _as_float_vector(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LatentCode:
-    """A point in the generator's input space plus screening metadata.
-
-    ``p_K`` is the Gaussian-normality p-value and ``p_D`` the face-detection
-    confidence; both are unset until the corresponding screen has run.
-    """
+    """A point in the generator's input space: the 1-D float64 vector alone."""
 
     values: np.ndarray
-    seed: int = 0
-    p_K: Optional[float] = None
-    p_D: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_float_vector(self.values))
-        for name in ("p_K", "p_D"):
-            v = getattr(self, name)
-            if v is not None and not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
 
     def __eq__(self, other):
         if not isinstance(other, LatentCode):
             return NotImplemented
-        return (self.seed == other.seed and self.p_K == other.p_K
-                and self.p_D == other.p_D
-                and np.array_equal(self.values, other.values))
+        return np.array_equal(self.values, other.values)
 
     def __len__(self) -> int:
         return self.values.size

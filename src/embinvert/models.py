@@ -19,8 +19,9 @@ kept.  The base-class ``*_vjp`` defaults run ``generate``/``embed`` and
 return a pullback that raises GradientUnavailable, so a forward-only
 adapter implements just those; a handle with gradients overrides both
 and sets ``supports_gradient``.  ``AttackSession.value_and_grad`` makes
-the composition one charged evaluation whose gradient comes free;
-``loss_eval`` and ``loss_gradient`` are the plain reference.
+the composition one charged evaluation whose gradient comes free.  Latents
+cross this boundary as bare vectors: ``generate`` takes a ``LatentCode``,
+which is its values alone, and ``generate_vjp`` takes the array.
 """
 import math
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ from .core import (
     LatentCode,
     _as_float_vector,
     _cosine,
-    cosine_similarity,
 )
 from .errors import (
     ConfigInvalid,
@@ -399,7 +399,7 @@ def make_synthetic_world(config: WorldConfig, master_seed: int) -> SyntheticWorl
         noise = rng_id.standard_normal((config.images_per_identity, config.d_lat))
         latents = center[None, :] + config.identity_noise * noise
         images = tuple(
-            gen.generate(LatentCode(latents[j], seed=-1))
+            gen.generate(LatentCode(latents[j]))
             for j in range(config.images_per_identity)
         )
         identities.append(IdentityRecord(f"id{k:03d}", latents, images))
@@ -425,27 +425,6 @@ def _calibrate_detector(gen: SyntheticGenerator, identities) -> SyntheticDetecto
     ]
     offset = min(corrs) - _DETECTOR_MARGIN
     return SyntheticDetector(template, offset, _DETECTOR_SLOPE, gen.output_shape)
-
-
-def loss_eval(g: GeneratorHandle, f: EmbedderHandle, latent: LatentCode,
-              target: EmbeddingVector) -> float:
-    """Objective value: cosine similarity of the generated image's embedding
-    with the target embedding."""
-    return cosine_similarity(f.embed(g.generate(latent)), target)
-
-
-def loss_gradient(g: GeneratorHandle, f: EmbedderHandle, latent: LatentCode,
-                  target: EmbeddingVector) -> np.ndarray:
-    """Gradient of loss_eval with respect to the latent values."""
-    if not (g.supports_gradient and f.supports_gradient):
-        raise GradientUnavailable("generator or embedder does not expose gradients")
-    image, generator_pullback = g.generate_vjp(latent.values)
-    e, embedder_pullback = f.embed_vjp(image)
-    t = target.values
-    _s, t_norm = _cosine(e, t)
-    # loss = e . t_hat with e already unit-norm; the normalization
-    # Jacobian lives inside the embedder's pullback.
-    return generator_pullback(embedder_pullback(t / t_norm))
 
 
 class QueryLedger:
@@ -510,8 +489,8 @@ class AttackSession:
         """``(objective, grad_fn)`` from one forward pass (one query).
 
         ``grad_fn()`` returns the gradient with respect to the latent values
-        from the kept activations; it is not charged and equals
-        ``loss_gradient`` at the same point.
+        from the kept activations; it is not charged and equals the
+        reference ``loss_gradient`` (tests/oracle_loss.py) at the same point.
         """
         if not self.allow_gradient:
             raise GradientUnavailable("black-box session: gradients are out of reach")
@@ -520,9 +499,9 @@ class AttackSession:
         return self._forward(latent_values, target)
 
     def _forward(self, latent_values, target: EmbeddingVector):
-        # The value is cosine_similarity's code and the gradient
-        # loss_gradient's composition, so results match loss_eval and
-        # loss_gradient bit for bit.
+        # The value is cosine_similarity's code and the gradient the same
+        # composition of pullbacks, so results match the two-pass reference
+        # (tests/oracle_loss.py: loss_eval, loss_gradient) bit for bit.
         self.ledger.charge_adv(1)
         x = _as_float_vector(latent_values)
         image, generator_pullback = self.generator.generate_vjp(x)

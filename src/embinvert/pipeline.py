@@ -1,19 +1,20 @@
 """Attack orchestration: ranked sequential refinement with exact accounting.
 
-Candidates are refined strictly in rank order.  The loop halts at the
-first candidate whose refinement reaches the confidence bar; if none does,
-every candidate is refined and the one with the highest final similarity
-wins (ties go to the lower rank, the cheaper find).  The query ledger adds
-the selection cost V to whatever the refiners consumed, and in black-box
-mode the per-candidate iteration cap is derived from the global budget so
-the total can never overrun it.  The attack returns the refined latent,
-not an image: a caller that needs the reconstruction generates it.
+``run_attack`` decides the mode once and binds that mode's refiner; in
+black-box mode the per-candidate cap is derived from the global budget so
+the total can never overrun it.  ``ranked_adversary`` is the ranking
+policy alone: candidates are refined strictly in rank order, the loop
+halts at the first that reaches the confidence bar, and otherwise the
+highest final similarity wins (ties go to the lower rank, the cheaper
+find).  The ledger adds the selection cost V to the refiners' queries.
+The attack returns the refined latent, not an image.
 """
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .core import EmbeddingVector, LatentCode, TargetSpec
+from .core import LatentCode, TargetSpec
 from .errors import AllCandidatesFailed, BudgetTooSmall, ConfigInvalid, NonFiniteLoss
 from .models import AttackSession, QueryLedger
 from .pool import LatentPool
@@ -92,30 +93,23 @@ def compute_tmax(q_max: int, v: int, n: int) -> int:
 
 
 def ranked_adversary(pool: LatentPool, candidates: Sequence[RankedCandidate],
-                     target: EmbeddingVector, session: AttackSession,
-                     budget: PerturbationBudget, tau_C: float, mode: str,
-                     t_max: Optional[int] = None,
-                     query_cap: Optional[int] = None) -> AttackResult:
+                     refine: Callable[[LatentCode], RefineResult],
+                     ledger: QueryLedger) -> AttackResult:
     """Refine candidates in rank order with early stop and argmax fallback.
 
-    ``query_cap``, the black-box cap per candidate, takes the place of
-    ``q_max`` in check_mode_budget, and the number of candidates that of N.
-    Candidates whose refinement aborts on a non-finite objective are
-    skipped; if every candidate aborts, AllCandidatesFailed is raised.
+    ``refine(x_G)`` is one candidate's refinement as run_attack binds it,
+    and ``ledger`` its session's.  A candidate whose refinement aborts on a
+    non-finite objective is skipped: AllCandidatesFailed if all abort,
+    ConfigInvalid if there are none.
     """
-    check_mode_budget(mode, t_max, query_cap, len(candidates))
+    if not candidates:
+        raise ConfigInvalid("no candidates to refine; top_n must be >= 1")
 
     started = time.perf_counter()
     refined: List[Tuple[RankedCandidate, RefineResult]] = []
     for cand in candidates:
-        x_G = pool.entries[cand.pool_index].latent
         try:
-            if mode == MODE_WHITEBOX:
-                result = refine_whitebox(x_G, target, session, budget,
-                                         t_max, tau_C)
-            else:
-                result = refine_blackbox(x_G, target, session, budget,
-                                         query_cap, tau_C)
+            result = refine(pool.entries[cand.pool_index].latent)
         except NonFiniteLoss:
             continue
         refined.append((cand, result))
@@ -134,7 +128,7 @@ def ranked_adversary(pool: LatentPool, candidates: Sequence[RankedCandidate],
         refined_latent=chosen_result.refined,
         chosen_rank=chosen_cand.rank,
         final_similarity=chosen_result.final_similarity,
-        ledger=session.ledger,
+        ledger=ledger,
         candidates=tuple(c for c, _ in refined),
         candidate_traces=tuple(r for _, r in refined),
         wall_time=time.perf_counter() - started,
@@ -170,19 +164,20 @@ def run_attack(target_spec: TargetSpec, pool: LatentPool,
     """
     started = time.perf_counter()
     embedder = backend.embedder_by_id(target_spec.target_model_id)
-    generator = backend.generator
     target = target_spec.target_embedding
-    query_cap = None
-    if settings.mode == MODE_BLACKBOX:
-        query_cap = compute_tmax(settings.q_max, pool.V,
-                                 min(settings.n_top, pool.V))
-
+    whitebox = settings.mode == MODE_WHITEBOX
     ledger = QueryLedger(q_max=settings.q_max)
-    session = AttackSession(generator, embedder, ledger,
-                            allow_gradient=settings.mode == MODE_WHITEBOX)
+    session = AttackSession(backend.generator, embedder, ledger,
+                            allow_gradient=whitebox)
+    # Looked up per call, so a wrapper set on pipeline.refine_* is bound.
+    if whitebox:
+        refine = partial(refine_whitebox, t_max=settings.t_max)
+    else:
+        refine = partial(refine_blackbox, query_cap=compute_tmax(
+            settings.q_max, pool.V, min(settings.n_top, pool.V)))
+    refine = partial(refine, target=target, session=session,
+                     budget=settings.budget, tau_C=settings.tau_C)
 
     selected = rank_candidates(pool, target, embedder, settings.n_top, ledger)
-    result = ranked_adversary(pool, selected, target, session, settings.budget,
-                              settings.tau_C, settings.mode,
-                              t_max=settings.t_max, query_cap=query_cap)
+    result = ranked_adversary(pool, selected, refine, ledger)
     return replace(result, wall_time=time.perf_counter() - started)

@@ -9,7 +9,8 @@ normality screen runs only inside build_pool: one k2_screen call per chunk,
 whose exact re-check with k2_pvalues (the row-wise code of k2_test) decides
 every acceptance, so each survivor's stored p_K equals k2_test of its
 latent bit for bit.  Both the latent and its generation are cached so
-later selection stages never regenerate.
+later selection stages never regenerate.  The screening facts (seed, p_K,
+p_D) are ``PoolEntry`` fields; a ``LatentCode`` carries none of them.
 
 Pool entries are target-agnostic by construction; nothing embedding- or
 identity-specific is stored.  Because of that, the embeddings of the
@@ -24,9 +25,10 @@ everything before it.  Latent and image payloads are stored as IEEE-754
 32-bit floats; in-memory pools hold float32-representable values, so
 round-trips are lossless.
 """
+import numbers
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Tuple
 
@@ -61,8 +63,19 @@ _BATCH = 4096
 
 @dataclass(frozen=True)
 class PoolEntry:
+    """A screened latent, its cached generation, the candidate seed it was
+    drawn from, its normality p-value and its detection confidence."""
+
     latent: LatentCode
     image: ImageSample
+    seed: int
+    p_K: float
+    p_D: float
+
+    def __post_init__(self):
+        for name, v in (("p_K", self.p_K), ("p_D", self.p_D)):
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
 @dataclass(frozen=True)
@@ -91,9 +104,9 @@ class LatentPool:
             raise ConfigInvalid(
                 f"pool holds {len(self.entries)} entries but V = {self.V}")
         for e in self.entries:
-            if e.latent.p_K is None or e.latent.p_K < self.tau_K:
+            if e.p_K < self.tau_K:
                 raise ConfigInvalid("pool entry violates the normality threshold")
-            if e.latent.p_D is None or e.latent.p_D < self.tau_D:
+            if e.p_D < self.tau_D:
                 raise ConfigInvalid("pool entry violates the detection threshold")
 
     @property
@@ -240,9 +253,9 @@ def sample_latent(d_lat: int, seed: int) -> LatentCode:
 
     ``default_rng(seed).standard_normal(d_lat)``, quantized to float32
     precision so that pool persistence is exactly lossless; seeds run over
-    [0, 2**64).  Screening metadata stays unset.
+    [0, 2**64).
     """
-    return LatentCode(values=_draw_block(d_lat, seed, 1)[0], seed=seed)
+    return LatentCode(_draw_block(d_lat, seed, 1)[0])
 
 
 def check_build_settings(V: int, tau_K: float, tau_D: float,
@@ -271,7 +284,8 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
     Raises PoolExhausted once max_draw_factor * V candidates have been
     drawn without filling the pool, and ConfigInvalid before drawing if
     check_build_settings rejects the settings or any candidate seed would
-    fall outside the pool file's signed 64-bit seed field.
+    fall outside the pool file's signed 64-bit seed field, or as soon as
+    the detector returns anything but a number in [0, 1] (NaN included).
     """
     check_build_settings(V, tau_K, tau_D, max_draw_factor)
     cap = max_draw_factor * V
@@ -282,7 +296,6 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
     entries: List[PoolEntry] = []
     drawn = 0
     n_norm = 0
-    n_face = 0
     while len(entries) < V:
         if drawn >= cap:
             raise PoolExhausted(
@@ -292,31 +305,31 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
         first_seed = build_seed + drawn
         block = _draw_block(generator.d_lat, first_seed, chunk)
         passed, p_K = k2_screen(block, tau_K)
+        drawn += chunk
         for i, p in zip(passed.tolist(), p_K.tolist()):
             n_norm += 1
             # A copy: a view of its row would keep the whole block alive.
-            code = LatentCode(values=block[i].copy(), seed=first_seed + i, p_K=p)
-            image = generator.generate(code)
+            latent = LatentCode(block[i].copy())
+            image = generator.generate(latent)
             image = ImageSample(
                 image.values.astype(np.float32).astype(np.float64))
             p_D = detector.detect(image)
-            if not p_D >= tau_D:
-                continue
-            n_face += 1
-            entries.append(PoolEntry(latent=replace(code, p_D=p_D), image=image))
-            if len(entries) == V:
-                # Candidates after the V-th acceptance in this chunk were
-                # drawn speculatively; only count up to the winner.
-                drawn += i + 1
-                break
-        else:
-            drawn += chunk
-            if progress is not None:
-                progress(drawn, len(entries))
-            continue
-        break
+            if not (isinstance(p_D, numbers.Real) and 0.0 <= p_D <= 1.0):
+                name = getattr(detector, "detector_id", type(detector).__name__)
+                raise ConfigInvalid(
+                    f"detector {name!r} returned {p_D!r}; a face-detection "
+                    "confidence must be in [0, 1]")
+            if p_D >= tau_D:
+                entries.append(PoolEntry(latent, image, first_seed + i, p, p_D))
+                if len(entries) == V:
+                    # The rest of the chunk was drawn speculatively; count
+                    # candidates only up to the V-th acceptance.
+                    drawn = first_seed + i + 1 - build_seed
+                    break
+        if progress is not None and len(entries) < V:
+            progress(drawn, len(entries))
     stats = PoolBuildStats(drawn=drawn, normality_accepted=n_norm,
-                           detector_accepted=n_face)
+                           detector_accepted=len(entries))
     return LatentPool(entries=tuple(entries), V=V, tau_K=tau_K, tau_D=tau_D,
                       generator_id=generator.generator_id,
                       build_seed=build_seed, stats=stats)
@@ -339,9 +352,9 @@ def save_pool(pool: LatentPool, path):
     gen_id = pool.generator_id.encode("utf-8")
     c, h, w = pool.image_shape
     entries = np.zeros(len(pool.entries), _entry_dtype(pool.d_lat, c * h * w))
-    entries["seed"] = [e.latent.seed for e in pool.entries]
-    entries["p_K"] = [e.latent.p_K for e in pool.entries]
-    entries["p_D"] = [e.latent.p_D for e in pool.entries]
+    entries["seed"] = [e.seed for e in pool.entries]
+    entries["p_K"] = [e.p_K for e in pool.entries]
+    entries["p_D"] = [e.p_D for e in pool.entries]
     entries["latent"] = [e.latent.values for e in pool.entries]
     entries["image"] = [e.image.flat() for e in pool.entries]
     entries["crc"] = _entry_crcs(entries)
@@ -421,9 +434,8 @@ def _parse_pool(data: memoryview, path) -> LatentPool:
     # per column raised the peak RSS of an attack on a V=1000 pool by ~3%.
     return LatentPool(
         entries=tuple(
-            PoolEntry(latent=LatentCode(values=latent.astype(np.float64),
-                                        seed=seed, p_K=p_K, p_D=p_D),
-                      image=ImageSample(image.astype(np.float64)))
+            PoolEntry(LatentCode(latent.astype(np.float64)),
+                      ImageSample(image.astype(np.float64)), seed, p_K, p_D)
             for latent, image, seed, p_K, p_D in zip(
                 entries["latent"], entries["image"].reshape(count, c, h, w),
                 entries["seed"].tolist(),

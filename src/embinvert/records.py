@@ -7,6 +7,7 @@ rows and a commented summary block.
 """
 import json
 import math
+import numbers
 from typing import Dict, List, Optional, Sequence
 
 from .errors import IoFailure
@@ -77,8 +78,10 @@ def write_results(path, records: Sequence[dict]):
 
 
 def _is_real(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite real number, numpy scalars included; not a bool.  int and
+    float come first so that JSON values skip the slower ABC check."""
+    return (isinstance(value, (int, float, numbers.Real))
+            and not isinstance(value, bool) and math.isfinite(value))
 
 
 def _is_count(value) -> bool:

@@ -142,10 +142,7 @@ def _result(x_G: LatentCode, best_delta, s0: float, best_s: float, trace,
             stop_reason: str) -> RefineResult:
     """The result of a refinement whose evaluations after the initial one
     produced ``trace``; ``best_delta`` None means x_G itself is returned."""
-    refined = x_G
-    if best_delta is not None:
-        refined = LatentCode(values=x_G.values + best_delta, seed=x_G.seed,
-                             p_K=x_G.p_K, p_D=x_G.p_D)
+    refined = x_G if best_delta is None else LatentCode(x_G.values + best_delta)
     return RefineResult(refined=refined, initial_similarity=s0,
                         final_similarity=best_s, iterations_used=len(trace),
                         stop_reason=stop_reason, trace=tuple(trace))

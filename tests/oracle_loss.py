@@ -1,0 +1,33 @@
+"""Two-pass reference for the attack objective and its gradient.
+
+``AttackSession`` evaluates the objective and its gradient from one
+forward pass; these functions take the plain route, one forward pass for
+the value and another for the gradient, and are the tests' reference for
+it.  They compose the same handle methods, so results agree bit for bit.
+"""
+import numpy as np
+
+from embinvert.core import EmbeddingVector, LatentCode, _cosine, cosine_similarity
+from embinvert.errors import GradientUnavailable
+from embinvert.models import EmbedderHandle, GeneratorHandle
+
+
+def loss_eval(g: GeneratorHandle, f: EmbedderHandle, latent: LatentCode,
+              target: EmbeddingVector) -> float:
+    """Objective value: cosine similarity of the generated image's embedding
+    with the target embedding."""
+    return cosine_similarity(f.embed(g.generate(latent)), target)
+
+
+def loss_gradient(g: GeneratorHandle, f: EmbedderHandle, latent: LatentCode,
+                  target: EmbeddingVector) -> np.ndarray:
+    """Gradient of loss_eval with respect to the latent values."""
+    if not (g.supports_gradient and f.supports_gradient):
+        raise GradientUnavailable("generator or embedder does not expose gradients")
+    image, generator_pullback = g.generate_vjp(latent.values)
+    e, embedder_pullback = f.embed_vjp(image)
+    t = target.values
+    _s, t_norm = _cosine(e, t)
+    # loss = e . t_hat with e already unit-norm; the normalization
+    # Jacobian lives inside the embedder's pullback.
+    return generator_pullback(embedder_pullback(t / t_norm))

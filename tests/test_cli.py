@@ -25,6 +25,7 @@ from embinvert.config import (
 )
 from embinvert.errors import AllCandidatesFailed, ConfigInvalid, EmbinvertError
 from embinvert.models import (
+    DetectorHandle,
     QueryLedger,
     SyntheticDetector,
     SyntheticEmbedder,
@@ -802,6 +803,65 @@ class TestAdapterRegistry:
         assert "Traceback" not in err
         assert "error: detector factory 'toy-det' returned a str" in err
         assert not os.path.exists(config.pool_path)
+
+    @pytest.mark.parametrize("score", [1.0000001, -1e-9, float("nan"), None, "1"])
+    def test_detector_score_outside_the_unit_interval_exits_2(
+            self, tmp_path, capsys, score):
+        class OverconfidentDetector(DetectorHandle):
+            detector_id = "toy-det"
+
+            def detect(self, image):
+                return score
+
+        register_toy_adapters(toy_identity_images)
+        registry.register_detector("toy-det", lambda config: OverconfidentDetector())
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: detector 'toy-det' returned {score!r}" in err
+        assert not os.path.exists(config.pool_path)
+
+    @pytest.mark.parametrize("tau_F", ["high", float("nan"), float("inf"), True],
+                             ids=["string", "nan", "inf", "bool"])
+    def test_adapter_tau_f_other_than_a_finite_number_exits_2(
+            self, tmp_path, capsys, tau_F):
+        register_toy_adapters(toy_identity_images)
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        for command in ("build-pool", "attack"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+        tuned = registry._embedder_factories["toy-emb-b"]
+
+        def bad_threshold(config):
+            embedder = tuned(config)
+            embedder.tau_F = tau_F
+            return embedder
+
+        registry.register_embedder("toy-emb-b", bad_threshold)
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: embedder 'toy-emb-b' has tau_F {tau_F!r}" in err
+        assert not os.path.exists(config.report_path)
+
+    def test_adapter_tau_f_as_a_numpy_scalar_is_read_as_its_value(self, tmp_path):
+        register_toy_adapters(toy_identity_images)
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        for command in ("build-pool", "attack", "report"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+        plain = Path(config.report_path).read_bytes()
+        for model_id in ("toy-emb-a", "toy-emb-b"):
+            tuned = registry._embedder_factories[model_id]
+
+            def numpy_threshold(config, tuned=tuned):
+                embedder = tuned(config)
+                embedder.tau_F = np.float32(embedder.tau_F)
+                return embedder
+
+            registry.register_embedder(model_id, numpy_threshold)
+        assert main(["report", "--config", str(cfg_path)]) == 0
+        assert Path(config.report_path).read_bytes() == plain
 
     def test_calibration_images_other_than_image_samples_exit_2(
             self, tmp_path, capsys):

@@ -86,21 +86,15 @@ class TestDecideMatch:
 
 
 class TestDomainTypes:
-    def test_latent_code_validates_screening_probabilities(self):
-        with pytest.raises(ValueError):
-            LatentCode(np.zeros(4), p_K=1.5)
-        with pytest.raises(ValueError):
-            LatentCode(np.zeros(4), p_D=-0.1)
-
-    def test_latent_code_replace_copies_and_validates(self):
-        # build_pool fills in p_D with dataclasses.replace.
-        code = LatentCode(np.arange(4.0), seed=9, p_K=0.5)
-        updated = dataclasses.replace(code, p_D=0.25)
-        assert code.p_D is None
-        assert (updated.seed, updated.p_K, updated.p_D) == (9, 0.5, 0.25)
-        assert np.array_equal(updated.values, code.values)
-        with pytest.raises(ValueError):
-            dataclasses.replace(code, p_D=1.5)
+    def test_latent_code_holds_only_values(self):
+        # Screening facts live on pool.PoolEntry, not on the latent.
+        assert [f.name for f in dataclasses.fields(LatentCode)] == ["values"]
+        code = LatentCode([1, 2, 3])
+        assert code.values.dtype == np.float64 and len(code) == 3
+        assert code == LatentCode(np.array([1.0, 2.0, 3.0]))
+        assert code != LatentCode(np.array([1.0, 2.0, 4.0]))
+        with pytest.raises(DimensionMismatch):
+            LatentCode(np.zeros((2, 2)))
 
     def test_embedding_rejects_non_finite(self):
         with pytest.raises(ValueError):

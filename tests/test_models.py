@@ -23,13 +23,12 @@ from embinvert.models import (
     SyntheticEmbedder,
     SyntheticGenerator,
     WorldConfig,
-    loss_eval,
-    loss_gradient,
     make_synthetic_world,
 )
 from embinvert.pool import sample_latent
 
 from conftest import DESK_SEED, world_tau_F
+from oracle_loss import loss_eval, loss_gradient
 
 
 class TestSyntheticGenerator:

@@ -1,11 +1,17 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 
 from embinvert.config import RunConfig
 from embinvert.core import TargetSpec
-from embinvert.errors import AllCandidatesFailed, BudgetTooSmall, ConfigInvalid
+from embinvert.errors import (
+    AllCandidatesFailed,
+    BudgetTooSmall,
+    ConfigInvalid,
+    NonFiniteLoss,
+)
 from embinvert.models import AttackSession, Backend, QueryLedger
 from embinvert.pipeline import (
     AttackSettings,
@@ -15,8 +21,14 @@ from embinvert.pipeline import (
     ranked_adversary,
     run_attack,
 )
-from embinvert.ranking import rank_candidates
-from embinvert.refine import STOP_BUDGET, PerturbationBudget
+from embinvert.ranking import RankedCandidate, rank_candidates
+from embinvert.refine import (
+    STOP_BUDGET,
+    STOP_CONFIDENCE,
+    PerturbationBudget,
+    RefineResult,
+    refine_whitebox,
+)
 from test_evaluation import CountingEmbedder
 
 
@@ -49,6 +61,13 @@ def _target(world, identity=0, image=0):
     return world.embedders[0].embed(world.identities[identity].images[image])
 
 
+def whitebox_adversary(pool, ranked, target, session, budget, tau_C, t_max):
+    """ranked_adversary with the white-box refiner bound as run_attack binds it."""
+    refine = partial(refine_whitebox, target=target, session=session,
+                     budget=budget, t_max=t_max, tau_C=tau_C)
+    return ranked_adversary(pool, ranked, refine, session.ledger)
+
+
 class TestRankedAdversary:
     def test_rank_one_already_confident_stops_immediately(self, desk_world, desk_pool):
         # A target built from a pool entry itself: rank 1 scores 1.0 outright.
@@ -56,9 +75,9 @@ class TestRankedAdversary:
         target = f.embed(desk_pool.entries[5].image)
         session = _session(desk_world, MODE_WHITEBOX)
         ranked = rank_candidates(desk_pool, target, f, 3, session.ledger)
-        result = ranked_adversary(desk_pool, ranked, target, session,
-                                  PerturbationBudget("l2", 35.0), tau_C=0.99,
-                                  mode=MODE_WHITEBOX, t_max=50)
+        result = whitebox_adversary(desk_pool, ranked, target, session,
+                                    PerturbationBudget("l2", 35.0), tau_C=0.99,
+                                    t_max=50)
         assert result.chosen_rank == 1
         assert len(result.candidate_traces) == 1
         assert result.candidate_traces[0].iterations_used == 0
@@ -69,9 +88,9 @@ class TestRankedAdversary:
         target = _target(desk_world, identity=6)
         session = _session(desk_world, MODE_WHITEBOX)
         ranked = rank_candidates(desk_pool, target, f, 3, session.ledger)
-        result = ranked_adversary(desk_pool, ranked, target, session,
-                                  PerturbationBudget("l2", 35.0), tau_C=0.999,
-                                  mode=MODE_WHITEBOX, t_max=2)
+        result = whitebox_adversary(desk_pool, ranked, target, session,
+                                    PerturbationBudget("l2", 35.0), tau_C=0.999,
+                                    t_max=2)
         assert len(result.candidate_traces) == 3
         finals = [r.final_similarity for r in result.candidate_traces]
         assert result.final_similarity == max(finals)
@@ -83,9 +102,9 @@ class TestRankedAdversary:
         target = f.embed(desk_world.identities[14].images[3])
         session = _session(desk_world, MODE_WHITEBOX)
         ranked = rank_candidates(desk_pool, target, f, 3, session.ledger)
-        result = ranked_adversary(desk_pool, ranked, target, session,
-                                  PerturbationBudget("l2", 2.5), tau_C=0.95,
-                                  mode=MODE_WHITEBOX, t_max=60)
+        result = whitebox_adversary(desk_pool, ranked, target, session,
+                                    PerturbationBudget("l2", 2.5), tau_C=0.95,
+                                    t_max=60)
         assert result.chosen_rank == 2
         finals = [r.final_similarity for r in result.candidate_traces]
         assert finals[1] > finals[0]
@@ -99,9 +118,9 @@ class TestRankedAdversary:
             target = _target(desk_world, identity=identity)
             session = _session(desk_world, MODE_WHITEBOX)
             ranked = rank_candidates(desk_pool, target, f, 3, session.ledger)
-            result = ranked_adversary(desk_pool, ranked, target, session,
-                                      PerturbationBudget("l2", 35.0), tau_C=0.95,
-                                      mode=MODE_WHITEBOX, t_max=100)
+            result = whitebox_adversary(desk_pool, ranked, target, session,
+                                        PerturbationBudget("l2", 35.0), tau_C=0.95,
+                                        t_max=100)
             # every refined candidate except possibly the last one failed
             for trace in result.candidate_traces[:-1]:
                 assert trace.stop_reason == STOP_BUDGET
@@ -122,23 +141,49 @@ class TestRankedAdversary:
         target = _target(desk_world)
         ranked = rank_candidates(desk_pool, target, f, 3)
         with pytest.raises(AllCandidatesFailed):
-            ranked_adversary(desk_pool, ranked, target, NaNSession(),
-                             PerturbationBudget("l2", 35.0), tau_C=0.95,
-                             mode=MODE_WHITEBOX, t_max=5)
+            whitebox_adversary(desk_pool, ranked, target, NaNSession(),
+                               PerturbationBudget("l2", 35.0), tau_C=0.95,
+                               t_max=5)
 
-    def test_mode_validation(self, desk_world, desk_pool):
-        f = desk_world.embedders[0]
-        target = _target(desk_world)
-        session = _session(desk_world, MODE_WHITEBOX)
-        ranked = rank_candidates(desk_pool, target, f, 2)
-        with pytest.raises(ConfigInvalid):
-            ranked_adversary(desk_pool, ranked, target, session,
-                             PerturbationBudget("l2", 1.0), tau_C=0.9,
-                             mode="sideways", t_max=5)
-        with pytest.raises(ConfigInvalid):
-            ranked_adversary(desk_pool, ranked, target, session,
-                             PerturbationBudget("l2", 1.0), tau_C=0.9,
-                             mode=MODE_WHITEBOX)  # missing t_max
+    def test_empty_candidate_list_rejected(self, desk_pool):
+        def refine(x_G):
+            raise AssertionError("refined with no candidates")
+
+        with pytest.raises(ConfigInvalid, match="no candidates"):
+            ranked_adversary(desk_pool, [], refine, QueryLedger())
+
+    def test_policy_over_a_scripted_refiner(self, desk_pool):
+        # Rank 2 aborts on a non-finite objective and is skipped; ranks 1
+        # and 3 tie below the bar, so the lower rank wins; rank 5, past a
+        # confident rank 4, is never refined.
+        finals = {1: 0.5, 2: None, 3: 0.5, 4: 0.97, 5: 1.0}
+        ranked = [RankedCandidate(rank=r, pool_index=10 * r,
+                                  initial_similarity=0.0) for r in finals]
+        refined = []
+
+        def refine(x_G):
+            rank = next(c.rank for c in ranked
+                        if desk_pool.entries[c.pool_index].latent is x_G)
+            refined.append(rank)
+            if finals[rank] is None:
+                raise NonFiniteLoss("nan", trace=[])
+            stop = STOP_CONFIDENCE if finals[rank] >= 0.95 else STOP_BUDGET
+            return RefineResult(x_G, 0.0, finals[rank], 1, stop, (finals[rank],))
+
+        ledger = QueryLedger()
+        result = ranked_adversary(desk_pool, ranked, refine, ledger)
+        assert refined == [1, 2, 3, 4]
+        assert [c.rank for c in result.candidates] == [1, 3, 4]
+        assert result.chosen_rank == 4 and result.final_similarity == 0.97
+        assert result.ledger is ledger
+        finals[4] = 0.5
+        result = ranked_adversary(desk_pool, ranked, refine, ledger)
+        assert [c.rank for c in result.candidates] == [1, 3, 4, 5]
+        assert result.chosen_rank == 5
+        finals[5] = 0.5
+        result = ranked_adversary(desk_pool, ranked, refine, ledger)
+        assert result.chosen_rank == 1
+        assert result.refined_latent is desk_pool.entries[10].latent
 
 
 # (mode, t_max, q_max, top_n): white-box takes t_max and no q_max,
@@ -167,15 +212,12 @@ BAD_BUDGETS = [
 
 
 class TestModeBudgetRule:
-    """RunConfig, AttackSettings and ranked_adversary apply one rule, and
-    compute_tmax applies its black-box part."""
+    """RunConfig and AttackSettings apply one rule, and compute_tmax applies
+    its black-box part.  run_attack takes the settings as checked, and
+    ranked_adversary sees only the candidates and the bound refiner."""
 
     @staticmethod
-    def entry_points(world, pool, ledger):
-        f = world.embedders[0]
-        target = _target(world)
-        ranked = rank_candidates(pool, target, f, 3)
-
+    def entry_points():
         def run_config(mode, t_max, q_max, top_n):
             RunConfig(mode=mode, t_max=t_max, q_max=q_max, top_n=top_n).validate()
 
@@ -183,39 +225,29 @@ class TestModeBudgetRule:
             AttackSettings(mode=mode, budget=PerturbationBudget("l2", 1.0),
                            tau_C=0.9, n_top=top_n, t_max=t_max, q_max=q_max)
 
-        def adversary(mode, t_max, q_max, top_n):
-            session = AttackSession(world.generator, f, ledger,
-                                    allow_gradient=(mode == MODE_WHITEBOX))
-            ranked_adversary(pool, ranked[:top_n], target, session,
-                             PerturbationBudget("l2", 1.0), tau_C=0.9,
-                             mode=mode, t_max=t_max, query_cap=q_max)
-
-        return run_config, settings, adversary
+        return run_config, settings
 
     @pytest.mark.parametrize("row", GOOD_BUDGETS)
-    def test_good_rows_accepted_everywhere(self, desk_world, desk_pool, row):
-        for accept in self.entry_points(desk_world, desk_pool, QueryLedger()):
+    def test_good_rows_accepted_everywhere(self, row):
+        for accept in self.entry_points():
             accept(*row)
 
     @pytest.mark.parametrize("row", BAD_BUDGETS)
-    def test_bad_rows_rejected_everywhere_with_one_message(self, desk_world,
-                                                            desk_pool, row):
-        ledger = QueryLedger()
+    def test_bad_rows_rejected_everywhere_with_one_message(self, row):
         messages = []
-        for reject in self.entry_points(desk_world, desk_pool, ledger):
+        for reject in self.entry_points():
             with pytest.raises(ConfigInvalid) as excinfo:
                 reject(*row)
             messages.append(str(excinfo.value))
         assert len(set(messages)) == 1, messages
-        assert ledger.total == 0  # rejected before any query
 
     @pytest.mark.parametrize("row", [r for r in BAD_BUDGETS
                                      if r[0] == MODE_BLACKBOX and r[1] is None])
     def test_compute_tmax_rejects_bad_blackbox_rows_with_the_same_message(
-            self, desk_world, desk_pool, row):
+            self, desk_pool, row):
         _mode, _t_max, q_max, top_n = row
         messages = []
-        for reject in self.entry_points(desk_world, desk_pool, QueryLedger()):
+        for reject in self.entry_points():
             with pytest.raises(ConfigInvalid) as excinfo:
                 reject(*row)
             messages.append(str(excinfo.value))

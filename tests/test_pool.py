@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embinvert.core import ImageSample
+from embinvert.core import ImageSample, LatentCode
 from embinvert.errors import (
     ChecksumMismatch,
     ConfigInvalid,
@@ -25,6 +25,7 @@ from embinvert.models import EmbedderHandle, SyntheticGenerator
 from embinvert.normality import k2_pvalues, k2_test
 from embinvert.pool import (
     LatentPool,
+    PoolEntry,
     build_pool,
     load_pool,
     sample_latent,
@@ -95,6 +96,26 @@ class TestDrawBlock:
                               sample_latent(64, 9).values)
 
 
+class TestPoolEntry:
+    @staticmethod
+    def entry(**scores):
+        fields = dict(seed=9, p_K=0.5, p_D=0.5)
+        fields.update(scores)
+        return PoolEntry(LatentCode(np.arange(4.0)),
+                         ImageSample(np.zeros((1, 2, 2))), **fields)
+
+    def test_validates_screening_probabilities(self):
+        for name in ("p_K", "p_D"):
+            for value in (1.5, -0.1, 1.0000001, float("nan")):
+                with pytest.raises(ValueError, match=f"{name} must be in"):
+                    self.entry(**{name: value})
+
+    def test_scores_at_the_bounds_accepted(self):
+        for value in (0.0, 1.0):
+            entry = self.entry(p_K=value, p_D=value)
+            assert (entry.seed, entry.p_K, entry.p_D) == (9, value, value)
+
+
 class TestScreenNormality:
     """The normality screen as build_pool runs it: k2_pvalues per chunk."""
 
@@ -106,7 +127,7 @@ class TestScreenNormality:
         # The outlier replaces the first candidate the build would accept.
         first = build_pool(desk_world.generator, desk_world.detector, V=1,
                            tau_K=0.999, tau_D=0.0,
-                           build_seed=0).entries[0].latent.seed
+                           build_seed=0).entries[0].seed
         real_draw = pool_module._draw_block
         injected = []
 
@@ -121,7 +142,7 @@ class TestScreenNormality:
         pool = build_pool(desk_world.generator, desk_world.detector, V=1,
                           tau_K=0.999, tau_D=0.0, build_seed=0)
         assert injected == [first]
-        assert pool.entries[0].latent.seed > first
+        assert pool.entries[0].seed > first
 
     def test_zero_threshold_accepts_everything(self, desk_world):
         pool = build_pool(desk_world.generator, desk_world.detector, V=10,
@@ -141,7 +162,7 @@ class TestScreenNormality:
         pool = build_pool(desk_world.generator, desk_world.detector, V=20,
                           tau_K=0.5, tau_D=0.0, build_seed=3)
         for entry in pool.entries:
-            assert entry.latent.p_K == k2_test(entry.latent.values).p_value
+            assert entry.p_K == k2_test(entry.latent.values).p_value
 
     def test_short_code_propagates_sample_error(self, desk_world):
         generator = SyntheticGenerator(8, (1, 2, 2), np.random.SeedSequence(0),
@@ -199,8 +220,8 @@ class TestScreenFace:
         detector = _ScriptedDetector([0.75, below, 0.75, below, 0.75])
         pool = build_pool(desk_world.generator, detector, V=3, tau_K=0.0,
                           tau_D=0.75, build_seed=40)
-        assert [e.latent.seed for e in pool.entries] == [40, 42, 44]
-        assert [e.latent.p_D for e in pool.entries] == [0.75] * 3
+        assert [e.seed for e in pool.entries] == [40, 42, 44]
+        assert [e.p_D for e in pool.entries] == [0.75] * 3
         assert pool.stats.detector_accepted == 3
         assert pool.stats.normality_accepted == 5
 
@@ -209,12 +230,12 @@ class TestBuildPool:
     def test_desk_pool_satisfies_both_thresholds(self, desk_pool):
         assert len(desk_pool.entries) == 100
         for entry in desk_pool.entries:
-            assert entry.latent.p_K >= 0.999
-            assert entry.latent.p_D >= 0.999
+            assert entry.p_K >= 0.999
+            assert entry.p_D >= 0.999
 
     def test_stored_p_k_is_k2_test_bit_for_bit(self, desk_pool):
         for entry in desk_pool.entries:
-            assert entry.latent.p_K == k2_test(entry.latent.values).p_value
+            assert entry.p_K == k2_test(entry.latent.values).p_value
 
     def test_trivial_thresholds_accept_first_draw(self, desk_world):
         calls = []
@@ -242,7 +263,7 @@ class TestBuildPool:
 
     def test_entries_are_target_agnostic(self, quick_pool):
         for entry in quick_pool.entries:
-            assert set(vars(entry)) == {"latent", "image"}
+            assert set(vars(entry)) == {"latent", "image", "seed", "p_K", "p_D"}
 
     def test_exhaustion_raises(self, desk_world):
         with pytest.raises(PoolExhausted):
@@ -265,7 +286,7 @@ class TestBuildPool:
         pool = build_pool(desk_world.generator, desk_world.detector, V=1000,
                           tau_K=0.999, tau_D=0.999, build_seed=7)
         assert len(pool.entries) == 1000
-        assert all(e.latent.p_K >= 0.999 and e.latent.p_D >= 0.999
+        assert all(e.p_K >= 0.999 and e.p_D >= 0.999
                    for e in pool.entries)
         assert 0.0003 < pool.stats.normality_rate < 0.003
 
@@ -297,7 +318,7 @@ class TestBuildPool:
         pool = build_pool(desk_world.generator, desk_world.detector, V=1,
                           tau_K=0.0, tau_D=0.0, build_seed=2**63 - 10,
                           max_draw_factor=10)
-        assert pool.entries[0].latent.seed == 2**63 - 10
+        assert pool.entries[0].seed == 2**63 - 10
         path = tmp_path / "pool.lpool"
         save_pool(pool, path)
         assert load_pool(path) == pool
@@ -318,7 +339,7 @@ class _CountingGenerator:
         return getattr(self._inner, name)
 
     def generate(self, latent):
-        self._calls.append(latent.seed)
+        self._calls.append(latent)
         return self._inner.generate(latent)
 
 

@@ -7,8 +7,9 @@ from hypothesis.extra.numpy import arrays
 from embinvert import refine
 from embinvert.core import LatentCode
 from embinvert.errors import ConfigInvalid, GradientUnavailable, NonFiniteLoss
-from embinvert.models import AttackSession, QueryLedger, loss_eval, loss_gradient
+from embinvert.models import AttackSession, QueryLedger
 from embinvert.pool import sample_latent
+from embinvert.ranking import rank_candidates
 from embinvert.refine import (
     PerturbationBudget,
     STOP_BUDGET,
@@ -18,6 +19,8 @@ from embinvert.refine import (
     refine_blackbox,
     refine_whitebox,
 )
+
+from oracle_loss import loss_eval, loss_gradient
 
 L2 = lambda eps: PerturbationBudget("l2", eps)
 LINF = lambda eps: PerturbationBudget("linf", eps)
@@ -376,6 +379,31 @@ class TestRefineBlackbox:
                                 tau_C=0.9999)
             bests.append(r.final_similarity)
         assert bests == sorted(bests)
+
+    def test_trace_at_a_smaller_cap_is_the_truncated_trace(self, desk_world,
+                                                           desk_pool):
+        # query_cap is read only in the loop guard, so a smaller cap stops
+        # the same search earlier: a candidate's trace at cap c is its trace
+        # at a larger cap cut to c - 1 iterations, and its result is the
+        # best point of that prefix.
+        f = desk_world.embedders[0]
+        for identity, tau_C in ((1, 0.999), (8, 0.999), (12, 0.8)):
+            target = identity_target(desk_world, identity=identity, image=1)
+            for cand in rank_candidates(desk_pool, target, f, 3):
+                x = desk_pool.entries[cand.pool_index].latent
+                run = lambda cap: refine_blackbox(
+                    x, target, make_session(desk_world, allow_gradient=False),
+                    L2(35.0), query_cap=cap, tau_C=tau_C)
+                full = run(800)
+                for cap in (1, 2, 37, 250):
+                    short = run(cap)
+                    prefix = full.trace[:cap - 1]
+                    assert short.trace == prefix
+                    assert short.initial_similarity == full.initial_similarity
+                    assert short.final_similarity == max(
+                        (full.initial_similarity,) + prefix)
+                    if len(prefix) == len(full.trace):
+                        assert same_result(short, full)
 
     def test_nonfinite_loss_aborts(self, desk_world):
         session = BrokenSession(make_session(desk_world, allow_gradient=False),
