@@ -20,11 +20,12 @@ from dataclasses import fields, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .config import RunConfig, config_checksum, load_config
-from .core import ImageSample, LatentCode, TargetSpec
+from .core import ImageSample, TargetSpec
 from .errors import (
     BudgetTooSmall,
     ChecksumMismatch,
     ConfigInvalid,
+    DimensionMismatch,
     EmbinvertError,
     FormatVersionMismatch,
     InsufficientImages,
@@ -38,7 +39,8 @@ from .evaluation import (
     compute_eer_threshold,
     cross_model_report,
 )
-from .models import WorldConfig, impostor_stream, make_synthetic_world
+from .models import (WorldConfig, _generated_images, impostor_stream,
+                     make_synthetic_world)
 from .pipeline import MODE_BLACKBOX, AttackSettings, compute_tmax, run_attack
 from .pool import build_pool, load_pool, save_pool
 from .records import (
@@ -265,34 +267,37 @@ def cmd_report(config: RunConfig) -> int:
     if config.thresholds_path and os.path.exists(config.thresholds_path):
         from_file = read_thresholds(config.thresholds_path)
 
-    cases = []
-    for rec in records:
-        if rec.get("error") is not None:
-            continue
+    successes = [rec for rec in records if rec.get("error") is None]
+    for rec in successes:
         backend.embedder_by_id(rec["target_model_id"])  # fail fast if missing
         if rec["identity_id"] not in groups:
             raise ConfigInvalid(
                 f"results reference unknown identity {rec['identity_id']!r}")
         images = groups[rec["identity_id"]]
-        image_index = rec["image_index"]
-        if image_index >= len(images):
+        if rec["image_index"] >= len(images):
             raise ConfigInvalid(
-                f"results reference image {image_index} of identity "
+                f"results reference image {rec['image_index']} of identity "
                 f"{rec['identity_id']!r}, which has {len(images)} images")
-        reconstruction = backend.generator.generate(
-            LatentCode(rec["refined_latent"]))
-        alternates = tuple(img for j, img in enumerate(images) if j != image_index)
+        if len(rec["refined_latent"]) != backend.generator.d_lat:
+            raise DimensionMismatch(
+                f"results hold a latent of length {len(rec['refined_latent'])}"
+                f"; the generator takes {backend.generator.d_lat}")
+    if not successes:
+        raise ConfigInvalid("no successful results to report on")
+    reconstructions = ImageSample.stack(_generated_images(
+        backend.generator, [rec["refined_latent"] for rec in successes]))
+    cases = []
+    for rec, reconstruction in zip(successes, reconstructions):
+        images, image_index = groups[rec["identity_id"]], rec["image_index"]
         cases.append(EvaluationCase(
             target_id=rec["target_id"],
             target_model_id=rec["target_model_id"],
             reconstruction=reconstruction,
             target_image=images[image_index],
-            alt_images=alternates,
+            alt_images=tuple(img for j, img in enumerate(images) if j != image_index),
             queries=rec["ledger"]["total"],
             wall_time=rec["wall_time"],
         ))
-    if not cases:
-        raise ConfigInvalid("no successful results to report on")
     # Without genuine pairs nothing is calibrated, and cross_model_report
     # names the model left out.
     images_by_identity = list(groups.values())

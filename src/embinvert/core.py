@@ -65,6 +65,15 @@ class EmbeddingVector:
         return float(np.linalg.norm(self.values))
 
 
+def _checked_pixels(arr: np.ndarray, ndim: int, layout: str) -> np.ndarray:
+    if arr.ndim != ndim:
+        raise DimensionMismatch(f"expected {layout}, got shape {arr.shape}")
+    # Written so that a NaN pixel fails it too.
+    if arr.size and not (-1.0 <= arr.min() and arr.max() <= 1.0):
+        raise ValueError("pixel values must lie in [-1, 1]")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class ImageSample:
     """A (channels, height, width) tensor with pixel values in [-1, 1].
@@ -77,12 +86,17 @@ class ImageSample:
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 3:
-            raise DimensionMismatch(f"expected (C, H, W), got shape {arr.shape}")
-        # Written so that a NaN pixel fails it too.
-        if arr.size and not (-1.0 <= arr.min() and arr.max() <= 1.0):
-            raise ValueError("pixel values must lie in [-1, 1]")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _checked_pixels(arr, 3, "(C, H, W)"))
+
+    @classmethod
+    def stack(cls, images) -> Tuple["ImageSample", ...]:
+        """One sample per slice of a (B, C, H, W) array, checked as a whole:
+        views of a float64 stack, float64 copies of any other."""
+        samples = []
+        for image in _checked_pixels(np.asarray(images), 4, "(B, C, H, W)"):
+            samples.append(cls.__new__(cls))
+            object.__setattr__(samples[-1], "values", image.astype(np.float64, copy=False))
+        return tuple(samples)
 
     def __eq__(self, other):
         if not isinstance(other, ImageSample):

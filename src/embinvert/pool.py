@@ -8,9 +8,10 @@ a chunk of candidates as one array, bit for bit the same rows.  The
 normality screen runs only inside build_pool: one k2_screen call per chunk,
 whose exact re-check with k2_pvalues (the row-wise code of k2_test) decides
 every acceptance, so each survivor's stored p_K equals k2_test of its
-latent bit for bit.  Both the latent and its generation are cached so
-later selection stages never regenerate.  The screening facts (seed, p_K,
-p_D) are ``PoolEntry`` fields; a ``LatentCode`` carries none of them.
+latent bit for bit.  Survivors are generated and scored a batch of rows
+at a time.  Both the latent and its generation are cached so later
+selection stages never regenerate.  The screening facts (seed, p_K, p_D)
+are ``PoolEntry`` fields; a ``LatentCode`` carries none of them.
 
 Pool entries are target-agnostic by construction; nothing embedding- or
 identity-specific is stored.  Because of that, the embeddings of the
@@ -43,7 +44,8 @@ from .errors import (
     PoolExhausted,
 )
 from .fileio import replace_file
-from .models import DetectorHandle, EmbedderHandle, GeneratorHandle, _embedding_rows
+from .models import (DetectorHandle, EmbedderHandle, GeneratorHandle,
+                     _embedding_rows, _generated_images)
 from .normality import k2_screen
 
 _MAGIC = b"LPOOL"
@@ -280,12 +282,15 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
     Candidate i is sample_latent(d_lat, build_seed + i), drawn a chunk of
     candidates at a time.  The normality screen runs before any generation
     (cheap filter first); the detector sees only normality survivors, so
-    generator invocations equal the count of normality acceptances.
+    generated rows equal the count of normality acceptances.  They go
+    through ``generate_batch`` and ``detect_batch`` in batches of at most
+    V - accepted rows, each of which one-at-a-time generation reaches too.
     Raises PoolExhausted once max_draw_factor * V candidates have been
     drawn without filling the pool, and ConfigInvalid before drawing if
     check_build_settings rejects the settings or any candidate seed would
-    fall outside the pool file's signed 64-bit seed field, or as soon as
-    the detector returns anything but a number in [0, 1] (NaN included).
+    fall outside the pool file's signed 64-bit seed field, or as soon as a
+    batch holds other than one image of the output shape per latent, or
+    other than one detection score in [0, 1] (NaN fails) per image.
     """
     check_build_settings(V, tau_K, tau_D, max_draw_factor)
     cap = max_draw_factor * V
@@ -293,6 +298,7 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
         raise ConfigInvalid(
             f"build seed must be in [0, {_MAX_SEED - cap + 1}] so that all "
             f"{cap} candidate seeds fit in a signed 64-bit field, got {build_seed}")
+    name = getattr(detector, "detector_id", type(detector).__name__)
     entries: List[PoolEntry] = []
     drawn = 0
     n_norm = 0
@@ -306,28 +312,32 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
         block = _draw_block(generator.d_lat, first_seed, chunk)
         passed, p_K = k2_screen(block, tau_K)
         drawn += chunk
-        for i, p in zip(passed.tolist(), p_K.tolist()):
-            n_norm += 1
-            # A copy: a view of its row would keep the whole block alive.
-            latent = LatentCode(block[i].copy())
-            image = generator.generate(latent)
-            image = ImageSample(
-                image.values.astype(np.float32).astype(np.float64))
-            p_D = detector.detect(image)
-            if not (isinstance(p_D, numbers.Real) and 0.0 <= p_D <= 1.0):
-                name = getattr(detector, "detector_id", type(detector).__name__)
+        survivors = list(zip(passed.tolist(), p_K.tolist()))
+        while survivors and len(entries) < V:
+            batch = survivors[:V - len(entries)]
+            del survivors[:len(batch)]
+            n_norm += len(batch)
+            rows = _generated_images(generator, block[[i for i, _ in batch]])
+            rows = rows.astype(np.float32).astype(np.float64)
+            scores = detector.detect_batch(rows)
+            if np.ndim(scores) != 1 or len(scores) != len(batch):
                 raise ConfigInvalid(
-                    f"detector {name!r} returned {p_D!r}; a face-detection "
-                    "confidence must be in [0, 1]")
-            if p_D >= tau_D:
-                entries.append(PoolEntry(latent, image, first_seed + i, p, p_D))
-                if len(entries) == V:
-                    # The rest of the chunk was drawn speculatively; count
-                    # candidates only up to the V-th acceptance.
-                    drawn = first_seed + i + 1 - build_seed
-                    break
+                    f"detector {name!r} returned scores of shape "
+                    f"{np.shape(scores)} for {len(batch)} images")
+            for (i, p), image, p_D in zip(batch, ImageSample.stack(rows), scores):
+                if not (isinstance(p_D, numbers.Real) and 0.0 <= p_D <= 1.0):
+                    raise ConfigInvalid(
+                        f"detector {name!r} returned {p_D!r}; a face-detection "
+                        "confidence must be in [0, 1]")
+                if p_D >= tau_D:
+                    # A copy: a view of its row would keep the block alive.
+                    latent = LatentCode(block[i].copy())
+                    entries.append(PoolEntry(latent, image, first_seed + i, p, p_D))
         if progress is not None and len(entries) < V:
             progress(drawn, len(entries))
+    # The last chunk was drawn speculatively; count candidates only up to
+    # the V-th acceptance.
+    drawn = entries[-1].seed + 1 - build_seed
     stats = PoolBuildStats(drawn=drawn, normality_accepted=n_norm,
                            detector_accepted=len(entries))
     return LatentPool(entries=tuple(entries), V=V, tau_K=tau_K, tau_D=tau_D,
@@ -430,14 +440,15 @@ def _parse_pool(data: memoryview, path) -> LatentPool:
         raise ChecksumMismatch(f"{path}: entry checksum mismatch")
     if not np.isfinite(entries["latent"]).all():
         raise ValueError("a latent value is not finite")
-    # Each entry gets its own float64 copies: views of one float64 block
-    # per column raised the peak RSS of an attack on a V=1000 pool by ~3%.
+    # Each entry gets its own float64 copies (ImageSample.stack copies each
+    # float32 slice): views of one float64 block per column raised the
+    # peak RSS of an attack on a V=1000 pool by ~3%.
     return LatentPool(
         entries=tuple(
-            PoolEntry(LatentCode(latent.astype(np.float64)),
-                      ImageSample(image.astype(np.float64)), seed, p_K, p_D)
+            PoolEntry(LatentCode(latent.astype(np.float64)), image, seed, p_K, p_D)
             for latent, image, seed, p_K, p_D in zip(
-                entries["latent"], entries["image"].reshape(count, c, h, w),
+                entries["latent"],
+                ImageSample.stack(entries["image"].reshape(count, c, h, w)),
                 entries["seed"].tolist(),
                 entries["p_K"].tolist(), entries["p_D"].tolist())),
         V=v, tau_K=tau_K, tau_D=tau_D, generator_id=generator_id,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -365,6 +366,16 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "thresholds.json").read_text() == first
 
+    def test_bytes_pinned_across_code_versions(self, tmp_path):
+        # The desk world's thresholds.  Its identity images come from
+        # generate_batch, whose rows must equal generate's bit for bit; a
+        # GEMM in the world build moves their last bits and this file.
+        cfg_path, config = write_config(tmp_path, n_identities=20)
+        assert main(["calibrate", "--config", str(cfg_path)]) == 0
+        data = Path(config.thresholds_path).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "47bb9f191ff4febf41f067a1860f4b9ad59b06462a705e9ab8c1fa3434b10147")
+
     def test_single_image_identities_exit_3(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, images_per_identity=1)
         assert main(["calibrate", "--config", str(cfg_path)]) == 3
@@ -673,6 +684,22 @@ class TestReportCommand:
         assert main(["report", "--config", str(cfg_path)]) == 2
         assert "ghost-model" in capsys.readouterr().err
 
+    def test_latent_of_the_wrong_length_exits_1(self, attacked, capsys):
+        # Checked with the other record fields, before the one
+        # generate_batch call over every successful record.
+        cfg_path, config = attacked
+        records = read_results(config.results_path)
+        records[-1]["refined_latent"] = records[-1]["refined_latent"][:-1]
+        with open(config.results_path, "w") as fh:
+            for rec in records:
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: results hold a latent of length 63" in err
+        assert not os.path.exists(config.report_path)
+
     def test_without_genuine_pairs_exits_2(self, tmp_path, capsys):
         # One image per identity leaves nothing to calibrate tau_F on.
         cfg_path, config = write_config(tmp_path, images_per_identity=1)
@@ -820,6 +847,45 @@ class TestAdapterRegistry:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"error: detector 'toy-det' returned {score!r}" in err
+        assert not os.path.exists(config.pool_path)
+
+    @pytest.mark.parametrize("command", ["build-pool", "report"])
+    def test_generate_batch_of_the_wrong_shape_exits_2(
+            self, tmp_path, capsys, command):
+        class NarrowGenerator(SyntheticGenerator):
+            def generate_batch(self, latents):
+                return super().generate_batch(latents)[..., :-1]
+
+        register_toy_adapters(toy_identity_images)
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        out_path = config.pool_path if command == "build-pool" else config.report_path
+        if command == "report":
+            for setup in ("build-pool", "attack"):
+                assert main([setup, "--config", str(cfg_path)]) == 0
+        registry.register_generator("toy-gen", lambda config: NarrowGenerator(
+            config.d_lat, config.image_shape, np.random.SeedSequence([1234, 0]),
+            generator_id="toy-gen"))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: generator 'toy-gen' returned images of shape" in err
+        assert not os.path.exists(out_path)
+
+    def test_detect_batch_with_the_wrong_count_exits_2(self, tmp_path, capsys):
+        class ShortDetector(DetectorHandle):
+            detector_id = "toy-det"
+
+            def detect_batch(self, images):
+                return [1.0] * (len(images) - 1)
+
+        register_toy_adapters(toy_identity_images)
+        registry.register_detector("toy-det", lambda config: ShortDetector())
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: detector 'toy-det' returned scores of shape" in err
         assert not os.path.exists(config.pool_path)
 
     @pytest.mark.parametrize("tau_F", ["high", float("nan"), float("inf"), True],

@@ -120,6 +120,35 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="pixel values"):
             ImageSample(values)
 
+    @pytest.mark.parametrize("bad", [1.5, -1.5, np.nan])
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_image_stack_rejects_a_pixel_outside_the_range_in_any_slice(
+            self, bad, index):
+        values = np.zeros((3, 1, 2, 2))
+        values[index, 0, 1, 1] = bad
+        with pytest.raises(ValueError, match="pixel values"):
+            ImageSample.stack(values)
+        with pytest.raises(ValueError, match="pixel values"):
+            ImageSample.stack(values.astype(np.float32))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 2, 2), (1, 1, 1, 2, 2)])
+    def test_image_stack_requires_four_dimensions(self, shape):
+        with pytest.raises(DimensionMismatch):
+            ImageSample.stack(np.zeros(shape))
+
+    def test_image_stack_slices_equal_single_samples(self):
+        values = np.random.default_rng(0).uniform(-1, 1, (4, 3, 2, 2))
+        samples = ImageSample.stack(values)
+        assert samples == tuple(ImageSample(v) for v in values)
+        assert all(s.values.base is values for s in samples)
+        assert ImageSample.stack(np.zeros((0, 3, 2, 2))) == ()
+        # A float32 stack gives float64 copies, one per slice.
+        narrow = values.astype(np.float32)
+        samples = ImageSample.stack(narrow)
+        assert samples == tuple(ImageSample(v.astype(np.float64)) for v in narrow)
+        assert all(s.values.dtype == np.float64 and s.values.flags.owndata
+                   for s in samples)
+
     def test_target_spec_identity_is_optional_metadata(self):
         spec = TargetSpec(vec(1.0, 0.0), "model-a")
         assert spec.identity_id is None

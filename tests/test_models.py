@@ -16,6 +16,7 @@ from embinvert.errors import (
 from embinvert.evaluation import calibration_set_from_images, compute_eer_threshold
 from embinvert.models import (
     AttackSession,
+    DetectorHandle,
     EmbedderHandle,
     GeneratorHandle,
     QueryLedger,
@@ -137,6 +138,65 @@ class TestEmbedBatch:
         assert f.calls == len(stack)
         assert np.array_equal(
             out, np.stack([inner.embed(ImageSample(img)).values for img in stack]))
+
+
+class TestGenerateBatch:
+    @pytest.mark.parametrize("B", [0, 1, 7])
+    def test_rows_equal_generate_bit_for_bit(self, desk_world, B):
+        g = desk_world.generator
+        latents = np.random.default_rng(B).standard_normal((B, g.d_lat))
+        batch = g.generate_batch(latents)
+        assert batch.shape == (B,) + g.output_shape
+        for row, x in zip(batch, latents):
+            assert np.array_equal(row, g.generate(LatentCode(x)).values)
+
+    def test_identity_latents_give_the_worlds_images(self, desk_world):
+        # One gemv per row: a GEMM here would move the last bits, and the
+        # thresholds with them.
+        g = desk_world.generator
+        latents = np.concatenate([rec.latents for rec in desk_world.identities])
+        images = [img for rec in desk_world.identities for img in rec.images]
+        batch = g.generate_batch(latents)
+        for row, x, image in zip(batch, latents, images):
+            assert np.array_equal(row, g.generate(LatentCode(x)).values)
+            assert np.array_equal(row, image.values)
+
+    @pytest.mark.parametrize("shape", [(64,), (2, 63), (1, 2, 64)])
+    def test_wrong_latent_stack_rejected(self, desk_world, shape):
+        with pytest.raises(DimensionMismatch):
+            desk_world.generator.generate_batch(np.zeros(shape))
+
+
+class TestLoopingDefaults:
+    """An adapter that implements only ``generate``/``detect`` gets batch
+    methods that call them once per row."""
+
+    @pytest.mark.parametrize("B", [0, 1, 7])
+    def test_generate_batch_loops_generate(self, desk_world, B):
+        g = PlainGenerator(desk_world.generator)
+        latents = np.random.default_rng(B).standard_normal((B, g.d_lat))
+        batch = g.generate_batch(latents)
+        assert batch.shape == (B,) + g.output_shape
+        for row, x in zip(batch, latents):
+            assert np.array_equal(row, g.generate(LatentCode(x)).values)
+
+    @pytest.mark.parametrize("B", [0, 1, 7])
+    def test_detect_batch_loops_detect(self, desk_world, B):
+        inner = desk_world.detector
+
+        class DetectOnly(DetectorHandle):
+            detector_id = "detect-only"
+            calls = 0
+
+            def detect(self, image):
+                self.calls += 1
+                return inner.detect(image)
+
+        stack = identity_image_stack(desk_world)[:B]
+        d = DetectOnly()
+        scores = d.detect_batch(stack)
+        assert d.calls == B
+        assert scores == [inner.detect(ImageSample(img)) for img in stack]
 
 
 class TestSyntheticDetector:

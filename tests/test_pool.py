@@ -21,7 +21,12 @@ from embinvert.errors import (
     ZeroNormEmbedding,
 )
 from embinvert import pool as pool_module
-from embinvert.models import EmbedderHandle, SyntheticGenerator
+from embinvert.models import (
+    DetectorHandle,
+    EmbedderHandle,
+    GeneratorHandle,
+    SyntheticGenerator,
+)
 from embinvert.normality import k2_pvalues, k2_test
 from embinvert.pool import (
     LatentPool,
@@ -182,14 +187,22 @@ class TestScreenNormality:
         assert calls == []
 
 
-class _ScriptedDetector:
-    """Returns the given confidences in turn, one per ``detect`` call."""
+class _ScriptedDetector(DetectorHandle):
+    """Returns the given confidences in turn, one per image scored, and
+    records the size of each ``detect_batch`` call."""
+
+    detector_id = "scripted"
 
     def __init__(self, scores):
         self._scores = iter(scores)
+        self.batch_sizes = []
 
     def detect(self, image):
         return next(self._scores)
+
+    def detect_batch(self, images):
+        self.batch_sizes.append(len(images))
+        return [next(self._scores) for _ in images]
 
 
 class TestScreenFace:
@@ -224,6 +237,8 @@ class TestScreenFace:
         assert [e.p_D for e in pool.entries] == [0.75] * 3
         assert pool.stats.detector_accepted == 3
         assert pool.stats.normality_accepted == 5
+        # Each batch holds V - accepted survivors, no more.
+        assert detector.batch_sizes == [3, 1, 1]
 
 
 class TestBuildPool:
@@ -330,17 +345,24 @@ class TestBuildPool:
         assert np.array_equal(entry.image.values, as_stored)
 
 
-class _CountingGenerator:
+class _CountingGenerator(GeneratorHandle):
+    """Forwards to ``inner`` and appends every latent row it generates to
+    ``calls``, whether through ``generate`` or ``generate_batch``."""
+
     def __init__(self, inner, calls):
         self._inner = inner
         self._calls = calls
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+        self.d_lat = inner.d_lat
+        self.output_shape = inner.output_shape
+        self.generator_id = inner.generator_id
 
     def generate(self, latent):
-        self._calls.append(latent)
+        self._calls.append(latent.values)
         return self._inner.generate(latent)
+
+    def generate_batch(self, latents):
+        self._calls.extend(latents)
+        return self._inner.generate_batch(latents)
 
 
 class TestPoolPersistence:
@@ -597,6 +619,15 @@ class TestMalformedPool:
             struct.pack_into("<f", data, _ID_OFFSET + id_len + 24 + 4 * d_lat + 8, value)
             with pytest.raises(IoFailure, match="malformed.*pixel values"):
                 load_bytes(tmp_path_factory, reseal(data))
+
+    def test_pixel_out_of_range_in_the_last_entry(self, small_pool_bytes,
+                                                  tmp_path_factory):
+        # The image column is range-checked as one stack; its last pixel
+        # sits just before the file's last entry CRC and whole-file CRC.
+        data = bytearray(small_pool_bytes)
+        struct.pack_into("<f", data, len(data) - 12, 1.5)
+        with pytest.raises(IoFailure, match="malformed.*pixel values"):
+            load_bytes(tmp_path_factory, reseal(data))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_latent_not_finite(self, small_pool_bytes, tmp_path_factory, value):
