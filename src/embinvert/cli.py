@@ -20,7 +20,7 @@ from dataclasses import fields, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .config import RunConfig, config_checksum, load_config
-from .core import ImageSample, TargetSpec
+from .core import EmbeddingVector, ImageSample, TargetSpec
 from .errors import (
     BudgetTooSmall,
     ChecksumMismatch,
@@ -194,8 +194,10 @@ def _make_targets(config: RunConfig, backend, embedder):
     for idx in range(config.num_targets):
         identity_id, images = groups[idx % n_id]
         image_index = (idx // n_id) % len(images)
+        # The attack's own matrix-vector product: embed_batch's could move bits.
+        embedding, _ = embedder.embed_vjp(images[image_index].values)
         spec = TargetSpec(
-            target_embedding=embedder.embed(images[image_index]),
+            target_embedding=EmbeddingVector(embedding),
             target_model_id=config.target_model,
             identity_id=identity_id,
         )

@@ -20,7 +20,7 @@ Evaluation is batch-first: each function embeds all of its images with one
 ``embed_batch`` call per model, normalises the rows, and scores pairs as
 row dot products (same-identity pairs are the upper triangle of each
 identity's Gram block), clamped to [-1, 1] like ``cosine_similarity``.
-Scores differ from a per-pair loop over ``embed`` by float rounding only.
+Scores differ from a per-pair loop over ``embed_vjp`` by float rounding only.
 Impostor pairs are decoded from one block of raw generator words, the way
 numpy's ``choice`` and ``integers`` would consume them one pair at a
 time, so a seed names the same pairs as the per-pair draw, bit for bit;

@@ -1,14 +1,14 @@
 """Backend contracts plus seeded desk-scale synthetic implementations.
 
-Three capabilities make up a backend: a generator (latent vector to image),
-one or more embedders (image to identity embedding, each with its own
-decision threshold), and a face detector (image to confidence).  Real
-generative or recognition models plug in through these same contracts via
-the adapter registry; the synthetic versions below are small, smooth,
-fully seeded stand-ins that keep the whole pipeline's geometry (latent ->
-image -> embedding -> cosine) while running in milliseconds.  Each
-capability also maps a stack of rows at once (``generate_batch``,
-``embed_batch``, ``detect_batch``), by default one row at a time.
+Three capabilities make up a backend, each with one forward method over
+a stack of array rows: a generator (``generate_batch``, latents to
+images), one or more embedders (``embed_batch``, images to identity
+embeddings, each model with its own decision threshold), and a face
+detector (``detect_batch``, images to confidences).  Real generative or
+recognition models plug in through these same contracts via the adapter
+registry; the synthetic versions below are small, smooth, fully seeded
+stand-ins that keep the whole pipeline's geometry (latent -> image ->
+embedding -> cosine) while running in milliseconds.
 
 Gradients compose through one forward pass per handle:
 
@@ -17,13 +17,13 @@ Gradients compose through one forward pass per handle:
     d loss / d latent = G_pullback(F_pullback(d cos / d embedding))
 
 Each pullback runs the backward pass on the activations its forward pass
-kept.  The base-class ``*_vjp`` defaults run ``generate``/``embed`` and
-return a pullback that raises GradientUnavailable, so a forward-only
-adapter implements just those; a handle with gradients overrides both
-and sets ``supports_gradient``.  ``AttackSession.value_and_grad`` makes
-the composition one charged evaluation whose gradient comes free.  Latents
-cross this boundary as bare vectors: ``generate`` takes a ``LatentCode``,
-which is its values alone, and ``generate_vjp`` takes the array.
+kept.  The base-class ``*_vjp`` defaults run the batch method on a batch
+of one, check its row as an ImageSample or EmbeddingVector, and return a
+pullback that raises GradientUnavailable, so a forward-only adapter
+implements just the batch methods; a handle with
+gradients overrides both ``*_vjp`` and sets ``supports_gradient``.
+``AttackSession.value_and_grad`` makes the composition one charged
+evaluation whose gradient comes free.
 """
 import math
 from dataclasses import dataclass
@@ -31,13 +31,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (
-    EmbeddingVector,
-    ImageSample,
-    LatentCode,
-    _as_float_vector,
-    _cosine,
-)
+from .core import EmbeddingVector, ImageSample, _as_float_vector, _cosine
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -50,7 +44,7 @@ from .errors import (
 
 
 def _no_gradient(handle: str):
-    """The pullback of a handle without gradients: it raises."""
+    """The pullback of a forward-only ``*_vjp``: it raises GradientUnavailable."""
     def pullback(cotangent: np.ndarray) -> np.ndarray:
         raise GradientUnavailable(f"{handle} has no gradient")
     return pullback
@@ -64,24 +58,20 @@ class GeneratorHandle:
     supports_gradient: bool = False
     generator_id: str
 
-    def generate(self, latent: LatentCode) -> ImageSample:
-        raise NotImplementedError
-
     def generate_batch(self, latents: np.ndarray) -> np.ndarray:
-        """Map (B, d_lat) latents to (B, C, H, W) images; row i is ``generate(latents[i])``.
-        This default calls ``generate`` once per row; override it to batch."""
-        images = [self.generate(LatentCode(x)).values for x in latents]
-        return np.stack(images) if images else np.empty((0, *self.output_shape))
+        """Map (B, d_lat) latents to (B, C, H, W) images."""
+        raise NotImplementedError
 
     def generate_vjp(self, latent_values: np.ndarray):
         """One forward pass: ``(image array, pullback)``.
 
         ``pullback(image_cotangent)`` returns the latent-space cotangent.
-        This default calls ``generate`` and its pullback raises
-        GradientUnavailable; a generator with gradients overrides it.
+        This default generates a batch of one, checked as an ImageSample,
+        and its pullback raises GradientUnavailable; a generator with
+        gradients overrides it.
         """
-        return (self.generate(LatentCode(latent_values)).values,
-                _no_gradient(f"generator {self.generator_id!r}"))
+        image = _generated_images(self, _as_float_vector(latent_values)[None])[0]
+        return ImageSample(image).values, _no_gradient(f"generator {self.generator_id!r}")
 
 
 class EmbedderHandle:
@@ -92,26 +82,20 @@ class EmbedderHandle:
     supports_gradient: bool = False
     model_id: str
 
-    def embed(self, image: ImageSample) -> EmbeddingVector:
+    def embed_batch(self, images: np.ndarray) -> np.ndarray:
+        """Embed a (B, C, H, W) stack of images as (B, d_emb) rows."""
         raise NotImplementedError
 
-    def embed_batch(self, images: np.ndarray) -> np.ndarray:
-        """Embed a (B, C, H, W) stack of images; row i is ``embed(images[i])``.
-
-        This default calls ``embed`` once per image, so an adapter that
-        implements only ``embed`` works unchanged; override it to batch.
-        """
-        return np.stack([self.embed(ImageSample(image)).values for image in images])
-
     def embed_vjp(self, image: np.ndarray):
-        """One forward pass: ``(unit embedding, pullback)``.
+        """One forward pass: ``(embedding, pullback)``.
 
         ``pullback(embedding_cotangent)`` returns the image-space cotangent.
-        This default calls ``embed`` and its pullback raises
-        GradientUnavailable; an embedder with gradients overrides it.
+        This default embeds a batch of one, the image checked as an
+        ImageSample and the row as an EmbeddingVector, and its pullback
+        raises GradientUnavailable; an embedder with gradients overrides it.
         """
-        return (self.embed(ImageSample(image)).values,
-                _no_gradient(f"embedder {self.model_id!r}"))
+        rows, _ = _embedding_rows(self, ImageSample(image).values[None])
+        return EmbeddingVector(rows[0]).values, _no_gradient(f"embedder {self.model_id!r}")
 
 
 def _embedding_rows(embedder: EmbedderHandle,
@@ -137,13 +121,9 @@ class DetectorHandle:
 
     detector_id: str
 
-    def detect(self, image: ImageSample) -> float:
-        raise NotImplementedError
-
     def detect_batch(self, images: np.ndarray) -> list:
-        """Score a (B, C, H, W) stack of images; score i is ``detect(images[i])``.
-        This default calls ``detect`` once per image; override it to batch."""
-        return [self.detect(image) for image in ImageSample.stack(images)]
+        """Score a (B, C, H, W) stack of images: B confidences in [0, 1]."""
+        raise NotImplementedError
 
 
 def _generated_images(generator: GeneratorHandle, latents: np.ndarray) -> np.ndarray:
@@ -192,9 +172,6 @@ class SyntheticGenerator(GeneratorHandle):
         self.weight = rng.standard_normal((d_pix, self.d_lat)) / math.sqrt(self.d_lat)
         self.bias = 0.5 * rng.standard_normal(d_pix)
 
-    def generate(self, latent: LatentCode) -> ImageSample:
-        return ImageSample(self.generate_vjp(latent.values)[0])
-
     def generate_vjp(self, latent_values: np.ndarray):
         """The image and a pullback that reuses its tanh activation."""
         _check_latent(self, latent_values)
@@ -206,8 +183,9 @@ class SyntheticGenerator(GeneratorHandle):
         return act.reshape(self.output_shape), pullback
 
     def generate_batch(self, latents: np.ndarray) -> np.ndarray:
-        """One gemv per row, so row i equals ``generate(latents[i])`` bit for
-        bit; ``latents @ weight.T`` is a GEMM, which can differ in the last bits."""
+        """One gemv per row, so row i equals ``generate_vjp(latents[i])``'s
+        image bit for bit; ``latents @ weight.T`` is a GEMM, which can differ
+        in the last bits."""
         x = np.asarray(latents, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.d_lat:
             raise DimensionMismatch(f"latent stack shape {x.shape} != (B, {self.d_lat})")
@@ -237,11 +215,8 @@ class SyntheticEmbedder(EmbedderHandle):
         rng = np.random.default_rng(seed_seq)
         self.weight = rng.standard_normal((self.d_emb, d_pix)) / math.sqrt(d_pix)
 
-    def embed(self, image: ImageSample) -> EmbeddingVector:
-        return EmbeddingVector(self.embed_vjp(image.values)[0])
-
     def embed_batch(self, images: np.ndarray) -> np.ndarray:
-        """One matmul for the whole stack; the same checks as ``embed``."""
+        """One matmul for the whole stack; the same checks as ``embed_vjp``."""
         if images.ndim != 4 or images.shape[1:] != self.input_shape:
             raise ShapeMismatch(
                 f"embedder {self.model_id}: image stack shape {images.shape} != "
@@ -299,16 +274,20 @@ class SyntheticDetector(DetectorHandle):
         self.slope = float(slope)
         self.detector_id = detector_id
 
-    def detect(self, image: ImageSample) -> float:
-        if image.shape != self.input_shape:
+    def detect_batch(self, images: np.ndarray) -> list:
+        """One dot product per image: a matrix product could move scores' bits."""
+        images = np.asarray(images, dtype=np.float64)
+        if images.shape[1:] != self.input_shape:
             raise ShapeMismatch(
-                f"detector {self.detector_id}: image shape {image.shape} != "
-                f"{self.input_shape}")
-        flat = image.flat()
-        norm = np.linalg.norm(flat)
-        corr = 0.0 if norm == 0.0 else float(flat @ self.template / norm)
-        score = 1.0 / (1.0 + math.exp(-self.slope * (corr - self.offset)))
-        return min(1.0, max(0.0, score))
+                f"detector {self.detector_id}: image stack shape {images.shape} "
+                f"!= (B,) + {self.input_shape}")
+        scores = []
+        for flat in images.reshape(-1, self.template.size):
+            norm = np.linalg.norm(flat)
+            corr = 0.0 if norm == 0.0 else float(flat @ self.template / norm)
+            score = 1.0 / (1.0 + math.exp(-self.slope * (corr - self.offset)))
+            scores.append(min(1.0, max(0.0, score)))
+        return scores
 
 
 @dataclass(frozen=True, eq=False)

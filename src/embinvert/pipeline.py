@@ -34,7 +34,8 @@ MODE_BLACKBOX = "blackbox"
 @dataclass(frozen=True)
 class AttackResult:
     """The chosen candidate's refined latent, whose image is
-    ``generator.generate(refined_latent)``, and the attack's accounting."""
+    ``generator.generate_batch(refined_latent.values[None])[0]``, and the
+    attack's accounting."""
 
     refined_latent: LatentCode
     chosen_rank: int

@@ -78,10 +78,22 @@ def write_results(path, records: Sequence[dict]):
 
 
 def _is_real(value) -> bool:
-    """A finite real number, numpy scalars included; not a bool.  int and
-    float come first so that JSON values skip the slower ABC check."""
-    return (isinstance(value, (int, float, numbers.Real))
-            and not isinstance(value, bool) and math.isfinite(value))
+    """A finite real number within float range, numpy scalars included;
+    not a bool.  int and float come first to skip the slower ABC check."""
+    try:
+        return (isinstance(value, (int, float, numbers.Real))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+def _all_real(values) -> bool:
+    """Every JSON value in ``values`` is a finite int or float within float
+    range; one type check and one finiteness pass for the whole list."""
+    try:
+        return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
+    except OverflowError:
+        return False
 
 
 def _is_count(value) -> bool:
@@ -108,7 +120,7 @@ def check_result_record(rec, where: str):
     if rec["error"] is not None:
         return
     latent = rec.get("refined_latent")
-    if not (isinstance(latent, list) and latent and all(map(_is_real, latent))):
+    if not (isinstance(latent, list) and latent and _all_real(latent)):
         bad("'refined_latent' must be a non-empty list of finite numbers")
     ledger = rec.get("ledger")
     if not (isinstance(ledger, dict) and _is_count(ledger.get("total"))):

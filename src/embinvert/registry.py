@@ -36,8 +36,9 @@ def register_calibration_source(source_id: str, factory: Callable):
     _calibration_sources[source_id] = factory
 
 
-def _create(table, kind, key, config, base):
-    """``table[key](config)``; ConfigInvalid unless it is a ``base``."""
+def _create(table, kind, key, config, base, forward=None):
+    """``table[key](config)``; ConfigInvalid unless it is a ``base`` whose
+    class implements the ``forward`` method, if one is named."""
     if key not in table:
         raise UnknownModel(f"no {kind} registered under id {key!r}")
     created = table[key](config)
@@ -45,22 +46,26 @@ def _create(table, kind, key, config, base):
         raise ConfigInvalid(
             f"{kind} factory {key!r} returned a {type(created).__name__}; "
             f"expected {base.__name__}")
+    if forward and getattr(type(created), forward) is getattr(base, forward):
+        raise ConfigInvalid(
+            f"{kind} factory {key!r} returned a {type(created).__name__} "
+            f"that does not implement {forward}")
     return created
 
 
 def create_generator(generator_id: str, config) -> GeneratorHandle:
     return _create(_generator_factories, "generator", generator_id, config,
-                   GeneratorHandle)
+                   GeneratorHandle, "generate_batch")
 
 
 def create_embedder(model_id: str, config) -> EmbedderHandle:
     return _create(_embedder_factories, "embedder", model_id, config,
-                   EmbedderHandle)
+                   EmbedderHandle, "embed_batch")
 
 
 def create_detector(detector_id: str, config) -> DetectorHandle:
     return _create(_detector_factories, "detector", detector_id, config,
-                   DetectorHandle)
+                   DetectorHandle, "detect_batch")
 
 
 def create_calibration_source(source_id: str, config):

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from embinvert import cli, evaluation, registry
+from embinvert.core import EmbeddingVector, ImageSample
 from embinvert.models import WorldConfig, make_synthetic_world
 from embinvert.pool import build_pool
 
@@ -11,6 +13,19 @@ settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
 DESK_SEED = 7
+
+
+def forward(handle, x):
+    """``handle`` on one sample ``x`` (a LatentCode, an ImageSample or an
+    array): a generator's image as an ImageSample and an embedder's
+    embedding as an EmbeddingVector, each from its ``*_vjp``, the attack's
+    own arithmetic; a detector's score from a batch of one."""
+    values = np.asarray(getattr(x, "values", x))
+    if hasattr(handle, "generate_vjp"):
+        return ImageSample(handle.generate_vjp(values)[0])
+    if hasattr(handle, "embed_vjp"):
+        return EmbeddingVector(handle.embed_vjp(values)[0])
+    return handle.detect_batch(values[None])[0]
 
 
 def world_tau_F(world):

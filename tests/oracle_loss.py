@@ -11,12 +11,14 @@ from embinvert.core import EmbeddingVector, LatentCode, _cosine, cosine_similari
 from embinvert.errors import GradientUnavailable
 from embinvert.models import EmbedderHandle, GeneratorHandle
 
+from conftest import forward
+
 
 def loss_eval(g: GeneratorHandle, f: EmbedderHandle, latent: LatentCode,
               target: EmbeddingVector) -> float:
     """Objective value: cosine similarity of the generated image's embedding
     with the target embedding."""
-    return cosine_similarity(f.embed(g.generate(latent)), target)
+    return cosine_similarity(forward(f, forward(g, latent)), target)
 
 
 def loss_gradient(g: GeneratorHandle, f: EmbedderHandle, latent: LatentCode,

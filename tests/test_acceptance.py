@@ -40,7 +40,7 @@ from oracle_normality import oracle_k2, oracle_kurt_z, oracle_skew_z
 from test_evaluation import TOY_TAU_F, eer_sweep_oracle, toy_cases
 from test_refine import RecordingSession
 
-from conftest import world_tau_F
+from conftest import forward, world_tau_F
 
 SEED = 7
 
@@ -69,7 +69,7 @@ def world_targets(world, count):
         k = idx % world.config.n_identities
         j = (idx // world.config.n_identities) % per
         rec = world.identities[k]
-        out.append((k, j, ei.TargetSpec(f0.embed(rec.images[j]), f0.model_id)))
+        out.append((k, j, ei.TargetSpec(forward(f0, rec.images[j]), f0.model_id)))
     return out
 
 
@@ -297,7 +297,7 @@ def test_criterion_07_end_to_end_desk_efficacy():
         reached += result.final_similarity >= 0.95
         initials.append(result.candidates[0].initial_similarity)
         finals.append(result.final_similarity)
-        reconstructions.append(world.generator.generate(result.refined_latent))
+        reconstructions.append(forward(world.generator, result.refined_latent))
         random_entry = pool.entries[baseline_rng.integers(0, len(pool.entries))]
         baseline_images.append(random_entry.image)
     attack_t2 = type2_rates(world, targets, reconstructions, f1, tau_F1)
@@ -338,7 +338,7 @@ def test_criterion_08_ablation_trends(transfer_world, transfer_pool):
         reconstructions, queries = [], []
         for k, j, spec in targets:
             result = run_attack(spec, transfer_pool, settings, world)
-            reconstructions.append(world.generator.generate(result.refined_latent))
+            reconstructions.append(forward(world.generator, result.refined_latent))
             queries.append(result.ledger.total)
         return (type2_rates(world, targets, reconstructions, f1, tau_F1),
                 np.array(queries))

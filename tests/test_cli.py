@@ -27,6 +27,7 @@ from embinvert.config import (
 from embinvert.errors import AllCandidatesFailed, ConfigInvalid, EmbinvertError
 from embinvert.models import (
     DetectorHandle,
+    EmbedderHandle,
     QueryLedger,
     SyntheticDetector,
     SyntheticEmbedder,
@@ -35,6 +36,7 @@ from embinvert.models import (
 )
 from embinvert.records import read_results, read_thresholds, write_thresholds
 
+from conftest import forward
 from test_evaluation import confidence_loop_reference
 from test_models import PlainEmbedder, PlainGenerator
 from test_pool import reseal
@@ -731,7 +733,7 @@ def toy_identity_images(config):
     for _ in range(4):
         center = rng.standard_normal(config.d_lat)
         groups.append(tuple(
-            gen.generate(LatentCode(center + 0.3 * rng.standard_normal(config.d_lat)))
+            forward(gen, LatentCode(center + 0.3 * rng.standard_normal(config.d_lat)))
             for _ in range(3)))
     return groups
 
@@ -791,15 +793,17 @@ class TestAdapterRegistry:
         assert set(by_model) == {"toy-emb-a", "toy-emb-b"}
 
     def test_forward_only_adapters(self, tmp_path, capsys):
-        # Black-box needs no gradient; white-box fails each target with
-        # GradientUnavailable in its record.
+        # Calibration, reporting and black-box need no gradient; white-box
+        # fails each target with GradientUnavailable in its record.
         register_toy_adapters(toy_identity_images, forward_only=True)
         cfg_path, config = write_toy_adapter_config(
             tmp_path, mode="blackbox", t_max=None, q_max=100)
-        assert main(["build-pool", "--config", str(cfg_path)]) == 0
-        assert main(["attack", "--config", str(cfg_path)]) == 0
+        for command in ("build-pool", "calibrate", "attack", "report"):
+            assert main([command, "--config", str(cfg_path)]) == 0
         assert all(r.get("error") is None
                    for r in read_results(config.results_path))
+        assert set(read_thresholds(config.thresholds_path)) == {"toy-emb-a", "toy-emb-b"}
+        assert os.path.exists(config.report_path)
         cfg_path, config = write_toy_adapter_config(tmp_path)
         capsys.readouterr()
         assert main(["attack", "--config", str(cfg_path)]) == 5
@@ -831,14 +835,33 @@ class TestAdapterRegistry:
         assert "error: detector factory 'toy-det' returned a str" in err
         assert not os.path.exists(config.pool_path)
 
+    def test_adapter_without_its_batch_method_exits_2(self, tmp_path, capsys):
+        class SingleImageEmbedder(EmbedderHandle):
+            """Written to the older contract: ``embed`` without ``embed_batch``."""
+
+            model_id, d_emb, tau_F = "toy-emb-b", 24, 0.5
+
+            def embed(self, image):
+                raise AssertionError("never reached")
+
+        register_toy_adapters(toy_identity_images)
+        registry.register_embedder("toy-emb-b", lambda config: SingleImageEmbedder())
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("error: embedder factory 'toy-emb-b' returned a SingleImageEmbedder "
+                "that does not implement embed_batch") in err
+        assert not os.path.exists(config.pool_path)
+
     @pytest.mark.parametrize("score", [1.0000001, -1e-9, float("nan"), None, "1"])
     def test_detector_score_outside_the_unit_interval_exits_2(
             self, tmp_path, capsys, score):
         class OverconfidentDetector(DetectorHandle):
             detector_id = "toy-det"
 
-            def detect(self, image):
-                return score
+            def detect_batch(self, images):
+                return [score] * len(images)
 
         register_toy_adapters(toy_identity_images)
         registry.register_detector("toy-det", lambda config: OverconfidentDetector())
@@ -888,8 +911,8 @@ class TestAdapterRegistry:
         assert "error: detector 'toy-det' returned scores of shape" in err
         assert not os.path.exists(config.pool_path)
 
-    @pytest.mark.parametrize("tau_F", ["high", float("nan"), float("inf"), True],
-                             ids=["string", "nan", "inf", "bool"])
+    @pytest.mark.parametrize("tau_F", ["high", float("nan"), float("inf"), True, 10**400],
+                             ids=["string", "nan", "inf", "bool", "int-beyond-float"])
     def test_adapter_tau_f_other_than_a_finite_number_exits_2(
             self, tmp_path, capsys, tau_F):
         register_toy_adapters(toy_identity_images)

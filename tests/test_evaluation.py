@@ -31,7 +31,7 @@ from embinvert.models import (
     make_synthetic_world,
 )
 
-from conftest import DESK_SEED, world_tau_F
+from conftest import DESK_SEED, forward, world_tau_F
 
 
 def eer_sweep_oracle(genuine, impostor):
@@ -140,7 +140,7 @@ class TestComputeEerThreshold:
 class GramEmbedder(EmbedderHandle):
     """Embedder whose images carry their own embedding in the table.
 
-    It implements only ``embed``; ``embed_batch`` is the inherited default.
+    It implements only ``embed_batch``, one table lookup per image.
     """
 
     model_id = "gram"
@@ -151,9 +151,9 @@ class GramEmbedder(EmbedderHandle):
     def __init__(self, table):
         self.table = table
 
-    def embed(self, image):
-        return EmbeddingVector(self.table[hashlib.sha256(
-            image.values.tobytes()).hexdigest()])
+    def embed_batch(self, images):
+        return np.stack([self.table[hashlib.sha256(image.tobytes()).hexdigest()]
+                         for image in images])
 
 
 def images_with_gram(sims_matrix):
@@ -362,8 +362,8 @@ class TestCrossModelReport:
             tau_F = 0.5
             d_emb = 32
 
-            def embed(self, image):
-                return desk_world.embedders[0].embed(image)
+            def embed_batch(self, images):
+                return desk_world.embedders[0].embed_batch(images)
 
         # The mapping is the only source: a model's own tau_F is not read.
         with pytest.raises(ConfigInvalid, match="no tau_F for eval model 'bare'"):
@@ -382,7 +382,7 @@ class TestCrossModelReport:
 # here as the reference it must reproduce.
 
 def calibration_loop_reference(images_by_identity, embedder, seed):
-    embeddings = [[embedder.embed(img) for img in group]
+    embeddings = [[forward(embedder, img) for img in group]
                   for group in images_by_identity]
     genuine = [
         cosine_similarity(group[a], group[b])
@@ -401,7 +401,7 @@ def calibration_loop_reference(images_by_identity, embedder, seed):
 
 
 def confidence_loop_reference(images_by_identity, embedder):
-    embeddings = [[embedder.embed(img) for img in group]
+    embeddings = [[forward(embedder, img) for img in group]
                   for group in images_by_identity]
     return max(cosine_similarity(group[a], group[b])
                for group in embeddings
@@ -413,9 +413,9 @@ def report_rows_loop_reference(cases, eval_models, thresholds):
     for case in cases:
         for model in eval_models:
             tau_F = thresholds[model.model_id]
-            rec_emb = model.embed(case.reconstruction)
-            sim = cosine_similarity(rec_emb, model.embed(case.target_image))
-            hits = sum(decide_match(cosine_similarity(rec_emb, model.embed(alt)),
+            rec_emb = forward(model, case.reconstruction)
+            sim = cosine_similarity(rec_emb, forward(model, case.target_image))
+            hits = sum(decide_match(cosine_similarity(rec_emb, forward(model, alt)),
                                     tau_F)
                        for alt in case.alt_images)
             rows.append((sim, decide_match(sim, tau_F),
@@ -441,16 +441,16 @@ def reference_world(request):
 
 
 class CountingEmbedder(SyntheticEmbedder):
-    """A synthetic embedder that counts its ``embed``/``embed_batch`` calls."""
+    """A synthetic embedder that counts its ``embed_batch``/``embed_vjp`` calls."""
 
     def __init__(self, inner):
         self.__dict__.update(inner.__dict__)
-        self.embed_calls = 0
+        self.vjp_calls = 0
         self.batch_calls = 0
 
-    def embed(self, image):
-        self.embed_calls += 1
-        return super().embed(image)
+    def embed_vjp(self, image):
+        self.vjp_calls += 1
+        return super().embed_vjp(image)
 
     def embed_batch(self, images):
         self.batch_calls += 1
@@ -560,10 +560,10 @@ class TestBatchedEvaluationCalls:
         cases = evaluation_cases(desk_world, 5)
         emb = CountingEmbedder(desk_world.embedders[0])
         calibration_set_from_images(groups, emb, seed=1)
-        assert (emb.batch_calls, emb.embed_calls) == (1, 0)
+        assert (emb.batch_calls, emb.vjp_calls) == (1, 0)
         models = [CountingEmbedder(e) for e in desk_world.embedders]
         cross_model_report(cases, models, world_tau_F(desk_world))
-        assert [(m.batch_calls, m.embed_calls) for m in models] == [(1, 0), (1, 0)]
+        assert [(m.batch_calls, m.vjp_calls) for m in models] == [(1, 0), (1, 0)]
 
 
 class TestBatchedEvaluationErrors:

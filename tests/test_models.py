@@ -16,7 +16,6 @@ from embinvert.errors import (
 from embinvert.evaluation import calibration_set_from_images, compute_eer_threshold
 from embinvert.models import (
     AttackSession,
-    DetectorHandle,
     EmbedderHandle,
     GeneratorHandle,
     QueryLedger,
@@ -28,50 +27,50 @@ from embinvert.models import (
 )
 from embinvert.pool import sample_latent
 
-from conftest import DESK_SEED, world_tau_F
+from conftest import DESK_SEED, forward, world_tau_F
 from oracle_loss import loss_eval, loss_gradient
 
 
 class TestSyntheticGenerator:
     def test_zero_latent_reproduces_bias_field(self, desk_world):
         g = desk_world.generator
-        out = g.generate(LatentCode(np.zeros(g.d_lat)))
+        out = forward(g, LatentCode(np.zeros(g.d_lat)))
         expected = np.tanh(g.bias).reshape(g.output_shape)
         assert np.array_equal(out.values, expected)
 
     def test_deterministic(self, desk_world):
         g = desk_world.generator
         lat = sample_latent(g.d_lat, 123)
-        a, b = g.generate(lat), g.generate(lat)
+        a, b = forward(g, lat), forward(g, lat)
         assert a == b
 
     def test_output_shape_and_range(self, desk_world):
         g = desk_world.generator
-        out = g.generate(sample_latent(g.d_lat, 5))
+        out = forward(g, sample_latent(g.d_lat, 5))
         assert out.shape == g.output_shape
         assert np.all(out.values > -1) and np.all(out.values < 1)
 
     def test_wrong_latent_length_rejected(self, desk_world):
         with pytest.raises(DimensionMismatch):
-            desk_world.generator.generate(LatentCode(np.zeros(3)))
+            forward(desk_world.generator, LatentCode(np.zeros(3)))
 
 
 class TestSyntheticEmbedder:
     def test_unit_norm_output(self, desk_world):
         f = desk_world.embedders[0]
         img = desk_world.identities[0].images[0]
-        assert f.embed(img).norm == pytest.approx(1.0, abs=1e-9)
+        assert forward(f, img).norm == pytest.approx(1.0, abs=1e-9)
 
     def test_wrong_shape_rejected(self, desk_world):
         with pytest.raises(ShapeMismatch):
-            desk_world.embedders[0].embed(ImageSample(np.zeros((3, 4, 4))))
+            forward(desk_world.embedders[0], ImageSample(np.zeros((3, 4, 4))))
 
     def test_same_identity_pairs_pass_threshold(self, desk_world):
         f = desk_world.embedders[0]
         tau_F = world_tau_F(desk_world)[f.model_id]
         hits = total = 0
         for rec in desk_world.identities:
-            embs = [f.embed(img) for img in rec.images]
+            embs = [forward(f, img) for img in rec.images]
             for a in range(len(embs)):
                 for b in range(a + 1, len(embs)):
                     hits += cosine_similarity(embs[a], embs[b]) >= tau_F
@@ -88,8 +87,8 @@ class TestSyntheticEmbedder:
             i, j = rng.choice(len(desk_world.identities), 2, replace=False)
             a = rng.integers(0, 4)
             b = rng.integers(0, 4)
-            s = cosine_similarity(f.embed(desk_world.identities[i].images[a]),
-                                  f.embed(desk_world.identities[j].images[b]))
+            s = cosine_similarity(forward(f, desk_world.identities[i].images[a]),
+                                  forward(f, desk_world.identities[j].images[b]))
             hits += s < tau_F
         assert hits / trials >= 0.95
 
@@ -103,7 +102,7 @@ class TestEmbedBatch:
         stack = identity_image_stack(desk_world)
         for f in desk_world.embedders:
             batch = f.embed_batch(stack)
-            looped = np.stack([f.embed(ImageSample(img)).values for img in stack])
+            looped = np.stack([forward(f, ImageSample(img)).values for img in stack])
             assert batch.shape == (len(stack), f.d_emb)
             np.testing.assert_allclose(batch, looped, rtol=0, atol=1e-12)
 
@@ -121,24 +120,6 @@ class TestEmbedBatch:
         with pytest.raises(ZeroNormEmbedding):
             f.embed_batch(stack)
 
-    def test_default_calls_embed_once_per_image(self, desk_world):
-        inner = desk_world.embedders[0]
-
-        class EmbedOnly(EmbedderHandle):
-            d_emb = inner.d_emb
-            calls = 0
-
-            def embed(self, image):
-                self.calls += 1
-                return inner.embed(image)
-
-        stack = identity_image_stack(desk_world)[:5]
-        f = EmbedOnly()
-        out = f.embed_batch(stack)
-        assert f.calls == len(stack)
-        assert np.array_equal(
-            out, np.stack([inner.embed(ImageSample(img)).values for img in stack]))
-
 
 class TestGenerateBatch:
     @pytest.mark.parametrize("B", [0, 1, 7])
@@ -148,7 +129,7 @@ class TestGenerateBatch:
         batch = g.generate_batch(latents)
         assert batch.shape == (B,) + g.output_shape
         for row, x in zip(batch, latents):
-            assert np.array_equal(row, g.generate(LatentCode(x)).values)
+            assert np.array_equal(row, g.generate_vjp(x)[0])
 
     def test_identity_latents_give_the_worlds_images(self, desk_world):
         # One gemv per row: a GEMM here would move the last bits, and the
@@ -158,7 +139,7 @@ class TestGenerateBatch:
         images = [img for rec in desk_world.identities for img in rec.images]
         batch = g.generate_batch(latents)
         for row, x, image in zip(batch, latents, images):
-            assert np.array_equal(row, g.generate(LatentCode(x)).values)
+            assert np.array_equal(row, g.generate_vjp(x)[0])
             assert np.array_equal(row, image.values)
 
     @pytest.mark.parametrize("shape", [(64,), (2, 63), (1, 2, 64)])
@@ -167,54 +148,28 @@ class TestGenerateBatch:
             desk_world.generator.generate_batch(np.zeros(shape))
 
 
-class TestLoopingDefaults:
-    """An adapter that implements only ``generate``/``detect`` gets batch
-    methods that call them once per row."""
-
-    @pytest.mark.parametrize("B", [0, 1, 7])
-    def test_generate_batch_loops_generate(self, desk_world, B):
-        g = PlainGenerator(desk_world.generator)
-        latents = np.random.default_rng(B).standard_normal((B, g.d_lat))
-        batch = g.generate_batch(latents)
-        assert batch.shape == (B,) + g.output_shape
-        for row, x in zip(batch, latents):
-            assert np.array_equal(row, g.generate(LatentCode(x)).values)
-
-    @pytest.mark.parametrize("B", [0, 1, 7])
-    def test_detect_batch_loops_detect(self, desk_world, B):
-        inner = desk_world.detector
-
-        class DetectOnly(DetectorHandle):
-            detector_id = "detect-only"
-            calls = 0
-
-            def detect(self, image):
-                self.calls += 1
-                return inner.detect(image)
-
-        stack = identity_image_stack(desk_world)[:B]
-        d = DetectOnly()
-        scores = d.detect_batch(stack)
-        assert d.calls == B
-        assert scores == [inner.detect(ImageSample(img)) for img in stack]
-
-
 class TestSyntheticDetector:
     def test_identity_images_score_high(self, desk_world):
         d = desk_world.detector
         for rec in desk_world.identities:
             for img in rec.images:
-                assert d.detect(img) >= 0.999
+                assert forward(d, img) >= 0.999
+
+    @pytest.mark.parametrize("B", [0, 1, 7])
+    def test_batch_scores_equal_batches_of_one(self, desk_world, B):
+        d = desk_world.detector
+        stack = identity_image_stack(desk_world)[:B]
+        assert d.detect_batch(stack) == [d.detect_batch(img[None])[0] for img in stack]
 
     def test_zero_image_regression_value(self, desk_world):
         # Pinned on first run of the seed-7 world.
         zero = ImageSample(np.zeros(desk_world.config.image_shape))
-        assert desk_world.detector.detect(zero) == pytest.approx(
+        assert forward(desk_world.detector, zero) == pytest.approx(
             4.252928021431088e-24, rel=1e-9)
 
     def test_shape_mismatch_rejected(self, desk_world):
         with pytest.raises(ShapeMismatch):
-            desk_world.detector.detect(ImageSample(np.zeros((1, 2, 2))))
+            forward(desk_world.detector, ImageSample(np.zeros((1, 2, 2))))
 
     def test_input_shape_must_hold_the_template(self, desk_world):
         d = desk_world.detector
@@ -224,20 +179,20 @@ class TestSyntheticDetector:
         flat = SyntheticDetector(d.template, d.offset, d.slope,
                                  input_shape=(1, 1, d.template.size))
         with pytest.raises(ShapeMismatch):
-            flat.detect(desk_world.identities[0].images[0])
+            forward(flat, desk_world.identities[0].images[0])
 
     def test_confidence_in_unit_interval(self, desk_world):
         g = desk_world.generator
         for seed in range(20):
-            img = g.generate(sample_latent(g.d_lat, seed))
-            assert 0.0 <= desk_world.detector.detect(img) <= 1.0
+            img = forward(g, sample_latent(g.d_lat, seed))
+            assert 0.0 <= forward(desk_world.detector, img) <= 1.0
 
 
 class TestLossEval:
     def test_source_latent_scores_one(self, desk_world):
         g, f = desk_world.generator, desk_world.embedders[0]
         lat = sample_latent(g.d_lat, 77)
-        target = f.embed(g.generate(lat))
+        target = forward(f, forward(g, lat))
         assert loss_eval(g, f, lat, target) == pytest.approx(1.0, abs=1e-6)
 
     def test_random_latent_vs_random_target_is_uninformative(self):
@@ -299,7 +254,7 @@ class TestLossGradient:
     def test_vanishes_at_global_maximum(self, desk_world):
         g, f = desk_world.generator, desk_world.embedders[0]
         lat = sample_latent(g.d_lat, 31)
-        target = f.embed(g.generate(lat))  # loss(lat) == 1, the global max
+        target = forward(f, forward(g, lat))  # loss(lat) == 1, the global max
         assert np.linalg.norm(loss_gradient(g, f, lat, target)) < 1e-6
 
     def test_blackbox_session_refuses_gradients(self, desk_world):
@@ -316,7 +271,7 @@ def random_target(rng, d_emb):
 
 
 class PlainGenerator(GeneratorHandle):
-    """A forward-only adapter: it implements only generate."""
+    """A forward-only adapter: it implements only generate_batch."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -324,12 +279,13 @@ class PlainGenerator(GeneratorHandle):
         self.output_shape = inner.output_shape
         self.generator_id = inner.generator_id
 
-    def generate(self, latent):
-        return self.inner.generate(latent)
+    def generate_batch(self, latents):
+        return self.inner.generate_batch(latents)
 
 
 class PlainEmbedder(EmbedderHandle):
-    """A forward-only adapter: it implements only embed."""
+    """A forward-only adapter: it implements only embed_batch, one image at
+    a time through its inner embedder's own single-image arithmetic."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -337,8 +293,8 @@ class PlainEmbedder(EmbedderHandle):
         self.tau_F = inner.tau_F
         self.model_id = inner.model_id
 
-    def embed(self, image):
-        return self.inner.embed(image)
+    def embed_batch(self, images):
+        return np.stack([forward(self.inner, image).values for image in images])
 
 
 class TestValueAndGrad:
@@ -381,8 +337,8 @@ class TestValueAndGrad:
             assert ledger.total == charged
         image, generator_pullback = plain_g.generate_vjp(x)
         embedding, embedder_pullback = plain_f.embed_vjp(image)
-        assert np.array_equal(image, g.generate(LatentCode(x)).values)
-        assert np.array_equal(embedding, f.embed(ImageSample(image)).values)
+        assert np.array_equal(image, forward(g, LatentCode(x)).values)
+        assert np.array_equal(embedding, forward(f, ImageSample(image)).values)
         with pytest.raises(GradientUnavailable, match=f.model_id):
             embedder_pullback(target.values)
         with pytest.raises(GradientUnavailable, match=g.generator_id):
@@ -394,7 +350,7 @@ class TestValueAndGrad:
         g, f = desk_world.generator, desk_world.embedders[0]
         ledger = QueryLedger(q_max=1)
         session = AttackSession(g, f, ledger, allow_gradient=True)
-        target = f.embed(desk_world.identities[0].images[0])
+        target = forward(f, desk_world.identities[0].images[0])
         _, grad_fn = session.value_and_grad(np.zeros(g.d_lat), target)
         assert (ledger.q_topn, ledger.q_adv) == (0, 1)
         grad_fn()
@@ -407,7 +363,7 @@ class TestValueAndGrad:
         g, f = desk_world.generator, desk_world.embedders[0]
         ledger = QueryLedger()
         session = AttackSession(g, f, ledger, allow_gradient=False)
-        target = f.embed(desk_world.identities[0].images[0])
+        target = forward(f, desk_world.identities[0].images[0])
         with pytest.raises(GradientUnavailable):
             session.value_and_grad(np.zeros(g.d_lat), target)
         assert ledger.total == 0
@@ -416,7 +372,7 @@ class TestValueAndGrad:
         g, f = desk_world.generator, desk_world.embedders[0]
         session = AttackSession(g, PlainEmbedder(f), QueryLedger(),
                                 allow_gradient=True)
-        target = f.embed(desk_world.identities[0].images[0])
+        target = forward(f, desk_world.identities[0].images[0])
         with pytest.raises(GradientUnavailable):
             session.value_and_grad(np.zeros(g.d_lat), target)
         # The objective alone needs no gradient.
@@ -432,7 +388,7 @@ class TestValueAndGrad:
     def test_boundary_checks_kept(self, desk_world):
         g, f = desk_world.generator, desk_world.embedders[0]
         session = AttackSession(g, f, QueryLedger(), allow_gradient=True)
-        target = f.embed(desk_world.identities[0].images[0])
+        target = forward(f, desk_world.identities[0].images[0])
         with pytest.raises(DimensionMismatch):
             session.value_and_grad(np.zeros(5), target)
         with pytest.raises(DimensionMismatch):
@@ -464,20 +420,12 @@ class TestValueAndGrad:
             return wrapped
 
         class CountingGenerator(SyntheticGenerator):
-            def generate(self, latent):
-                count("generate")
-                return super().generate(latent)
-
             def generate_vjp(self, latent_values):
                 count("generator forward")
                 image, pullback = super().generate_vjp(latent_values)
                 return image, counted(pullback, "generator backward")
 
         class CountingEmbedder(SyntheticEmbedder):
-            def embed(self, image):
-                count("embed")
-                return super().embed(image)
-
             def embed_vjp(self, image):
                 count("embedder forward")
                 embedding, pullback = super().embed_vjp(image)
@@ -489,7 +437,7 @@ class TestValueAndGrad:
                              np.random.SeedSequence([DESK_SEED, 1, 0]), model_id="counted")
         assert np.array_equal(g.weight, g0.weight) and np.array_equal(f.weight, f0.weight)
         session = AttackSession(g, f, QueryLedger(), allow_gradient=True)
-        target = f0.embed(desk_world.identities[2].images[1])
+        target = forward(f0, desk_world.identities[2].images[1])
         r = refine_whitebox(sample_latent(g.d_lat, 40), target, session,
                             PerturbationBudget("l2", 35.0), t_max=50, tau_C=2.0)
         assert r.queries_used == 51 and r.iterations_used == 50
@@ -573,7 +521,7 @@ class TestQueryLedger:
         g, f = desk_world.generator, desk_world.embedders[0]
         ledger = QueryLedger()
         session = AttackSession(g, f, ledger, allow_gradient=True)
-        target = f.embed(desk_world.identities[0].images[0])
+        target = forward(f, desk_world.identities[0].images[0])
         session.loss(np.zeros(g.d_lat), target)
         session.loss(np.zeros(g.d_lat), target)
         assert ledger.q_adv == 2 and ledger.q_topn == 0
@@ -582,7 +530,7 @@ class TestQueryLedger:
         g, f = desk_world.generator, desk_world.embedders[0]
         ledger = QueryLedger()
         session = AttackSession(g, f, ledger, allow_gradient=True)
-        target = f.embed(desk_world.identities[0].images[0])
+        target = forward(f, desk_world.identities[0].images[0])
         _, grad_fn = session.value_and_grad(np.zeros(g.d_lat), target)
         assert ledger.total == 1
         grad_fn()

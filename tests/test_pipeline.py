@@ -29,7 +29,9 @@ from embinvert.refine import (
     RefineResult,
     refine_whitebox,
 )
+from conftest import forward
 from test_evaluation import CountingEmbedder
+from test_models import PlainEmbedder, PlainGenerator
 
 
 class TestComputeTmax:
@@ -58,7 +60,7 @@ def _session(world, mode, q_max=None):
 
 
 def _target(world, identity=0, image=0):
-    return world.embedders[0].embed(world.identities[identity].images[image])
+    return forward(world.embedders[0], world.identities[identity].images[image])
 
 
 def whitebox_adversary(pool, ranked, target, session, budget, tau_C, t_max):
@@ -72,7 +74,7 @@ class TestRankedAdversary:
     def test_rank_one_already_confident_stops_immediately(self, desk_world, desk_pool):
         # A target built from a pool entry itself: rank 1 scores 1.0 outright.
         f = desk_world.embedders[0]
-        target = f.embed(desk_pool.entries[5].image)
+        target = forward(f, desk_pool.entries[5].image)
         session = _session(desk_world, MODE_WHITEBOX)
         ranked = rank_candidates(desk_pool, target, f, 3, session.ledger)
         result = whitebox_adversary(desk_pool, ranked, target, session,
@@ -99,7 +101,7 @@ class TestRankedAdversary:
     def test_pinned_rank_overtake_case(self, desk_world, desk_pool):
         # Found by seed search: at eps 2.5 the rank-2 start refines past rank 1.
         f = desk_world.embedders[0]
-        target = f.embed(desk_world.identities[14].images[3])
+        target = forward(f, desk_world.identities[14].images[3])
         session = _session(desk_world, MODE_WHITEBOX)
         ranked = rank_candidates(desk_pool, target, f, 3, session.ledger)
         result = whitebox_adversary(desk_pool, ranked, target, session,
@@ -268,7 +270,7 @@ WHITEBOX_SETTINGS = AttackSettings(
 def make_spec(world, identity=0, image=0, with_identity_id=True):
     f = world.embedders[0]
     return TargetSpec(
-        target_embedding=f.embed(world.identities[identity].images[image]),
+        target_embedding=forward(f, world.identities[identity].images[image]),
         target_model_id=f.model_id,
         identity_id=world.identities[identity].identity_id if with_identity_id else None,
     )
@@ -304,8 +306,8 @@ class TestRunAttack:
         b = run_attack(make_spec(desk_world, identity=2), desk_pool,
                        WHITEBOX_SETTINGS, desk_world)
         assert a.refined_latent == b.refined_latent
-        generate = desk_world.generator.generate
-        assert generate(a.refined_latent) == generate(b.refined_latent)
+        g = desk_world.generator
+        assert forward(g, a.refined_latent) == forward(g, b.refined_latent)
         assert a.final_similarity == b.final_similarity
         assert a.chosen_rank == b.chosen_rank
         assert a.ledger.total == b.ledger.total
@@ -359,7 +361,7 @@ class TestRunAttack:
             k = idx % 20
             j = (idx // 20) % 6
             targets.append(TargetSpec(
-                f0.embed(world.identities[k].images[j]), f0.model_id))
+                forward(f0, world.identities[k].images[j]), f0.model_id))
         rates = []
         for q_max in (2000, 5000, 10_000, 20_000):
             settings = AttackSettings(
@@ -392,15 +394,49 @@ class TestRunAttack:
                                   budget=PerturbationBudget("l2", 35.0),
                                   tau_C=0.9, n_top=3, t_max=5)
         ids = desk_world.identities
+        q_adv = 0
         for k in range(50):
             f = desk_world.embedders[k % len(desk_world.embedders)]
             rec = ids[k % len(ids)]
-            spec = TargetSpec(target_embedding=f.embed(rec.images[k % len(rec.images)]),
+            spec = TargetSpec(target_embedding=forward(f, rec.images[k % len(rec.images)]),
                               target_model_id=f.model_id)
             result = run_attack(spec, pool, settings, backend)
             assert result.ledger.q_topn == pool.V
+            q_adv += result.ledger.q_adv
         assert [e.batch_calls for e in backend.embedders] == [1] * len(backend.embedders)
-        assert all(e.embed_calls == 0 for e in backend.embedders)
+        # Refinement makes one embed_vjp call per charged query; selection
+        # never embeds pool images one at a time.
+        assert sum(e.vjp_calls for e in backend.embedders) == q_adv
+
+    @pytest.mark.parametrize("bad", ["generator", "embedder"])
+    def test_forward_only_adapter_output_is_checked(self, desk_world, desk_pool, bad):
+        # A forward-only generator with a pixel out of range, or embedder
+        # with a NaN row in refinement, raises instead of scoring -1.0.
+        class OutOfRangeGenerator(PlainGenerator):
+            def generate_batch(self, latents):
+                images = super().generate_batch(latents)
+                images[:, 0, 0, 0] = 1.5
+                return images
+
+        class NaNRowEmbedder(PlainEmbedder):
+            def embed_batch(self, images):
+                rows = super().embed_batch(images)
+                if len(images) == 1:
+                    rows[0, 0] = np.nan
+                return rows
+
+        backend = Backend()
+        backend.generator = (OutOfRangeGenerator if bad == "generator"
+                             else PlainGenerator)(desk_world.generator)
+        backend.embedders = ((NaNRowEmbedder if bad == "embedder" else PlainEmbedder)(
+            desk_world.embedders[0]),)
+        settings = AttackSettings(mode=MODE_BLACKBOX,
+                                  budget=PerturbationBudget("l2", 35.0),
+                                  tau_C=0.95, n_top=3, q_max=500)
+        with pytest.raises(ValueError, match="pixel values" if bad == "generator"
+                           else "finite"):
+            run_attack(make_spec(desk_world), dataclasses.replace(desk_pool),
+                       settings, backend)
 
     @pytest.mark.parametrize("q_max", [50, 100, 102])
     def test_budget_rejected_before_any_embedding(self, desk_world, desk_pool,
@@ -416,7 +452,7 @@ class TestRunAttack:
             raise AssertionError("selection ran before the budget check")
 
         monkeypatch.setattr(type(embedder), "embed_batch", trap)
-        monkeypatch.setattr(type(embedder), "embed", trap)
+        monkeypatch.setattr(type(embedder), "embed_vjp", trap)
         settings = AttackSettings(mode=MODE_BLACKBOX,
                                   budget=PerturbationBudget("l2", 35.0),
                                   tau_C=0.95, n_top=3, q_max=q_max)

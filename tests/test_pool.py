@@ -37,6 +37,8 @@ from embinvert.pool import (
     save_pool,
 )
 
+from conftest import forward
+
 
 class TestSampleLatent:
     def test_same_seed_is_identical(self):
@@ -197,9 +199,6 @@ class _ScriptedDetector(DetectorHandle):
         self._scores = iter(scores)
         self.batch_sizes = []
 
-    def detect(self, image):
-        return next(self._scores)
-
     def detect_batch(self, images):
         self.batch_sizes.append(len(images))
         return [next(self._scores) for _ in images]
@@ -210,21 +209,21 @@ class TestScreenFace:
 
     def test_identity_image_accepted_at_paper_threshold(self, desk_world):
         image = desk_world.identities[3].images[1]
-        assert desk_world.detector.detect(image) >= 0.999
+        assert forward(desk_world.detector, image) >= 0.999
 
     def test_threshold_above_one_rejects_any_image(self, desk_world):
         # Confidences never exceed 1, and the build refuses a tau_D above 1
         # before drawing, so no image passes a threshold above 1.
         for rec in desk_world.identities[:5]:
             for image in rec.images:
-                assert desk_world.detector.detect(image) <= 1.0
+                assert forward(desk_world.detector, image) <= 1.0
         with pytest.raises(ConfigInvalid):
             build_pool(desk_world.generator, desk_world.detector, V=1,
                        tau_K=0.0, tau_D=1.0 + 1e-9, build_seed=0)
 
     def test_zero_image_rejected_per_pinned_score(self, desk_world):
         zero = ImageSample(np.zeros(desk_world.config.image_shape))
-        p_D = desk_world.detector.detect(zero)
+        p_D = forward(desk_world.detector, zero)
         assert not p_D >= 0.999
         assert p_D == pytest.approx(4.252928021431088e-24, rel=1e-9)
 
@@ -340,14 +339,14 @@ class TestBuildPool:
 
     def test_cached_images_match_regeneration(self, desk_world, quick_pool):
         entry = quick_pool.entries[0]
-        regen = desk_world.generator.generate(entry.latent)
+        regen = forward(desk_world.generator, entry.latent)
         as_stored = regen.values.astype(np.float32).astype(np.float64)
         assert np.array_equal(entry.image.values, as_stored)
 
 
 class _CountingGenerator(GeneratorHandle):
     """Forwards to ``inner`` and appends every latent row it generates to
-    ``calls``, whether through ``generate`` or ``generate_batch``."""
+    ``calls``."""
 
     def __init__(self, inner, calls):
         self._inner = inner
@@ -355,10 +354,6 @@ class _CountingGenerator(GeneratorHandle):
         self.d_lat = inner.d_lat
         self.output_shape = inner.output_shape
         self.generator_id = inner.generator_id
-
-    def generate(self, latent):
-        self._calls.append(latent.values)
-        return self._inner.generate(latent)
 
     def generate_batch(self, latents):
         self._calls.extend(latents)

@@ -12,13 +12,12 @@ from embinvert.errors import ConfigInvalid, DimensionMismatch, ZeroNormEmbedding
 from embinvert.models import EmbedderHandle, QueryLedger, SyntheticEmbedder
 from embinvert.ranking import rank_candidates
 
+from conftest import forward
+
 
 class ScriptedEmbedder(EmbedderHandle):
-    """Maps images to prescribed embeddings keyed by image bytes.
-
-    Implements only ``embed``; selection reaches it through the inherited
-    per-image ``embed_batch``.
-    """
+    """Maps images to prescribed embeddings keyed by image bytes, one
+    lookup per image in ``embed_batch``; ``embedded`` counts the images."""
 
     model_id = "scripted"
     tau_F = 0.5
@@ -27,17 +26,17 @@ class ScriptedEmbedder(EmbedderHandle):
     def __init__(self, table, d_emb=3):
         self.table = table
         self.d_emb = d_emb
-        self.embed_calls = 0
+        self.embedded = 0
 
-    def embed(self, image):
-        self.embed_calls += 1
-        digest = hashlib.sha256(image.values.tobytes()).hexdigest()
-        return EmbeddingVector(self.table[digest])
+    def embed_batch(self, images):
+        self.embedded += len(images)
+        return np.stack([self.table[hashlib.sha256(image.tobytes()).hexdigest()]
+                         for image in images])
 
 
 class RowsEmbedder(EmbedderHandle):
-    """Returns prescribed rows from ``embed_batch``; unlike ``embed``, that
-    path has no finiteness check, so an adapter may return NaN there."""
+    """Returns prescribed rows from ``embed_batch``, which has no
+    finiteness check of its own, so an adapter may return NaN there."""
 
     model_id = "rows"
     tau_F = 0.5
@@ -65,7 +64,7 @@ TARGET = EmbeddingVector(np.array([1.0, 0.0, 0.0]))
 
 def looped_ranking(pool, target, embedder):
     """Reference: one embed and one cosine_similarity per pool entry."""
-    sims = np.array([cosine_similarity(embedder.embed(entry.image), target)
+    sims = np.array([cosine_similarity(forward(embedder, entry.image), target)
                      for entry in pool.entries])
     order = np.lexsort((np.arange(len(sims)), -sims))
     return [int(j) for j in order], sims
@@ -91,7 +90,7 @@ class TestRankCandidates:
     def test_embed_called_once_per_entry(self, quick_pool):
         embedder = scripted_for(quick_pool, np.zeros(len(quick_pool.entries)))
         rank_candidates(quick_pool, TARGET, embedder, len(quick_pool.entries))
-        assert embedder.embed_calls == len(quick_pool.entries)
+        assert embedder.embedded == len(quick_pool.entries)
 
     def test_ties_break_by_ascending_pool_index(self, quick_pool):
         embedder = scripted_for(quick_pool, np.zeros(len(quick_pool.entries)))
@@ -100,7 +99,7 @@ class TestRankCandidates:
 
     def test_similarity_non_increasing_in_rank(self, quick_pool, desk_world):
         embedder = desk_world.embedders[0]
-        target = embedder.embed(desk_world.identities[2].images[0])
+        target = forward(embedder, desk_world.identities[2].images[0])
         ranked = rank_candidates(quick_pool, target, embedder, len(quick_pool.entries))
         sims = [c.initial_similarity for c in ranked]
         assert all(a >= b for a, b in zip(sims, sims[1:]))
@@ -140,7 +139,7 @@ class TestRankCandidates:
     def test_matches_looped_reference(self, desk_pool, desk_world):
         for embedder in desk_world.embedders:
             for rec in desk_world.identities[:5]:
-                target = embedder.embed(rec.images[1])
+                target = forward(embedder, rec.images[1])
                 ranked = rank_candidates(desk_pool, target, embedder, len(desk_pool.entries))
                 order, sims = looped_ranking(desk_pool, target, embedder)
                 assert [c.pool_index for c in ranked] == order
@@ -155,7 +154,7 @@ class TestTopN:
     @pytest.fixture()
     def select(self, quick_pool, desk_world):
         embedder = desk_world.embedders[0]
-        target = embedder.embed(desk_world.identities[0].images[0])
+        target = forward(embedder, desk_world.identities[0].images[0])
         return lambda n: rank_candidates(quick_pool, target, embedder, n)
 
     def test_first_three(self, select):
@@ -189,7 +188,7 @@ class TestTopN:
         ledger = QueryLedger()
         with pytest.raises(ConfigInvalid):
             rank_candidates(quick_pool, TARGET, embedder, 0, ledger)
-        assert ledger.q_topn == 0 and embedder.embed_calls == 0
+        assert ledger.q_topn == 0 and embedder.embedded == 0
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -244,7 +243,7 @@ class TestCachedSelection:
         shape = desk_world.config.image_shape
         a, b = (SyntheticEmbedder(32, shape, seed, model_id="shared")
                 for seed in (101, 202))
-        target = a.embed(desk_world.identities[3].images[1])
+        target = forward(a, desk_world.identities[3].images[1])
         v = len(desk_pool.entries)
         ranked_a = rank_candidates(desk_pool, target, a, v)
         ranked_b = rank_candidates(desk_pool, target, b, v)
@@ -263,5 +262,5 @@ class TestCachedSelection:
         for calls in (1, 2):
             with pytest.raises(ZeroNormEmbedding):
                 rank_candidates(quick_pool, TARGET, embedder, 3, ledger)
-            assert embedder.embed_calls == calls * len(quick_pool.entries)
+            assert embedder.embedded == calls * len(quick_pool.entries)
         assert ledger.q_topn == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embinvert import records
 from embinvert.errors import EmbinvertError, IoFailure
 from embinvert.evaluation import EvaluationCase, cross_model_report
 from embinvert.fileio import replace_file
@@ -22,13 +23,13 @@ from embinvert.records import (
 from embinvert.refine import PerturbationBudget
 from embinvert.core import TargetSpec
 
-from conftest import world_tau_F
+from conftest import forward, world_tau_F
 
 
 @pytest.fixture()
 def one_result(desk_world, quick_pool):
     f = desk_world.embedders[0]
-    spec = TargetSpec(f.embed(desk_world.identities[0].images[0]), f.model_id)
+    spec = TargetSpec(forward(f, desk_world.identities[0].images[0]), f.model_id)
     settings = AttackSettings(mode=MODE_WHITEBOX,
                               budget=PerturbationBudget("l2", 35.0),
                               tau_C=0.95, n_top=3, t_max=50)
@@ -157,11 +158,17 @@ json_values = st.recursive(
     max_leaves=12)
 
 
+def success_record(**changes):
+    """A minimal well-formed success record, with ``changes`` applied."""
+    rec = failure_record(target_id="t", target_model_id="m", identity_id="i",
+                         image_index=0, config_checksum="c", error=None)
+    rec.update(refined_latent=[0.5, -0.25], ledger={"total": 3}, wall_time=0.1)
+    return {**rec, **changes}
+
+
 def record_like():
     """Result records with fields dropped, retyped or replaced."""
-    base = failure_record(target_id="t", target_model_id="m", identity_id="i",
-                          image_index=0, config_checksum="c", error=None)
-    base.update(refined_latent=[0.5, -0.25], ledger={"total": 3}, wall_time=0.1)
+    base = success_record()
     return st.builds(
         lambda drop, changes: {**{k: v for k, v in base.items() if k not in drop},
                                **changes},
@@ -176,6 +183,21 @@ def thresholds_like():
     return st.fixed_dictionaries({}, optional={
         "schema": st.just(THRESHOLDS_SCHEMA) | json_values,
         "models": models | json_values}) | json_values
+
+
+# The values json.loads can put in a list, with ints on both sides of
+# the float range's edge.
+latent_values = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=3)
+                 | st.sampled_from([10**400, -10**400, 2**1024 - 2**971,
+                                    2**1024 - 2**970]))
+
+
+class TestRefinedLatentCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(latent_values, min_size=1, max_size=6))
+    def test_one_check_per_list_matches_the_check_per_value(self, values):
+        assert records._all_real(values) == all(map(records._is_real, values))
 
 
 class TestReadersFailClosed:
@@ -231,7 +253,9 @@ class TestReadersFailClosed:
         {"schema": THRESHOLDS_SCHEMA, "models": {"m": {"tau_F": 0.3, "eer": 0.1}}},
         {"schema": THRESHOLDS_SCHEMA,
          "models": {"m": {"tau_F": True, "eer": 0.1, "tau_C": 0.9}}},
-    ], ids=["no-models", "json-list", "missing-tau_C", "boolean"])
+        {"schema": THRESHOLDS_SCHEMA,
+         "models": {"m": {"tau_F": 0.3, "eer": 10**400, "tau_C": 0.9}}},
+    ], ids=["no-models", "json-list", "missing-tau_C", "boolean", "int-beyond-float"])
     def test_malformed_thresholds(self, tmp_path, payload):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(payload))
@@ -242,7 +266,17 @@ class TestReadersFailClosed:
         "a json string",
         {"schema": "embinvert-result-v1", "target_id": "t", "identity_id": "i",
          "image_index": 0, "error": "x"},
-    ], ids=["json-string", "missing-target_model_id"])
+        success_record(wall_time=10**400),
+        success_record(refined_latent=[0.5, 10**400]),
+        success_record(refined_latent=[0.5, True]),
+        success_record(refined_latent=[0.5, "0.25"]),
+        success_record(refined_latent=[0.5, None]),
+        success_record(refined_latent=[0.5, float("nan")]),
+        success_record(refined_latent=[float("-inf"), 0.5]),
+        success_record(refined_latent=[]),
+    ], ids=["json-string", "missing-target_model_id", "int-beyond-float-wall_time",
+            "int-beyond-float-latent", "bool-latent", "string-latent", "null-latent",
+            "nan-latent", "inf-latent", "empty-latent"])
     def test_malformed_results(self, tmp_path, rec):
         path = tmp_path / "r.ndjson"
         path.write_text(json.dumps(rec) + "\n")

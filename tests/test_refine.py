@@ -20,6 +20,7 @@ from embinvert.refine import (
     refine_whitebox,
 )
 
+from conftest import forward
 from oracle_loss import loss_eval, loss_gradient
 
 L2 = lambda eps: PerturbationBudget("l2", eps)
@@ -71,7 +72,7 @@ def make_session(world, embedder_index=0, allow_gradient=True, q_max=None):
 
 def identity_target(world, embedder_index=0, identity=0, image=0):
     f = world.embedders[embedder_index]
-    return f.embed(world.identities[identity].images[image])
+    return forward(f, world.identities[identity].images[image])
 
 
 class RecordingSession:
@@ -183,7 +184,7 @@ class TestRefineWhitebox:
     def test_immediate_stop_when_already_at_target(self, desk_world):
         session = make_session(desk_world)
         x = sample_latent(desk_world.generator.d_lat, 5)
-        target = session.embedder.embed(session.generator.generate(x))
+        target = forward(session.embedder, forward(session.generator, x))
         result = refine_whitebox(x, target, session, L2(35.0), t_max=50, tau_C=0.99)
         assert result.stop_reason == STOP_CONFIDENCE
         assert result.iterations_used == 0
@@ -226,7 +227,7 @@ class TestRefineWhitebox:
         reached = 0
         for idx in range(50):
             rec = world.identities[idx % 20]
-            target = f0.embed(rec.images[(idx // 20) % 4])
+            target = forward(f0, rec.images[(idx // 20) % 4])
             (best,) = rank_candidates(pool, target, f0, 1)
             session = AttackSession(world.generator, f0, QueryLedger(), True)
             r = refine_whitebox(pool.entries[best.pool_index].latent, target,
@@ -314,7 +315,7 @@ class TestRefineWhitebox:
     def test_confident_start_runs_no_backward_pass(self, desk_world):
         session = TwoPassSession(desk_world)
         x = sample_latent(desk_world.generator.d_lat, 5)
-        target = session.embedder.embed(session.generator.generate(x))
+        target = forward(session.embedder, forward(session.generator, x))
         r = refine_whitebox(x, target, session, L2(35.0), t_max=50, tau_C=0.99)
         assert r.stop_reason == STOP_CONFIDENCE
         assert session.gradient_log == []
@@ -324,7 +325,7 @@ class TestRefineBlackbox:
     def test_single_evaluation_when_already_at_target(self, desk_world):
         session = make_session(desk_world, allow_gradient=False)
         x = sample_latent(desk_world.generator.d_lat, 5)
-        target = session.embedder.embed(session.generator.generate(x))
+        target = forward(session.embedder, forward(session.generator, x))
         r = refine_blackbox(x, target, session, L2(35.0), query_cap=100, tau_C=0.99)
         assert r.queries_used == 1
         assert r.iterations_used == 0

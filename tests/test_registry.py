@@ -3,7 +3,13 @@ import pytest
 
 from embinvert import registry
 from embinvert.errors import ConfigInvalid, UnknownModel
-from embinvert.models import SyntheticEmbedder, SyntheticGenerator
+from embinvert.models import (
+    DetectorHandle,
+    EmbedderHandle,
+    GeneratorHandle,
+    SyntheticEmbedder,
+    SyntheticGenerator,
+)
 
 
 def gen_factory(config):
@@ -14,6 +20,15 @@ def gen_factory(config):
 def emb_factory(config):
     return SyntheticEmbedder(4, (1, 2, 2), np.random.SeedSequence([2]),
                              model_id="unit-emb")
+
+
+class SingleImageDetector(DetectorHandle):
+    """Written to the older contract: ``detect`` without ``detect_batch``."""
+
+    detector_id = "old-det"
+
+    def detect(self, image):
+        raise AssertionError("never reached")
 
 
 class TestRegistry:
@@ -50,28 +65,54 @@ class TestRegistry:
         class DuckEmbedder:
             model_id = "duck-emb"
 
+            def embed_batch(self, images):
+                raise AssertionError("never reached")
+
+        class SingleImageEmbedder(EmbedderHandle):
+            model_id = "old-emb"
+
             def embed(self, image):
                 raise AssertionError("never reached")
 
-        registry.register_embedder("duck-emb", lambda config: DuckEmbedder())
-        with pytest.raises(ConfigInvalid, match="duck-emb"):
-            registry.create_embedder("duck-emb", config=None)
+        for factory_id, handle, message in [
+                ("duck-emb", DuckEmbedder, "expected EmbedderHandle"),
+                ("old-emb", SingleImageEmbedder, "does not implement embed_batch")]:
+            registry.register_embedder(factory_id, lambda config, h=handle: h())
+            with pytest.raises(ConfigInvalid, match=f"'{factory_id}'.*{message}"):
+                registry.create_embedder(factory_id, config=None)
 
     def test_generator_factory_must_return_a_handle(self):
         class DuckGenerator:
             generator_id = "duck-gen"
 
+            def generate_batch(self, latents):
+                raise AssertionError("never reached")
+
+        class SingleLatentGenerator(GeneratorHandle):
+            generator_id = "old-gen"
+
             def generate(self, latent):
                 raise AssertionError("never reached")
 
-        registry.register_generator("duck-gen", lambda config: DuckGenerator())
-        with pytest.raises(ConfigInvalid, match="duck-gen"):
-            registry.create_generator("duck-gen", config=None)
+        for factory_id, handle, message in [
+                ("duck-gen", DuckGenerator, "expected GeneratorHandle"),
+                ("old-gen", SingleLatentGenerator, "does not implement generate_batch")]:
+            registry.register_generator(factory_id, lambda config, h=handle: h())
+            with pytest.raises(ConfigInvalid, match=f"'{factory_id}'.*{message}"):
+                registry.create_generator(factory_id, config=None)
 
-    @pytest.mark.parametrize("returned", ["a detector's name", None])
-    def test_detector_factory_must_return_a_handle(self, returned):
+    @pytest.mark.parametrize("returned, message", [
+        pytest.param("a detector's name", "expected DetectorHandle",
+                     id="a detector's name"),
+        pytest.param(None, "expected DetectorHandle", id="None"),
+        pytest.param(DetectorHandle(), "does not implement detect_batch",
+                     id="bare-handle"),
+        pytest.param(SingleImageDetector(), "does not implement detect_batch",
+                     id="single-image"),
+    ])
+    def test_detector_factory_must_return_a_handle(self, returned, message):
         registry.register_detector("duck-det", lambda config: returned)
-        with pytest.raises(ConfigInvalid, match="duck-det.*DetectorHandle"):
+        with pytest.raises(ConfigInvalid, match=f"'duck-det'.*{message}"):
             registry.create_detector("duck-det", config=None)
 
     def test_factory_receives_the_config(self):
