@@ -2,7 +2,7 @@
 
 Identities are compared by the cosine similarity of embedding vectors.
 ``cosine_similarity`` defines it for one pair: lengths must agree, a
-zero-norm embedding raises, and the result is clamped to [-1, 1].
+zero-norm embedding raises, and [-1, 1] clamps the result (NaN passes).
 ``AttackSession`` shares its code; ranking and evaluation compute the
 same cosine inline over arrays and follow the same rules.  The types here
 are immutable value objects; a ``LatentCode`` is the vector alone, and
@@ -127,7 +127,7 @@ class TargetSpec:
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Cosine of the angle between two embeddings, in [-1, 1].
+    """Cosine of the angle between two embeddings, in [-1, 1] or NaN.
 
     Raises DimensionMismatch on length disagreement and ZeroNormEmbedding
     if either argument has zero norm.
@@ -144,8 +144,8 @@ def _cosine(va: np.ndarray, vb: np.ndarray) -> Tuple[float, float]:
     if na == 0.0 or nb == 0.0:
         raise ZeroNormEmbedding("cosine similarity undefined for zero-norm embedding")
     s = float(np.dot(va, vb) / (na * nb))
-    # Clamp floating spill so downstream threshold logic sees a valid cosine.
-    return min(1.0, max(-1.0, s)), nb
+    # Clamp floating spill so threshold logic sees a valid cosine; NaN passes.
+    return (1.0 if s > 1.0 else -1.0 if s < -1.0 else s), nb
 
 
 def decide_match(s: float, tau_F: float) -> bool:

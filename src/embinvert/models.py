@@ -18,12 +18,12 @@ Gradients compose through one forward pass per handle:
 
 Each pullback runs the backward pass on the activations its forward pass
 kept.  The base-class ``*_vjp`` defaults run the batch method on a batch
-of one, check its row as an ImageSample or EmbeddingVector, and return a
-pullback that raises GradientUnavailable, so a forward-only adapter
-implements just the batch methods; a handle with
-gradients overrides both ``*_vjp`` and sets ``supports_gradient``.
+of one and return a pullback that raises GradientUnavailable, so a
+forward-only adapter implements just the batch methods; two handles have
+gradients when both classes override their ``*_vjp``.
 ``AttackSession.value_and_grad`` makes the composition one charged
-evaluation whose gradient comes free.
+evaluation whose gradient comes free.  ``_generated_images`` and
+``_embedding_rows`` check every batch result (ConfigInvalid names the handle).
 """
 import math
 from dataclasses import dataclass
@@ -43,6 +43,11 @@ from .errors import (
 )
 
 
+def _overrides(handle, base, method: str) -> bool:
+    """Whether ``handle``'s class replaces ``base``'s ``method``."""
+    return getattr(type(handle), method) is not getattr(base, method)
+
+
 def _no_gradient(handle: str):
     """The pullback of a forward-only ``*_vjp``: it raises GradientUnavailable."""
     def pullback(cotangent: np.ndarray) -> np.ndarray:
@@ -55,7 +60,6 @@ class GeneratorHandle:
 
     d_lat: int
     output_shape: Tuple[int, int, int]
-    supports_gradient: bool = False
     generator_id: str
 
     def generate_batch(self, latents: np.ndarray) -> np.ndarray:
@@ -66,12 +70,11 @@ class GeneratorHandle:
         """One forward pass: ``(image array, pullback)``.
 
         ``pullback(image_cotangent)`` returns the latent-space cotangent.
-        This default generates a batch of one, checked as an ImageSample,
-        and its pullback raises GradientUnavailable; a generator with
-        gradients overrides it.
+        This default generates a batch of one, and its pullback raises
+        GradientUnavailable; a generator with gradients overrides it.
         """
         image = _generated_images(self, _as_float_vector(latent_values)[None])[0]
-        return ImageSample(image).values, _no_gradient(f"generator {self.generator_id!r}")
+        return image, _no_gradient(f"generator {self.generator_id!r}")
 
 
 class EmbedderHandle:
@@ -79,7 +82,6 @@ class EmbedderHandle:
 
     d_emb: int
     tau_F: Optional[float]
-    supports_gradient: bool = False
     model_id: str
 
     def embed_batch(self, images: np.ndarray) -> np.ndarray:
@@ -90,20 +92,19 @@ class EmbedderHandle:
         """One forward pass: ``(embedding, pullback)``.
 
         ``pullback(embedding_cotangent)`` returns the image-space cotangent.
-        This default embeds a batch of one, the image checked as an
-        ImageSample and the row as an EmbeddingVector, and its pullback
-        raises GradientUnavailable; an embedder with gradients overrides it.
+        This default embeds a batch of one, and its pullback raises
+        GradientUnavailable; an embedder with gradients overrides it.
         """
-        rows, _ = _embedding_rows(self, ImageSample(image).values[None])
-        return EmbeddingVector(rows[0]).values, _no_gradient(f"embedder {self.model_id!r}")
+        rows, _ = _embedding_rows(self, np.asarray(image, dtype=np.float64)[None])
+        return rows[0], _no_gradient(f"embedder {self.model_id!r}")
 
 
 def _embedding_rows(embedder: EmbedderHandle,
                     images: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``embedder.embed_batch(images)`` as float64 rows, and their L2 norms.
 
-    Raises DimensionMismatch unless there is one row per image and
-    ZeroNormEmbedding if any row is zero, since no cosine is defined then.
+    Raises DimensionMismatch unless there is one row per image, and
+    ZeroNormEmbedding for a zero row, ConfigInvalid for a non-finite one.
     """
     rows = np.asarray(embedder.embed_batch(images), dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] != len(images):
@@ -113,6 +114,8 @@ def _embedding_rows(embedder: EmbedderHandle,
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms == 0.0):
         raise ZeroNormEmbedding("cosine similarity undefined for zero-norm embedding")
+    if not np.all(np.isfinite(norms)):
+        raise ConfigInvalid(f"embedder {embedder.model_id!r} returned a non-finite row")
     return rows, norms
 
 
@@ -128,7 +131,7 @@ class DetectorHandle:
 
 def _generated_images(generator: GeneratorHandle, latents: np.ndarray) -> np.ndarray:
     """``generator.generate_batch(latents)`` as a float64 array; ConfigInvalid
-    naming the generator unless it holds one image per latent."""
+    naming the generator unless it holds one image per latent in [-1, 1]."""
     latents = np.asarray(latents, dtype=np.float64)
     images = np.asarray(generator.generate_batch(latents), dtype=np.float64)
     expected = (len(latents),) + tuple(generator.output_shape)
@@ -136,6 +139,9 @@ def _generated_images(generator: GeneratorHandle, latents: np.ndarray) -> np.nda
         raise ConfigInvalid(
             f"generator {generator.generator_id!r} returned images of shape "
             f"{images.shape} for {len(latents)} latents; expected {expected}")
+    if images.size and not (-1.0 <= images.min() and images.max() <= 1.0):
+        raise ConfigInvalid(f"generator {generator.generator_id!r} returned "
+                            "a pixel outside [-1, 1] or NaN")
     return images
 
 
@@ -159,8 +165,6 @@ class SyntheticGenerator(GeneratorHandle):
     Smooth and differentiable; the bias field gives all outputs a common
     "prototype" component that the synthetic detector keys on.
     """
-
-    supports_gradient = True
 
     def __init__(self, d_lat: int, output_shape: Tuple[int, int, int], seed_seq,
                  generator_id: str = "synthetic-generator"):
@@ -203,8 +207,6 @@ class SyntheticEmbedder(EmbedderHandle):
     model's threshold from the world's identity images.
     """
 
-    supports_gradient = True
-
     def __init__(self, d_emb: int, input_shape: Tuple[int, int, int], seed_seq,
                  model_id: str):
         self.d_emb = int(d_emb)
@@ -216,7 +218,7 @@ class SyntheticEmbedder(EmbedderHandle):
         self.weight = rng.standard_normal((self.d_emb, d_pix)) / math.sqrt(d_pix)
 
     def embed_batch(self, images: np.ndarray) -> np.ndarray:
-        """One matmul for the whole stack; the same checks as ``embed_vjp``."""
+        """One matmul for the stack, with ``embed_vjp``'s shape and zero checks."""
         if images.ndim != 4 or images.shape[1:] != self.input_shape:
             raise ShapeMismatch(
                 f"embedder {self.model_id}: image stack shape {images.shape} != "
@@ -225,8 +227,6 @@ class SyntheticEmbedder(EmbedderHandle):
         norms = np.linalg.norm(raw, axis=1)
         if np.any(norms == 0.0):
             raise ZeroNormEmbedding(f"embedder {self.model_id}: raw embedding is zero")
-        if not np.all(np.isfinite(norms)):
-            raise ValueError("embedding entries must be finite")
         return raw / norms[:, None]
 
     def embed_vjp(self, image: np.ndarray):
@@ -483,7 +483,7 @@ class AttackSession:
     attack, with every objective evaluation charged to the ledger.
 
     Black-box sessions (allow_gradient=False) raise GradientUnavailable on
-    any gradient request regardless of what the handles could provide.
+    any gradient request, and so do sessions over a forward-only handle.
     Gradients in white-box sessions are not charged; queries count
     objective evaluations only.
     """
@@ -494,6 +494,8 @@ class AttackSession:
         self.embedder = embedder
         self.ledger = ledger
         self.allow_gradient = allow_gradient
+        self._has_gradient = (_overrides(generator, GeneratorHandle, "generate_vjp")
+                              and _overrides(embedder, EmbedderHandle, "embed_vjp"))
 
     def loss(self, latent_values: np.ndarray, target: EmbeddingVector) -> float:
         """The objective at one point (one query)."""
@@ -508,7 +510,7 @@ class AttackSession:
         """
         if not self.allow_gradient:
             raise GradientUnavailable("black-box session: gradients are out of reach")
-        if not (self.generator.supports_gradient and self.embedder.supports_gradient):
+        if not self._has_gradient:
             raise GradientUnavailable("generator or embedder does not expose gradients")
         return self._forward(latent_values, target)
 

@@ -94,7 +94,6 @@ class PoolBuildStats:
 @dataclass(frozen=True)
 class LatentPool:
     entries: Tuple[PoolEntry, ...]
-    V: int
     tau_K: float
     tau_D: float
     generator_id: str
@@ -102,14 +101,15 @@ class LatentPool:
     stats: Optional[PoolBuildStats] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if len(self.entries) != self.V:
-            raise ConfigInvalid(
-                f"pool holds {len(self.entries)} entries but V = {self.V}")
         for e in self.entries:
             if e.p_K < self.tau_K:
                 raise ConfigInvalid("pool entry violates the normality threshold")
             if e.p_D < self.tau_D:
                 raise ConfigInvalid("pool entry violates the detection threshold")
+
+    @property
+    def V(self) -> int:
+        return len(self.entries)
 
     @property
     def d_lat(self) -> int:
@@ -288,9 +288,9 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
     Raises PoolExhausted once max_draw_factor * V candidates have been
     drawn without filling the pool, and ConfigInvalid before drawing if
     check_build_settings rejects the settings or any candidate seed would
-    fall outside the pool file's signed 64-bit seed field, or as soon as a
-    batch holds other than one image of the output shape per latent, or
-    other than one detection score in [0, 1] (NaN fails) per image.
+    fall outside the pool file's signed 64-bit seed field, or as soon as
+    ``_generated_images`` rejects a batch or a batch holds other than one
+    detection score in [0, 1] (NaN fails) per image.
     """
     check_build_settings(V, tau_K, tau_D, max_draw_factor)
     cap = max_draw_factor * V
@@ -340,7 +340,7 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
     drawn = entries[-1].seed + 1 - build_seed
     stats = PoolBuildStats(drawn=drawn, normality_accepted=n_norm,
                            detector_accepted=len(entries))
-    return LatentPool(entries=tuple(entries), V=V, tau_K=tau_K, tau_D=tau_D,
+    return LatentPool(entries=tuple(entries), tau_K=tau_K, tau_D=tau_D,
                       generator_id=generator.generator_id,
                       build_seed=build_seed, stats=stats)
 
@@ -451,5 +451,5 @@ def _parse_pool(data: memoryview, path) -> LatentPool:
                 ImageSample.stack(entries["image"].reshape(count, c, h, w)),
                 entries["seed"].tolist(),
                 entries["p_K"].tolist(), entries["p_D"].tolist())),
-        V=v, tau_K=tau_K, tau_D=tau_D, generator_id=generator_id,
+        tau_K=tau_K, tau_D=tau_D, generator_id=generator_id,
         build_seed=build_seed)

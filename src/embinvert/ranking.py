@@ -34,7 +34,7 @@ def rank_candidates(pool: LatentPool, target: EmbeddingVector,
     Similarities are cosines clamped to [-1, 1] and raise the same errors as
     ``cosine_similarity``.  Raises ConfigInvalid when n < 1 and clamps (with
     a warning) when n exceeds V.  Charges V selection queries to the ledger
-    when one is supplied.
+    when one is supplied, once the rows pass ``models._embedding_rows``.
     """
     v = len(pool.entries)
     if n < 1:
@@ -55,12 +55,10 @@ def rank_candidates(pool: LatentPool, target: EmbeddingVector,
     sims = np.clip(rows @ t / (norms * t_norm), -1.0, 1.0)
     if ledger is not None:
         ledger.charge_topn(v)
-    # Keep everything tied with the n-th best so that the index tie-break
-    # below sees the whole tie.  NaN compares false, so NaN entries, which
-    # the lexsort puts last, are kept, never lost.
+    # Keep the whole tie at the n-th best for the index tie-break below.
     neg = -sims
     bound = np.partition(neg, n - 1)[n - 1]
-    keep = np.flatnonzero(~(neg > bound))
+    keep = np.flatnonzero(neg <= bound)
     order = keep[np.lexsort((keep, -sims[keep]))][:n]
     return [
         RankedCandidate(pool_index=j, initial_similarity=s, rank=r)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import ConfigInvalid, UnknownModel
-from .models import Backend, DetectorHandle, EmbedderHandle, GeneratorHandle
+from .models import Backend, DetectorHandle, EmbedderHandle, GeneratorHandle, _overrides
 
 _generator_factories: Dict[str, Callable] = {}
 _embedder_factories: Dict[str, Callable] = {}
@@ -46,7 +46,7 @@ def _create(table, kind, key, config, base, forward=None):
         raise ConfigInvalid(
             f"{kind} factory {key!r} returned a {type(created).__name__}; "
             f"expected {base.__name__}")
-    if forward and getattr(type(created), forward) is getattr(base, forward):
+    if forward and not _overrides(created, base, forward):
         raise ConfigInvalid(
             f"{kind} factory {key!r} returned a {type(created).__name__} "
             f"that does not implement {forward}")

@@ -8,7 +8,6 @@ it.  They compose the same handle methods, so results agree bit for bit.
 import numpy as np
 
 from embinvert.core import EmbeddingVector, LatentCode, _cosine, cosine_similarity
-from embinvert.errors import GradientUnavailable
 from embinvert.models import EmbedderHandle, GeneratorHandle
 
 from conftest import forward
@@ -23,9 +22,8 @@ def loss_eval(g: GeneratorHandle, f: EmbedderHandle, latent: LatentCode,
 
 def loss_gradient(g: GeneratorHandle, f: EmbedderHandle, latent: LatentCode,
                   target: EmbeddingVector) -> np.ndarray:
-    """Gradient of loss_eval with respect to the latent values."""
-    if not (g.supports_gradient and f.supports_gradient):
-        raise GradientUnavailable("generator or embedder does not expose gradients")
+    """Gradient of loss_eval with respect to the latent values; a
+    forward-only handle's pullback raises GradientUnavailable."""
     image, generator_pullback = g.generate_vjp(latent.values)
     e, embedder_pullback = f.embed_vjp(image)
     t = target.values

@@ -25,3 +25,21 @@ def test_public_names_of_the_package():
                    if not name.startswith("_")
                    and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+HANDLE_ATTRIBUTES = {
+    "GeneratorHandle": ["d_lat", "generate_batch", "generate_vjp", "generator_id",
+                        "output_shape"],
+    "EmbedderHandle": ["d_emb", "embed_batch", "embed_vjp", "model_id", "tau_F"],
+    "DetectorHandle": ["detect_batch", "detector_id"],
+}
+
+
+def test_public_attributes_of_the_handle_contracts():
+    # Declared attributes and methods alike: what an adapter implements.
+    found = {}
+    for name in HANDLE_ATTRIBUTES:
+        cls = getattr(embinvert, name)
+        found[name] = sorted(attr for attr in {*vars(cls), *cls.__annotations__}
+                             if not attr.startswith("_"))
+    assert found == HANDLE_ATTRIBUTES

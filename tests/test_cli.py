@@ -997,6 +997,59 @@ class TestAdapterRegistry:
         assert main(["report", "--config", str(cfg_path)]) == 0
         assert Path(config.report_path).read_bytes() == without
 
+    @pytest.mark.parametrize("command, fault", [
+        *[(command, fault) for fault in ("pixel-1.5", "pixel-nan")
+          for command in ("build-pool", "attack", "report")],
+        *[(command, "embedding-nan") for command in ("calibrate", "attack", "report")],
+    ])
+    def test_forward_only_adapter_fault_matrix(self, tmp_path, capsys, command, fault):
+        # A forward-only adapter's bad output ends each command that reads
+        # it in a documented exit code, with an error naming the handle.
+        # calibrate reads no generated image and build-pool no embedding.
+        class BadPixelGenerator(PlainGenerator):
+            def generate_batch(self, latents):
+                images = super().generate_batch(latents)
+                images[:, 0, 0, 0] = 1.5 if fault == "pixel-1.5" else np.nan
+                return images
+
+        class NaNRowEmbedder(PlainEmbedder):
+            def embed_batch(self, images):
+                rows = super().embed_batch(images)
+                rows[:, 0] = np.nan
+                return rows
+
+        register_toy_adapters(toy_identity_images, forward_only=True)
+        cfg_path, config = write_toy_adapter_config(
+            tmp_path, mode="blackbox", t_max=None, q_max=100)
+        setup = {"build-pool": [], "calibrate": [], "attack": ["build-pool"],
+                 "report": ["build-pool", "attack"]}[command]
+        for step in setup:
+            assert main([step, "--config", str(cfg_path)]) == 0
+        if fault == "embedding-nan":
+            plain = registry._embedder_factories["toy-emb-a"]
+            registry.register_embedder(
+                "toy-emb-a", lambda config: NaNRowEmbedder(plain(config).inner))
+            message = "embedder 'toy-emb-a' returned a non-finite row"
+        else:
+            registry.register_generator(
+                "toy-gen", lambda config: BadPixelGenerator(toy_generator(config)))
+            message = "generator 'toy-gen' returned a pixel outside [-1, 1] or NaN"
+        out_path = getattr(config, cli._COMMANDS[command][1])
+        capsys.readouterr()
+        code = main([command, "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if command == "attack" and fault != "embedding-nan":
+            # Refinement's first query fails each target on its own.
+            assert code == 5
+            records = read_results(out_path)
+            assert len(records) == config.num_targets
+            assert all(r["error"] == f"ConfigInvalid: {message}" for r in records)
+        else:
+            assert code == 2
+            assert f"error: {message}" in err
+            assert not os.path.exists(out_path)
+
     def test_unregistered_adapter_exits_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, backend="adapter",
                                    adapter_generator="nobody-home",

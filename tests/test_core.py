@@ -67,6 +67,13 @@ class TestCosineSimilarity:
         a = vec(1.0, 1.0, 1.0)
         assert -1.0 <= cosine_similarity(a, a) <= 1.0
 
+    def test_overflow_gives_nan_not_minus_one(self):
+        # The clamp lets NaN through, so the refiners' finiteness check
+        # sees it instead of a similarity of -1.0.
+        v = vec(1e200, 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(cosine_similarity(v, v))
+
 
 class TestDecideMatch:
     def test_boundary_equality_matches(self):

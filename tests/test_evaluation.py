@@ -145,7 +145,6 @@ class GramEmbedder(EmbedderHandle):
 
     model_id = "gram"
     tau_F = 0.5
-    supports_gradient = False
     d_emb = 3
 
     def __init__(self, table):

@@ -322,7 +322,6 @@ class TestValueAndGrad:
     def test_forward_only_defaults_give_the_value_and_no_gradient(self, desk_world):
         g, f = desk_world.generator, desk_world.embedders[0]
         plain_g, plain_f = PlainGenerator(g), PlainEmbedder(f)
-        assert not (plain_g.supports_gradient or plain_f.supports_gradient)
         fused = AttackSession(g, f, QueryLedger(), allow_gradient=True)
         ledger = QueryLedger()
         plain = AttackSession(plain_g, plain_f, ledger, allow_gradient=True)
@@ -378,6 +377,31 @@ class TestValueAndGrad:
         # The objective alone needs no gradient.
         assert session.loss(np.zeros(g.d_lat), target) == loss_eval(
             g, f, LatentCode(np.zeros(g.d_lat)), target)
+
+    def test_gradients_follow_the_classes_vjps(self, desk_world):
+        # Gradients need both classes to override their *_vjp; nothing
+        # else declares them.
+        g, f = desk_world.generator, desk_world.embedders[0]
+
+        class VjpGenerator(PlainGenerator):
+            def generate_vjp(self, latent_values):
+                return self.inner.generate_vjp(latent_values)
+
+        class VjpEmbedder(PlainEmbedder):
+            def embed_vjp(self, image):
+                return self.inner.embed_vjp(image)
+
+        target = forward(f, desk_world.identities[0].images[0])
+        x = sample_latent(g.d_lat, 9)
+        for pair in ((PlainGenerator(g), VjpEmbedder(f)), (VjpGenerator(g), PlainEmbedder(f))):
+            session = AttackSession(*pair, QueryLedger(), allow_gradient=True)
+            with pytest.raises(GradientUnavailable):
+                session.value_and_grad(x.values, target)
+        session = AttackSession(VjpGenerator(g), VjpEmbedder(f), QueryLedger(),
+                                allow_gradient=True)
+        s, grad_fn = session.value_and_grad(x.values, target)
+        assert s == loss_eval(g, f, x, target)
+        assert np.array_equal(grad_fn(), loss_gradient(g, f, x, target))
 
     def test_zero_target_rejected(self, desk_world):
         g, f = desk_world.generator, desk_world.embedders[0]

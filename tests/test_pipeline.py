@@ -411,7 +411,7 @@ class TestRunAttack:
     @pytest.mark.parametrize("bad", ["generator", "embedder"])
     def test_forward_only_adapter_output_is_checked(self, desk_world, desk_pool, bad):
         # A forward-only generator with a pixel out of range, or embedder
-        # with a NaN row in refinement, raises instead of scoring -1.0.
+        # with a NaN row in refinement, raises ConfigInvalid naming it.
         class OutOfRangeGenerator(PlainGenerator):
             def generate_batch(self, latents):
                 images = super().generate_batch(latents)
@@ -433,8 +433,10 @@ class TestRunAttack:
         settings = AttackSettings(mode=MODE_BLACKBOX,
                                   budget=PerturbationBudget("l2", 35.0),
                                   tau_C=0.95, n_top=3, q_max=500)
-        with pytest.raises(ValueError, match="pixel values" if bad == "generator"
-                           else "finite"):
+        with pytest.raises(ConfigInvalid, match=(
+                f"generator {desk_world.generator.generator_id!r} returned a pixel"
+                if bad == "generator" else
+                f"embedder {desk_world.embedders[0].model_id!r} returned a non-finite")):
             run_attack(make_spec(desk_world), dataclasses.replace(desk_pool),
                        settings, backend)
 

@@ -452,7 +452,6 @@ class FlakyEmbedder(EmbedderHandle):
 
     model_id = "flaky"
     tau_F = 0.5
-    supports_gradient = False
     d_emb = 4
 
     def __init__(self, failure=None, failures=0):
@@ -555,7 +554,7 @@ def reseal(data: bytearray) -> bytes:
 
 @pytest.fixture(scope="module")
 def small_pool_bytes(quick_pool, tmp_path_factory):
-    pool = LatentPool(entries=quick_pool.entries[:3], V=3, tau_K=quick_pool.tau_K,
+    pool = LatentPool(entries=quick_pool.entries[:3], tau_K=quick_pool.tau_K,
                       tau_D=quick_pool.tau_D, generator_id=quick_pool.generator_id,
                       build_seed=quick_pool.build_seed)
     path = tmp_path_factory.mktemp("pool") / "small.lpool"

@@ -21,7 +21,6 @@ class ScriptedEmbedder(EmbedderHandle):
 
     model_id = "scripted"
     tau_F = 0.5
-    supports_gradient = False
 
     def __init__(self, table, d_emb=3):
         self.table = table
@@ -35,12 +34,11 @@ class ScriptedEmbedder(EmbedderHandle):
 
 
 class RowsEmbedder(EmbedderHandle):
-    """Returns prescribed rows from ``embed_batch``, which has no
-    finiteness check of its own, so an adapter may return NaN there."""
+    """Returns prescribed rows from ``embed_batch``; like any adapter's,
+    they pass ``_embedding_rows``' checks before selection scores them."""
 
     model_id = "rows"
     tau_F = 0.5
-    supports_gradient = False
     d_emb = 3
 
     def __init__(self, rows):
@@ -205,17 +203,19 @@ class TestTopN:
             top = rank_candidates(pool, TARGET, embedder, n)
         assert top == full[:n]
 
-    def test_nan_similarities_rank_last_at_every_n(self, quick_pool):
+    def test_nan_row_fails_selection_and_charges_nothing(self, quick_pool):
         v = len(quick_pool.entries)
         sims = np.linspace(0.9, -0.9, v)
         sims[[0, 5, 6]] = np.nan
         embedder = RowsEmbedder(
             np.stack([sims, np.sqrt(1.0 - sims * sims), np.zeros(v)], axis=1))
-        full = [c.pool_index for c in rank_candidates(quick_pool, TARGET, embedder, v)]
-        assert full[-3:] == [0, 5, 6]
-        for n in range(1, v):
-            top = rank_candidates(quick_pool, TARGET, embedder, n)
-            assert [c.pool_index for c in top] == full[:n]
+        ledger = QueryLedger()
+        for n in (1, 3, v):
+            with pytest.raises(ConfigInvalid,
+                               match="embedder 'rows' returned a non-finite row"):
+                rank_candidates(dataclasses.replace(quick_pool), TARGET, embedder,
+                                n, ledger)
+        assert ledger.total == 0
 
 
 @st.composite

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from embinvert import refine
 from embinvert.core import LatentCode
 from embinvert.errors import ConfigInvalid, GradientUnavailable, NonFiniteLoss
-from embinvert.models import AttackSession, QueryLedger
+from embinvert.models import AttackSession, QueryLedger, SyntheticEmbedder
 from embinvert.pool import sample_latent
 from embinvert.ranking import rank_candidates
 from embinvert.refine import (
@@ -420,6 +420,35 @@ class TestRefineBlackbox:
         with pytest.raises(ConfigInvalid):
             refine_blackbox(x, identity_target(desk_world), session, L2(1.0),
                             query_cap=0, tau_C=0.9)
+
+
+class NaNEmbedder(SyntheticEmbedder):
+    """A gradient-capable embedder whose ``embed_vjp`` returns a NaN
+    embedding, with its inner embedder's pullback."""
+
+    def __init__(self, inner):
+        self.__dict__.update(inner.__dict__)
+
+    def embed_vjp(self, image):
+        unit, pullback = super().embed_vjp(image)
+        return np.full_like(unit, np.nan), pullback
+
+
+class TestNaNEmbedding:
+    @pytest.mark.parametrize("refiner", ["whitebox", "blackbox"])
+    def test_each_refiner_raises_nonfinite_loss(self, desk_world, refiner):
+        session = AttackSession(desk_world.generator,
+                                NaNEmbedder(desk_world.embedders[0]), QueryLedger(),
+                                allow_gradient=refiner == "whitebox")
+        x = sample_latent(desk_world.generator.d_lat, 3)
+        target = identity_target(desk_world)
+        with pytest.raises(NonFiniteLoss, match="nan"):
+            if refiner == "whitebox":
+                refine_whitebox(x, target, session, L2(35.0), t_max=10, tau_C=0.95)
+            else:
+                refine_blackbox(x, target, session, L2(35.0), query_cap=10,
+                                tau_C=0.95)
+        assert session.ledger.total == 1
 
 
 class TestGreedyCoordinate:
