@@ -19,6 +19,8 @@ import time
 from dataclasses import fields, replace
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .config import RunConfig, config_checksum, load_config
 from .core import EmbeddingVector, ImageSample, TargetSpec
 from .errors import (
@@ -196,6 +198,9 @@ def _make_targets(config: RunConfig, backend, embedder):
         image_index = (idx // n_id) % len(images)
         # The attack's own matrix-vector product: embed_batch's could move bits.
         embedding, _ = embedder.embed_vjp(images[image_index].values)
+        if not np.isfinite(embedding).all():
+            raise ConfigInvalid(f"embedder {embedder.model_id!r} returned a "
+                                "non-finite target embedding")
         spec = TargetSpec(
             target_embedding=EmbeddingVector(embedding),
             target_model_id=config.target_model,

@@ -8,12 +8,20 @@ same cosine inline over arrays and follow the same rules.  The types here
 are immutable value objects; a ``LatentCode`` is the vector alone, and
 what the pool's screens found out about it lives in ``pool.PoolEntry``.
 """
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroNormEmbedding
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a 1-D float64 vector, bit for bit and without
+    its dispatch: numpy computes it as this same ravel, dot and sqrt."""
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
 
 
 def _as_float_vector(values) -> np.ndarray:
@@ -62,7 +70,7 @@ class EmbeddingVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        return _norm(self.values)
 
 
 def _checked_pixels(arr: np.ndarray, ndim: int, layout: str) -> np.ndarray:
@@ -139,11 +147,11 @@ def _cosine(va: np.ndarray, vb: np.ndarray) -> Tuple[float, float]:
     """``cosine_similarity`` of two float vectors, and the norm of ``vb``."""
     if va.size != vb.size:
         raise DimensionMismatch(f"embedding lengths differ: {va.size} vs {vb.size}")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
+    na = _norm(va)
+    nb = _norm(vb)
     if na == 0.0 or nb == 0.0:
         raise ZeroNormEmbedding("cosine similarity undefined for zero-norm embedding")
-    s = float(np.dot(va, vb) / (na * nb))
+    s = float(va.dot(vb) / (na * nb))
     # Clamp floating spill so threshold logic sees a valid cosine; NaN passes.
     return (1.0 if s > 1.0 else -1.0 if s < -1.0 else s), nb
 

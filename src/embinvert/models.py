@@ -22,7 +22,11 @@ of one and return a pullback that raises GradientUnavailable, so a
 forward-only adapter implements just the batch methods; two handles have
 gradients when both classes override their ``*_vjp``.
 ``AttackSession.value_and_grad`` makes the composition one charged
-evaluation whose gradient comes free.  ``_generated_images`` and
+evaluation whose gradient comes free.  At batch 1 most of its cost is
+the matrix-vector products: the synthetic vjps and pullbacks call
+``ndarray.dot`` (the dgemv ``@`` reaches) and take norms with
+``core._norm``, so every value and gradient keeps its bits.
+``_generated_images`` and
 ``_embedding_rows`` check every batch result (ConfigInvalid names the handle).
 """
 import math
@@ -31,7 +35,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import EmbeddingVector, ImageSample, _as_float_vector, _cosine
+from .core import EmbeddingVector, ImageSample, _as_float_vector, _cosine, _norm
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -145,20 +149,6 @@ def _generated_images(generator: GeneratorHandle, latents: np.ndarray) -> np.nda
     return images
 
 
-def _check_latent(g: GeneratorHandle, latent_values: np.ndarray):
-    if latent_values.size != g.d_lat:
-        raise DimensionMismatch(
-            f"latent length {latent_values.size} != generator d_lat {g.d_lat}"
-        )
-
-
-def _check_image(expected_shape, image: np.ndarray, who: str):
-    if image.shape != tuple(expected_shape):
-        raise ShapeMismatch(
-            f"{who}: image shape {image.shape} != expected {tuple(expected_shape)}"
-        )
-
-
 class SyntheticGenerator(GeneratorHandle):
     """image = tanh(W @ latent + b) with seeded dense W.
 
@@ -178,11 +168,15 @@ class SyntheticGenerator(GeneratorHandle):
 
     def generate_vjp(self, latent_values: np.ndarray):
         """The image and a pullback that reuses its tanh activation."""
-        _check_latent(self, latent_values)
-        act = np.tanh(self.weight @ latent_values + self.bias)
+        if latent_values.size != self.d_lat:
+            raise DimensionMismatch(
+                f"latent length {latent_values.size} != generator d_lat {self.d_lat}")
+        act = self.weight.dot(latent_values)
+        act += self.bias
+        np.tanh(act, out=act)
 
         def pullback(image_cotangent: np.ndarray) -> np.ndarray:
-            return self.weight.T @ ((1.0 - act * act) * image_cotangent.reshape(-1))
+            return self.weight.T.dot((1.0 - act * act) * image_cotangent.reshape(-1))
 
         return act.reshape(self.output_shape), pullback
 
@@ -232,9 +226,11 @@ class SyntheticEmbedder(EmbedderHandle):
     def embed_vjp(self, image: np.ndarray):
         """The unit embedding and a pullback that reuses its raw embedding
         and norm."""
-        _check_image(self.input_shape, image, f"embedder {self.model_id}")
-        raw = self.weight @ image.reshape(-1)
-        norm = np.linalg.norm(raw)
+        if image.shape != self.input_shape:
+            raise ShapeMismatch(f"embedder {self.model_id}: image shape "
+                                f"{image.shape} != expected {self.input_shape}")
+        raw = self.weight.dot(image.reshape(-1))
+        norm = _norm(raw)
         if norm == 0.0:
             raise ZeroNormEmbedding(f"embedder {self.model_id}: raw embedding is zero")
         if not math.isfinite(norm):
@@ -245,8 +241,8 @@ class SyntheticEmbedder(EmbedderHandle):
         def pullback(embedding_cotangent: np.ndarray) -> np.ndarray:
             # Backprop through v / ||v||.
             cot_raw = (embedding_cotangent
-                       - np.dot(unit, embedding_cotangent) * unit) / norm
-            return (self.weight.T @ cot_raw).reshape(self.input_shape)
+                       - unit.dot(embedding_cotangent) * unit) / norm
+            return self.weight.T.dot(cot_raw).reshape(self.input_shape)
 
         return unit, pullback
 
@@ -435,8 +431,7 @@ def _calibrate_detector(gen: SyntheticGenerator, flat_images) -> SyntheticDetect
     template = np.tanh(gen.bias)
     template = template / np.linalg.norm(template)
     # One image at a time: a matrix product would move the last bits.
-    # math.sqrt(f.dot(f)) is np.linalg.norm(f)'s own arithmetic for 1-D float64.
-    corrs = [float(f.dot(template) / math.sqrt(f.dot(f))) for f in flat_images]
+    corrs = [float(f.dot(template) / _norm(f)) for f in flat_images]
     offset = min(corrs) - _DETECTOR_MARGIN
     return SyntheticDetector(template, offset, _DETECTOR_SLOPE, gen.output_shape)
 

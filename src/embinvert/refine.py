@@ -21,8 +21,10 @@ similarity and a gradient closure.  The closures of the current and the
 best point are kept, so a restart reuses the best point's gradient and a
 stop at tau_C runs no backward pass.  The black-box path is a greedy
 coordinate search driven entirely by observed objective gains; it never
-touches gradients, and picks each coordinate with one vectorised
-lexicographic argmax.
+touches gradients, and picks each coordinate with one argmax over the
+scores and, on a tie, one argmin over the tied coordinates' last visits.
+Around the session's matrix-vector products each loop adds only a few
+vector operations and Python-float arithmetic; norms are ``core._norm``.
 
 Both searches are fixed; their values are module constants, not config
 keys:
@@ -39,7 +41,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import EmbeddingVector, LatentCode
+from .core import EmbeddingVector, LatentCode, _norm
 from .errors import ConfigInvalid, NonFiniteLoss
 from .models import AttackSession
 
@@ -107,12 +109,12 @@ def project(delta: np.ndarray, budget: PerturbationBudget) -> np.ndarray:
     """
     delta = np.asarray(delta, dtype=np.float64)
     if budget.norm == NORM_L2:
-        norm = float(np.linalg.norm(delta))
+        norm = _norm(delta)
         while norm > budget.epsilon:
             delta = delta * (budget.epsilon / norm)
-            norm = float(np.linalg.norm(delta))
+            norm = _norm(delta)
         return delta
-    return np.clip(delta, -budget.epsilon, budget.epsilon)
+    return delta.clip(-budget.epsilon, budget.epsilon)
 
 
 def _checkpoints(t_max: int):
@@ -179,7 +181,7 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
     for it in range(1, t_max + 1):
         grad = grad_fn()
         if budget.norm == NORM_L2:
-            gnorm = float(np.linalg.norm(grad))
+            gnorm = _norm(grad)
             direction = grad / gnorm if gnorm > 0 else grad
         else:
             direction = np.sign(grad)
@@ -229,11 +231,11 @@ def _greedy_coordinate(scores: np.ndarray, last_visit: np.ndarray) -> int:
 
     This is the lexicographic maximum of (score, -last_visit, -index).
     """
-    ties = np.flatnonzero(scores == scores.max())
-    if ties.size > 1:
-        visits = last_visit[ties]
-        ties = ties[visits == visits.min()]
-    return int(ties[0])
+    best = scores.argmax()
+    ties = (scores == scores[best]).nonzero()[0]
+    if ties.size == 1:
+        return int(best)
+    return int(ties[last_visit[ties].argmin()])
 
 
 def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
@@ -255,7 +257,7 @@ def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
 
     scores = np.full(d, np.inf)       # untried coordinates go first
     last_visit = np.full(d, -1, dtype=np.int64)
-    preferred = np.ones(d)
+    preferred = [1.0] * d
     delta = np.zeros(d)
     best_delta = delta
     best_s = s0
@@ -287,10 +289,11 @@ def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
                 step = max(step * _GREEDY_STEP_DECAY, _GREEDY_MIN_STEP)
                 consecutive_fails = 0
         observed = max(gain, 0.0)
-        if math.isinf(scores[coord]):
+        score = scores.item(coord)
+        if math.isinf(score):
             scores[coord] = observed
         else:
-            scores[coord] = (_GREEDY_GAIN_DECAY * scores[coord]
+            scores[coord] = (_GREEDY_GAIN_DECAY * score
                              + (1.0 - _GREEDY_GAIN_DECAY) * observed)
         last_visit[coord] = queries
 

@@ -472,6 +472,34 @@ class TestAttackCommand:
         second = strip_wall_time(read_results(config.results_path))
         assert first == second
 
+    @pytest.mark.parametrize("mode, norm, digest", [
+        ("whitebox", "l2",
+         "416300cedcfaa203fbd0f53834dcba76f2b4f2fa2394b3e13fb5775485ffb533"),
+        ("whitebox", "linf",
+         "dbf81511752e6c38c0412b82130e8b9a4d49062f95982aabd12b7101dfcb6f89"),
+        ("blackbox", "l2",
+         "cfeb4e9212d8340b897c642ee226f78eb767db1c318088674b3ef0ed526b0218"),
+        ("blackbox", "linf",
+         "b8d115099d0779493782a4725abcd06f9f8e95499ca0236544a60333f94b2d34"),
+    ])
+    def test_records_pinned_across_code_versions(self, tmp_path, mode, norm, digest):
+        # The desk world's attack records without wall_time and the config
+        # checksum (it covers the temporary paths): refined latents,
+        # similarities and ledgers.  A refactor of the refine loop, the
+        # session's forward pass or the handles' arithmetic that moves a
+        # single bit of any query changes this digest.
+        budget = (dict(t_max=40) if mode == "whitebox"
+                  else dict(t_max=None, q_max=400))
+        cfg_path, config = write_config(
+            tmp_path, n_identities=20, num_targets=3, tau_c=0.9999, mode=mode,
+            norm=norm, epsilon=35.0 if norm == "l2" else 0.5, **budget)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        assert main(["attack", "--config", str(cfg_path)]) == 0
+        records = strip_wall_time(read_results(config.results_path),
+                                  and_checksum=True)
+        data = json.dumps(records, sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_blackbox_budget_respected(self, tmp_path):
         cfg_path, config = write_config(
             tmp_path, mode="blackbox", t_max=None, q_max=500, num_targets=3)
@@ -1049,6 +1077,26 @@ class TestAdapterRegistry:
             assert code == 2
             assert f"error: {message}" in err
             assert not os.path.exists(out_path)
+
+    def test_gradient_adapter_nan_target_embedding_exits_2(self, tmp_path, capsys):
+        # A gradient-capable embedder's embed_vjp makes the target
+        # embeddings; a NaN there is the adapter's fault, not a traceback.
+        class NaNTargetEmbedder(SyntheticEmbedder):
+            def embed_vjp(self, image):
+                unit, pullback = super().embed_vjp(image)
+                return np.full_like(unit, np.nan), pullback
+
+        register_toy_adapters(toy_identity_images)
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        registry.register_embedder("toy-emb-a", lambda config: NaNTargetEmbedder(
+            24, config.image_shape, np.random.SeedSequence([1234, 1]), "toy-emb-a"))
+        capsys.readouterr()
+        assert main(["attack", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: embedder 'toy-emb-a' returned a non-finite target embedding" in err
+        assert not os.path.exists(config.results_path)
 
     def test_unregistered_adapter_exits_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, backend="adapter",

@@ -11,6 +11,7 @@ from embinvert.core import (
     ImageSample,
     LatentCode,
     TargetSpec,
+    _norm,
     cosine_similarity,
     decide_match,
 )
@@ -73,6 +74,62 @@ class TestCosineSimilarity:
         v = vec(1e200, 1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isnan(cosine_similarity(v, v))
+
+
+def assert_norm_bits(v):
+    """``_norm(v)`` is ``np.linalg.norm(v)`` to the last bit, NaN included."""
+    ours, reference = np.float64(_norm(v)), np.linalg.norm(v)
+    assert ours.tobytes() == reference.tobytes(), (ours, reference)
+
+
+class TestNorm:
+    # The refiners, the session's cosine and the synthetic embedder take
+    # every norm through _norm; their answers stay the same only because
+    # it equals np.linalg.norm bit for bit.
+
+    def test_random_vectors_of_every_length_up_to_1024(self):
+        rng = np.random.default_rng(20)
+        for n in range(1, 1025):
+            v = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            assert_norm_bits(v)
+
+    def test_strided_and_reversed_views(self):
+        # A strided dot sums in another order than a contiguous one.
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 7, 64, 128, 513, 1024):
+            base = rng.standard_normal(3 * n)
+            for view in (base[::3], base[1::3], base[::-1][:n], base[:n][::-1]):
+                assert_norm_bits(view)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 1024])
+    def test_zeros(self, n):
+        assert_norm_bits(np.zeros(n))
+        assert_norm_bits(-np.zeros(n))
+        assert _norm(np.zeros(n)) == 0.0
+
+    @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("n", [1, 3, 64, 1024])
+    def test_inf_and_nan(self, special, n):
+        v = np.random.default_rng(n).standard_normal(n)
+        with np.errstate(invalid="ignore"):
+            for at in {0, n // 2, n - 1}:
+                w = v.copy()
+                w[at] = special
+                assert_norm_bits(w)
+            assert_norm_bits(np.array([np.inf, np.nan] * n))
+
+    @pytest.mark.parametrize("exponent", [-200, -160, -154, 154, 160, 200])
+    def test_entries_near_the_ends_of_the_float_range(self, exponent):
+        # Squares underflow to zero below 1e-162 and overflow above 1e154.
+        rng = np.random.default_rng(exponent + 1000)
+        with np.errstate(over="ignore", under="ignore"):
+            for n in (1, 2, 64, 1024):
+                assert_norm_bits(rng.standard_normal(n) * 10.0 ** exponent)
+                assert_norm_bits(np.full(n, 10.0 ** exponent))
+
+    def test_embedding_vector_norm(self):
+        z = vec(3.0, -4.0, 12.0)
+        assert z.norm == 13.0 and type(z.norm) is float
 
 
 class TestDecideMatch:
