@@ -85,16 +85,7 @@ def compute_eer_threshold(cal: CalibrationSet) -> Tuple[float, float]:
     far = (imp.size - np.searchsorted(imp, grid, side="left")) / imp.size
     frr = np.searchsorted(gen, grid, side="left") / gen.size
     diff = np.abs(far - frr)
-    best = diff.min()
-    optimal = np.flatnonzero(diff == best)
-    # First contiguous run of optimal grid indices.
-    run_start = optimal[0]
-    run_end = run_start
-    for idx in optimal[1:]:
-        if idx == run_end + 1:
-            run_end = idx
-        else:
-            break
+    run_start, run_end = np.flatnonzero(diff == diff.min())[[0, -1]]
     lower = grid[run_start - 1] if run_start > 0 else -1.0
     threshold = (lower + grid[run_end]) / 2.0
     eer = (far[run_start] + frr[run_start]) / 2.0

@@ -52,6 +52,17 @@ def _overrides(handle, base, method: str) -> bool:
     return getattr(type(handle), method) is not getattr(base, method)
 
 
+def _scaled_normal(rng, shape: Tuple[int, int], scale: float) -> np.ndarray:
+    """``rng.standard_normal(shape) / scale``, bit for bit, drawn in place on a
+    64-byte boundary; OpenBLAS's gemv runs up to 1.6x slower on a 16-byte one."""
+    size = shape[0] * shape[1]
+    buf = np.empty(size + 8)
+    out = buf[-buf.ctypes.data % 64 // 8:][:size].reshape(shape)
+    rng.standard_normal(out=out)
+    out /= scale
+    return out
+
+
 def _no_gradient(handle: str):
     """The pullback of a forward-only ``*_vjp``: it raises GradientUnavailable."""
     def pullback(cotangent: np.ndarray) -> np.ndarray:
@@ -163,7 +174,7 @@ class SyntheticGenerator(GeneratorHandle):
         self.generator_id = generator_id
         d_pix = int(np.prod(self.output_shape))
         rng = np.random.default_rng(seed_seq)
-        self.weight = rng.standard_normal((d_pix, self.d_lat)) / math.sqrt(self.d_lat)
+        self.weight = _scaled_normal(rng, (d_pix, self.d_lat), math.sqrt(self.d_lat))
         self.bias = 0.5 * rng.standard_normal(d_pix)
 
     def generate_vjp(self, latent_values: np.ndarray):
@@ -209,7 +220,7 @@ class SyntheticEmbedder(EmbedderHandle):
         self.tau_F = None
         d_pix = int(np.prod(self.input_shape))
         rng = np.random.default_rng(seed_seq)
-        self.weight = rng.standard_normal((self.d_emb, d_pix)) / math.sqrt(d_pix)
+        self.weight = _scaled_normal(rng, (self.d_emb, d_pix), math.sqrt(d_pix))
 
     def embed_batch(self, images: np.ndarray) -> np.ndarray:
         """One matmul for the stack, with ``embed_vjp``'s shape and zero checks."""
@@ -224,8 +235,8 @@ class SyntheticEmbedder(EmbedderHandle):
         return raw / norms[:, None]
 
     def embed_vjp(self, image: np.ndarray):
-        """The unit embedding and a pullback that reuses its raw embedding
-        and norm."""
+        """The unit embedding and a pullback that reuses its raw embedding and
+        norm.  A NaN image embeds to NaN; refinement raises NonFiniteLoss."""
         if image.shape != self.input_shape:
             raise ShapeMismatch(f"embedder {self.model_id}: image shape "
                                 f"{image.shape} != expected {self.input_shape}")
@@ -233,9 +244,6 @@ class SyntheticEmbedder(EmbedderHandle):
         norm = _norm(raw)
         if norm == 0.0:
             raise ZeroNormEmbedding(f"embedder {self.model_id}: raw embedding is zero")
-        if not math.isfinite(norm):
-            # A finite norm means every entry of raw, and so of unit, is finite.
-            raise ValueError("embedding entries must be finite")
         unit = raw / norm
 
         def pullback(embedding_cotangent: np.ndarray) -> np.ndarray:

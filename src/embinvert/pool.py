@@ -4,7 +4,8 @@ Built once per generator and reused across targets: candidates are drawn
 from sequential seeds, screened for Gaussian normality first (cheap, no
 generation needed), then generated and screened for face presence.
 Candidate i is still sample_latent(d_lat, build_seed + i); build_pool draws
-a chunk of candidates as one array, bit for bit the same rows.  The
+a chunk of candidates as one array, bit for bit the same rows: numpy seeds
+each row's PCG64 from SeedSequence words hashed for the whole chunk.  The
 normality screen runs only inside build_pool: one k2_screen call per chunk,
 whose exact re-check with k2_pvalues (the row-wise code of k2_test) decides
 every acceptance, so each survivor's stored p_K equals k2_test of its
@@ -34,6 +35,7 @@ from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import ImageSample, LatentCode
 from .errors import (
@@ -159,8 +161,8 @@ class LatentPool:
         return rows, norms
 
 
-# numpy.random.SeedSequence's hash constants and PCG64's 128-bit LCG
-# multiplier, which _draw_block reproduces to seed each row's stream.
+# numpy.random.SeedSequence's hash constants, which _seed_states reproduces
+# to seed every row of a block at once.
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
@@ -168,8 +170,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _hashmix(value: np.ndarray, hash_const: int):
@@ -212,18 +212,28 @@ def _seed_states(seeds: np.ndarray) -> np.ndarray:
         value = mixer[k % 4] ^ np.uint32(hash_const)
         hash_const = (hash_const * _MULT_B) & _MASK32
         value = value * np.uint32(hash_const)
-        out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+        out.append(value ^ (value >> np.uint32(16)))
     # Little-endian pairs of 32-bit words make the 64-bit words.
-    return np.stack([out[2 * k] | (out[2 * k + 1] << np.uint64(32))
-                     for k in range(4)], axis=1)
+    return np.stack(out, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _RowSeeds(ISeedSequence):
+    """Answers each ``generate_state(4, np.uint64)`` of a PCG64 being built with
+    the next row of ``_seed_states``: 4 contiguous uint64s, read in place."""
+
+    def __init__(self, states: np.ndarray):
+        self._rows = iter(states)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return next(self._rows)
 
 
 def _draw_block(d_lat: int, first_seed: int, count: int) -> np.ndarray:
     """A (count, d_lat) block of latents for seeds first_seed, first_seed + 1, ...
 
     Row i is ``default_rng(first_seed + i).standard_normal(d_lat)`` rounded
-    through float32, bit for bit: each row's PCG64 state is seeded as
-    ``default_rng`` seeds it, into one reused generator.
+    through float32, bit for bit: numpy seeds each row's PCG64 itself, from
+    the ``SeedSequence`` words ``_seed_states`` hashes for the whole block.
     """
     if d_lat <= 0:
         raise ValueError(f"d_lat must be positive, got {d_lat}")
@@ -232,21 +242,10 @@ def _draw_block(d_lat: int, first_seed: int, count: int) -> np.ndarray:
         raise ValueError(
             f"seeds {first_seed}..{first_seed + count - 1} are not in [0, 2**64)")
     seeds = np.arange(count, dtype=np.uint64) + np.uint64(first_seed)
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
-             "uinteger": 0}
+    row_seeds = _RowSeeds(_seed_states(seeds))
     block = np.empty((count, d_lat))
-    for i, (s_hi, s_lo, q_hi, q_lo) in enumerate(_seed_states(seeds).tolist()):
-        # PCG64's seeding: inc from the sequence, then two LCG steps with
-        # the initial state added between them.
-        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
-        pcg_state = (inc + ((s_hi << 64) | s_lo)) & _MASK128
-        pcg["state"] = (pcg_state * _PCG64_MULT + inc) & _MASK128
-        pcg["inc"] = inc
-        bit_generator.state = state
-        generator.standard_normal(out=block[i])
+    for row in block:
+        np.random.Generator(np.random.PCG64(row_seeds)).standard_normal(out=row)
     return block.astype(np.float32).astype(np.float64)
 
 

@@ -102,7 +102,8 @@ def _is_count(value) -> bool:
 
 def check_result_record(rec, where: str):
     """Raise IoFailure unless ``rec`` is a result or failure record with
-    every field that ``report`` reads, of the right type."""
+    every field that ``report`` reads, of the right type, and a success
+    record's ledger adds up and its chosen rank is a listed candidate."""
     def bad(problem):
         raise IoFailure(f"{where}: {problem}")
 
@@ -123,8 +124,17 @@ def check_result_record(rec, where: str):
     if not (isinstance(latent, list) and latent and _all_real(latent)):
         bad("'refined_latent' must be a non-empty list of finite numbers")
     ledger = rec.get("ledger")
-    if not (isinstance(ledger, dict) and _is_count(ledger.get("total"))):
-        bad("'ledger.total' must be a non-negative integer")
+    if not (isinstance(ledger, dict)
+            and all(_is_count(ledger.get(k)) for k in ("q_topn", "q_adv", "total"))
+            and ledger["total"] == ledger["q_topn"] + ledger["q_adv"]):
+        bad("'ledger' must hold counts q_topn, q_adv and total = q_topn + q_adv")
+    # Not q_adv == sum(queries_used): aborted candidates are charged but not listed.
+    chosen = (rec.get("chosen_rank"), rec.get("final_similarity"))
+    if not (_is_count(chosen[0]) and _is_real(chosen[1])
+            and isinstance(rec.get("candidates"), list)
+            and chosen in [(c.get("rank"), c.get("final_similarity"))
+                           for c in rec["candidates"] if isinstance(c, dict)]):
+        bad("'chosen_rank' and 'final_similarity' match no listed candidate")
     if not _is_real(rec.get("wall_time")):
         bad("'wall_time' must be a finite number")
 

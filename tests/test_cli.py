@@ -1098,6 +1098,32 @@ class TestAdapterRegistry:
         assert "error: embedder 'toy-emb-a' returned a non-finite target embedding" in err
         assert not os.path.exists(config.results_path)
 
+    @pytest.mark.parametrize("mode", ["whitebox", "blackbox"])
+    def test_gradient_adapter_nan_vjp_pixel_fails_each_target(self, tmp_path,
+                                                             capsys, mode):
+        # Refinement alone reads generate_vjp; its NaN image embeds to a NaN
+        # similarity, which aborts each candidate with NonFiniteLoss.
+        class NaNPixelGenerator(SyntheticGenerator):
+            def generate_vjp(self, latent):
+                image, pullback = super().generate_vjp(latent)
+                image[0, 0, 0] = np.nan
+                return image, pullback
+
+        register_toy_adapters(toy_identity_images)
+        budget = dict(t_max=10) if mode == "whitebox" else dict(t_max=None, q_max=100)
+        cfg_path, config = write_toy_adapter_config(tmp_path, mode=mode, **budget)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        registry.register_generator("toy-gen", lambda config: NaNPixelGenerator(
+            config.d_lat, config.image_shape, np.random.SeedSequence([1234, 0]),
+            generator_id="toy-gen"))
+        capsys.readouterr()
+        assert main(["attack", "--config", str(cfg_path)]) == 5
+        assert "Traceback" not in capsys.readouterr().err
+        records = read_results(config.results_path)
+        assert len(records) == config.num_targets
+        assert all(r["error"] == f"AllCandidatesFailed: all {config.top_n} "
+                   "candidate refinements aborted" for r in records)
+
     def test_unregistered_adapter_exits_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, backend="adapter",
                                    adapter_generator="nobody-home",
@@ -1162,14 +1188,21 @@ class TestMalformedInputsExit4:
 
     @pytest.mark.parametrize("line", [
         "missing-target-model", '"a json string"', "[1, 2]", "negative-index",
-    ], ids=["missing-target-model", "json-string", "json-list", "negative-index"])
+        "edited-ledger", "edited-chosen-rank",
+    ], ids=["missing-target-model", "json-string", "json-list", "negative-index",
+            "edited-ledger", "edited-chosen-rank"])
     def test_results(self, attacked, capsys, line):
         cfg_path, config = attacked
         records = read_results(config.results_path)
+        assert records[1]["error"] is None
         if line == "missing-target-model":
             del records[1]["target_model_id"]
         elif line == "negative-index":
             records[1]["image_index"] = -1
+        elif line == "edited-ledger":
+            records[1]["ledger"]["q_adv"] -= 1
+        elif line == "edited-chosen-rank":
+            records[1]["chosen_rank"] += 1
         lines = [json.dumps(rec) for rec in records]
         if line.startswith(('"', "[")):
             lines[1] = line

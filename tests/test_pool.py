@@ -91,10 +91,21 @@ class TestDrawBlock:
         0,                     # seeds 0..4095
         2**32 - 2048,          # a chunk that crosses 2**32
         2**63 - 4096,          # the last seeds below 2**63
+        2**64 - 4096,          # the top of the range, up to 2**64 - 1
     ])
     def test_rows_equal_default_rng_per_seed(self, d_lat, first_seed):
         block = pool_module._draw_block(d_lat, first_seed, 4096)
         assert block.shape == (4096, d_lat)
+        for i, row in enumerate(block):
+            assert np.array_equal(row, default_rng_latent(d_lat, first_seed + i)), i
+
+    @settings(max_examples=200, deadline=None)
+    @given(count=st.integers(1, 6), d_lat=st.sampled_from([20, 64]),
+           data=st.data())
+    def test_any_block_equals_default_rng_per_seed(self, count, d_lat, data):
+        first_seed = data.draw(st.integers(0, 2**64 - count), label="first_seed")
+        block = pool_module._draw_block(d_lat, first_seed, count)
+        assert block.shape == (count, d_lat)
         for i, row in enumerate(block):
             assert np.array_equal(row, default_rng_latent(d_lat, first_seed + i)), i
 

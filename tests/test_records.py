@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -162,7 +163,11 @@ def success_record(**changes):
     """A minimal well-formed success record, with ``changes`` applied."""
     rec = failure_record(target_id="t", target_model_id="m", identity_id="i",
                          image_index=0, config_checksum="c", error=None)
-    rec.update(refined_latent=[0.5, -0.25], ledger={"total": 3}, wall_time=0.1)
+    rec.update(refined_latent=[0.5, -0.25], chosen_rank=2, final_similarity=0.75,
+               ledger={"q_topn": 2, "q_adv": 4, "q_max": None, "total": 6},
+               candidates=[{"rank": 1, "final_similarity": 0.5, "queries_used": 1},
+                           {"rank": 2, "final_similarity": 0.75, "queries_used": 1}],
+               wall_time=0.1)
     return {**rec, **changes}
 
 
@@ -281,4 +286,32 @@ class TestReadersFailClosed:
         path = tmp_path / "r.ndjson"
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(IoFailure, match="line 1"):
+            read_results(path)
+
+    def test_well_formed_record_read_back(self, tmp_path):
+        # q_adv 4 against queries_used 1 + 1: an aborted candidate is
+        # charged but not listed.
+        path = tmp_path / "r.ndjson"
+        path.write_text(json.dumps(success_record()) + "\n")
+        assert read_results(path) == [success_record()]
+
+    @pytest.mark.parametrize("changes, problem", [
+        (dict(ledger={"q_topn": 2, "q_adv": 4, "total": 5}), "total = q_topn + q_adv"),
+        (dict(ledger={"q_adv": 4, "total": 4}), "total = q_topn + q_adv"),
+        (dict(ledger={"q_topn": 2, "q_adv": -1, "total": 1}), "total = q_topn + q_adv"),
+        (dict(chosen_rank=3), "match no listed candidate"),
+        (dict(chosen_rank=1), "match no listed candidate"),
+        (dict(final_similarity=0.7500000000000001), "match no listed candidate"),
+        (dict(final_similarity=float("nan")), "match no listed candidate"),
+        (dict(chosen_rank=True), "match no listed candidate"),
+        (dict(candidates=[]), "match no listed candidate"),
+        (dict(candidates=[[2, 0.75]]), "match no listed candidate"),
+        (dict(candidates=None), "match no listed candidate"),
+    ], ids=["total-off-by-one", "no-q_topn", "negative-q_adv", "rank-not-listed",
+            "other-rank", "similarity-edited", "nan-similarity", "bool-rank",
+            "no-candidates", "candidate-not-an-object", "candidates-null"])
+    def test_ledger_and_chosen_candidate_checked(self, tmp_path, changes, problem):
+        path = tmp_path / "r.ndjson"
+        path.write_text(json.dumps(success_record(**changes)) + "\n")
+        with pytest.raises(IoFailure, match=f"line 1: .*{re.escape(problem)}"):
             read_results(path)
