@@ -7,10 +7,11 @@ tau_F, else the model's own, else one calibrated as ``calibrate`` would.
 Exit codes (README.md lists the error class behind each): 0 success, 1 any
 other error (empty calibration, zero-norm embedding, target leak, ...),
 2 invalid configuration (also a calibrated tau_C outside (0, 1], a
-detector score outside [0, 1] and an adapter tau_F that is neither None
-nor a finite number) or unknown model, 3 pool exhaustion or too few
-calibration images, 4 file I/O or a corrupt pool, results or thresholds
-file, 5 all attack targets failed.
+detector score outside [0, 1], an adapter tau_F that is neither None
+nor a finite number, and a success whose target-model similarity
+``report`` does not reproduce) or unknown model, 3 pool exhaustion or
+too few calibration images, 4 file I/O or a corrupt pool, results or
+thresholds file, 5 all attack targets failed.
 """
 import argparse
 import os
@@ -262,6 +263,28 @@ def cmd_attack(config: RunConfig) -> int:
     return 0
 
 
+# attack scores a reconstruction with embed_vjp's gemv and report with one
+# embed_batch matmul, so the two similarities differ by float rounding only
+# (2.2e-16 at most on the desk config); past this bound, they scored
+# different images.
+_REPRODUCE_TOLERANCE = 1e-9
+
+
+def _check_reproduced(successes, rows, n_models: int):
+    """ConfigInvalid unless each success's target-model row (rows run case
+    by case, one per model) reproduces its recorded ``final_similarity``."""
+    for i, rec in enumerate(successes):
+        for row in rows[i * n_models:(i + 1) * n_models]:
+            if (row.eval_model_id == rec["target_model_id"] and abs(
+                    row.similarity - rec["final_similarity"]) > _REPRODUCE_TOLERANCE):
+                raise ConfigInvalid(
+                    f"target {rec['target_id']}: report's similarity on "
+                    f"{row.eval_model_id} is {row.similarity!r}, but attack "
+                    f"recorded {rec['final_similarity']!r}; the results come "
+                    "from another world or seed than this config's, or the "
+                    "generator's generate_vjp and generate_batch disagree")
+
+
 def cmd_report(config: RunConfig) -> int:
     if not config.report_path:
         raise ConfigInvalid("report_path is required for report")
@@ -322,6 +345,7 @@ def cmd_report(config: RunConfig) -> int:
             thresholds[model.model_id] = _eer_calibration(
                 images_by_identity, model, config.seed, k)[1]
     report = cross_model_report(cases, backend.embedders, thresholds)
+    _check_reproduced(successes, report.rows, len(backend.embedders))
     write_report(config.report_path, report)
     print(f"{len(report.rows)} rows -> {config.report_path}")
     print(f"cross-model type1 = {report.cross_model_type1:.4f}  "

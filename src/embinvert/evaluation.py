@@ -26,7 +26,6 @@ numpy's ``choice`` and ``integers`` would consume them one pair at a
 time, so a seed names the same pairs as the per-pair draw, bit for bit;
 the per-pair draw still runs where the block cannot be decoded exactly.
 """
-import hashlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple
 
@@ -231,19 +230,15 @@ def _impostor_rows_from_block(rng, starts: np.ndarray, count: int):
     return starts[i] + image_i, starts[j] + image_j
 
 
-def _image_digest(image: ImageSample) -> str:
-    return hashlib.sha256(image.values.tobytes()).hexdigest()
-
-
 def _check_alternates(cases: Sequence["EvaluationCase"]):
     """Every target needs an alternate, and no alternate may be the target
-    image itself (detected by checksum)."""
+    image itself: the same pixel bytes."""
     for i, case in enumerate(cases):
         if len(case.alt_images) < 1:
             raise LengthMismatch("need at least one alternate image per target")
-        tgt_digest = _image_digest(case.target_image)
+        target = case.target_image.values.tobytes()
         for alt in case.alt_images:
-            if _image_digest(alt) == tgt_digest:
+            if alt.values.tobytes() == target:
                 raise TargetLeak(f"alternate of target {i} equals the target image")
 
 

@@ -8,7 +8,9 @@ detector (``detect_batch``, images to confidences).  Real generative or
 recognition models plug in through these same contracts via the adapter
 registry; the synthetic versions below are small, smooth, fully seeded
 stand-ins that keep the whole pipeline's geometry (latent -> image ->
-embedding -> cosine) while running in milliseconds.
+embedding -> cosine) while running in milliseconds.  A synthetic world
+generates its identity images in one ``generate_batch`` call and
+calibrates its detector on first use, so only ``build-pool`` pays for it.
 
 Gradients compose through one forward pass per handle:
 
@@ -29,6 +31,7 @@ the matrix-vector products: the synthetic vjps and pullbacks call
 ``_generated_images`` and
 ``_embedding_rows`` check every batch result (ConfigInvalid names the handle).
 """
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -260,8 +263,8 @@ class SyntheticDetector(DetectorHandle):
 
     The template is the generator's bias-field prototype, so on-manifold
     generations correlate strongly while degenerate images do not.  The
-    (offset, slope) pair is calibrated by the world builder so that every
-    identity-derived image scores at least 0.999.
+    (offset, slope) pair is calibrated on first use of the world's
+    ``detector`` so that every identity-derived image scores at least 0.999.
     """
 
     def __init__(self, template: np.ndarray, offset: float, slope: float,
@@ -357,12 +360,18 @@ class SyntheticWorld(Backend):
     master_seed: int
     generator: SyntheticGenerator
     embedders: Tuple[SyntheticEmbedder, ...]
-    detector: SyntheticDetector
     identities: Tuple[IdentityRecord, ...]
 
     @property
     def identity_images(self) -> Tuple[Tuple[ImageSample, ...], ...]:
         return tuple(rec.images for rec in self.identities)
+
+    @functools.cached_property
+    def detector(self) -> SyntheticDetector:
+        """Calibrated on every identity image on first use; of the CLI
+        commands only ``build-pool`` reads it."""
+        return _calibrate_detector(
+            self.generator, [img.flat() for rec in self.identities for img in rec.images])
 
 
 # Stream ids for deriving independent RNGs from the master seed.
@@ -392,7 +401,11 @@ def make_synthetic_world(config: WorldConfig, master_seed: int) -> SyntheticWorl
     no decision threshold: each embedder's ``tau_F`` is None, and
     ``calibrate`` computes the thresholds at minimum EER on the world's
     identity images with impostor pairs drawn from ``impostor_stream``.
-    The detector is calibrated so every identity image clears 0.999.
+    The identity latents are drawn identity by identity and their images
+    generated in one ``generate_batch`` call, one gemv per row, so each
+    image keeps its bits; each ``IdentityRecord`` holds slices of the two
+    blocks.  The detector is calibrated on first use of ``world.detector``,
+    so every identity image clears 0.999.
     """
     config.validate()
     shape_tag = "x".join(str(v) for v in config.image_shape)
@@ -412,25 +425,22 @@ def make_synthetic_world(config: WorldConfig, master_seed: int) -> SyntheticWorl
 
     rng_id = np.random.default_rng(
         np.random.SeedSequence([master_seed, _STREAM_IDENTITIES]))
-    identities, rows = [], []
+    per = config.images_per_identity
+    latents = np.empty((config.n_identities * per, config.d_lat))
     for k in range(config.n_identities):
         center = rng_id.standard_normal(config.d_lat)
-        noise = rng_id.standard_normal((config.images_per_identity, config.d_lat))
-        latents = center[None, :] + config.identity_noise * noise
-        # One batch per identity: one block of every identity image raised
-        # the peak RSS of a V=1000 run by up to 4%.
-        stack = gen.generate_batch(latents)
-        identities.append(IdentityRecord(f"id{k:03d}", latents, ImageSample.stack(stack)))
-        rows.extend(stack.reshape(len(stack), -1))
-    identities = tuple(identities)
-
-    detector = _calibrate_detector(gen, rows)
+        noise = rng_id.standard_normal((per, config.d_lat))
+        latents[k * per:(k + 1) * per] = center[None, :] + config.identity_noise * noise
+    images = ImageSample.stack(gen.generate_batch(latents))
+    identities = tuple(
+        IdentityRecord(f"id{k:03d}", latents[k * per:(k + 1) * per],
+                       images[k * per:(k + 1) * per])
+        for k in range(config.n_identities))
     return SyntheticWorld(
         config=config,
         master_seed=master_seed,
         generator=gen,
         embedders=embedders,
-        detector=detector,
         identities=identities,
     )
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embinvert import cli, errors, evaluation, registry
+from embinvert import cli, errors, evaluation, models, registry
 from embinvert.cli import main
 from embinvert.config import (
     ENV_PREFIX,
@@ -403,6 +403,25 @@ class TestCalibrationOnlyWhereRead:
         assert calibrations("calibrate") == models
         assert calibrations("report") == []       # reads the thresholds file
 
+    def test_detector_calibrated_only_by_build_pool(self, tmp_path, monkeypatch):
+        calls = []
+        calibrate_detector = models._calibrate_detector
+
+        def counting(*args):
+            calls.append(args)
+            return calibrate_detector(*args)
+
+        def refusing(*args):
+            raise AssertionError("the detector was calibrated")
+
+        cfg_path, _ = write_config(tmp_path)
+        monkeypatch.setattr(models, "_calibrate_detector", counting)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        assert len(calls) == 1
+        monkeypatch.setattr(models, "_calibrate_detector", refusing)
+        for command in ("calibrate", "attack", "report"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+
     @pytest.mark.parametrize("seed", [7, 1009])
     def test_report_without_thresholds_matches_report_after_calibrate(
             self, tmp_path, seed):
@@ -740,6 +759,18 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "error: no tau_F for eval model 'synthetic-embedder-0'" in err
+        assert not os.path.exists(config.report_path)
+
+    def test_results_of_another_seed_exit_2_naming_the_target(self, attacked, capsys):
+        # Seed 8 builds another world, whose generator maps each recorded
+        # latent to an image attack never scored.
+        cfg_path, config = attacked
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg_path), "--seed", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: target t000: report's similarity on synthetic-embedder-0" in err
+        assert "another world or seed" in err
         assert not os.path.exists(config.report_path)
 
     def test_report_without_results_exits_4(self, tmp_path):
@@ -1123,6 +1154,32 @@ class TestAdapterRegistry:
         assert len(records) == config.num_targets
         assert all(r["error"] == f"AllCandidatesFailed: all {config.top_n} "
                    "candidate refinements aborted" for r in records)
+
+    def test_vjp_image_unlike_its_batch_row_fails_report(self, tmp_path, capsys):
+        # Refinement scores generate_vjp's images and report generate_batch's.
+        # A uniform scale of the whole image would embed to the same unit
+        # row, so the first channel alone is scaled.
+        class ScaledVjpGenerator(SyntheticGenerator):
+            def generate_vjp(self, latent):
+                image, pullback = super().generate_vjp(latent)
+                image = image.copy()
+                image[0] *= 1.5
+                return image, pullback
+
+        register_toy_adapters(toy_identity_images)
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        registry.register_generator("toy-gen", lambda config: ScaledVjpGenerator(
+            config.d_lat, config.image_shape, np.random.SeedSequence([1234, 0]),
+            generator_id="toy-gen"))
+        assert main(["attack", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: target t000: report's similarity on toy-emb-a" in err
+        assert "generate_vjp and generate_batch disagree" in err
+        assert not os.path.exists(config.report_path)
 
     def test_unregistered_adapter_exits_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, backend="adapter",
