@@ -281,17 +281,23 @@ class SyntheticDetector(DetectorHandle):
         self.slope = float(slope)
         self.detector_id = detector_id
 
-    def detect_batch(self, images: np.ndarray) -> list:
-        """One dot product per image: a matrix product could move scores' bits."""
+    def correlations(self, images: np.ndarray) -> list:
+        """Each image's cosine with the template (0 for a zero image), one
+        dot product per image: a matrix product could move the last bits."""
         images = np.asarray(images, dtype=np.float64)
         if images.shape[1:] != self.input_shape:
             raise ShapeMismatch(
                 f"detector {self.detector_id}: image stack shape {images.shape} "
                 f"!= (B,) + {self.input_shape}")
-        scores = []
+        corrs = []
         for flat in images.reshape(-1, self.template.size):
-            norm = np.linalg.norm(flat)
-            corr = 0.0 if norm == 0.0 else float(flat @ self.template / norm)
+            norm = _norm(flat)
+            corrs.append(0.0 if norm == 0.0 else float(flat.dot(self.template) / norm))
+        return corrs
+
+    def detect_batch(self, images: np.ndarray) -> list:
+        scores = []
+        for corr in self.correlations(images):
             score = 1.0 / (1.0 + math.exp(-self.slope * (corr - self.offset)))
             scores.append(min(1.0, max(0.0, score)))
         return scores
@@ -370,8 +376,8 @@ class SyntheticWorld(Backend):
     def detector(self) -> SyntheticDetector:
         """Calibrated on every identity image on first use; of the CLI
         commands only ``build-pool`` reads it."""
-        return _calibrate_detector(
-            self.generator, [img.flat() for rec in self.identities for img in rec.images])
+        return _calibrate_detector(self.generator, np.stack(
+            [img.values for rec in self.identities for img in rec.images]))
 
 
 # Stream ids for deriving independent RNGs from the master seed.
@@ -445,13 +451,13 @@ def make_synthetic_world(config: WorldConfig, master_seed: int) -> SyntheticWorl
     )
 
 
-def _calibrate_detector(gen: SyntheticGenerator, flat_images) -> SyntheticDetector:
-    template = np.tanh(gen.bias)
-    template = template / np.linalg.norm(template)
-    # One image at a time: a matrix product would move the last bits.
-    corrs = [float(f.dot(template) / _norm(f)) for f in flat_images]
-    offset = min(corrs) - _DETECTOR_MARGIN
-    return SyntheticDetector(template, offset, _DETECTOR_SLOPE, gen.output_shape)
+def _calibrate_detector(gen: SyntheticGenerator, images: np.ndarray) -> SyntheticDetector:
+    """The detector whose offset puts the lowest correlation of the (B, C, H, W)
+    ``images`` _DETECTOR_MARGIN above it, computed with its own template and
+    ``correlations``."""
+    detector = SyntheticDetector(np.tanh(gen.bias), 0.0, _DETECTOR_SLOPE, gen.output_shape)
+    detector.offset = min(detector.correlations(images)) - _DETECTOR_MARGIN
+    return detector
 
 
 class QueryLedger:

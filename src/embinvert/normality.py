@@ -10,12 +10,14 @@ Validity floors (n >= 8 for skewness, n >= 20 for kurtosis) follow the
 published transforms; below them the functions raise instead of
 approximating.
 
-The transforms are written once, row-wise over a 2-D array.  The public
-single-sample functions flatten their input to one row; k2_pvalues tests
-many rows at once and gives each row exactly k2_test's p-value; k2_screen
-keeps the rows whose k2_pvalues p-value reaches a threshold, scoring most
-rows with a cheaper fourth power and re-testing exactly the ones that
-could pass.
+The transforms are written once, row-wise over a 2-D array, in numpy's
+array arithmetic: the fourth moment from ``dd * dd`` (``dd = d * d``, which
+also gives m2 and the third moment) and the skewness denominator as
+``m2 ** 1.5``.  The public single-sample functions flatten their input to
+one row; k2_pvalues tests many rows at once and gives each row exactly
+k2_test's p-value.  The last bits of a p-value follow numpy's SIMD
+dispatch: numpy's pow and transcendental loops may round differently on a
+host without AVX-512.
 """
 from dataclasses import dataclass
 
@@ -57,13 +59,7 @@ def _as_row(sample) -> np.ndarray:
 
 
 def _skewness(n: int, d: np.ndarray, dd: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    # Python's float ** (libm pow), as k2_test has always used: numpy's array
-    # pow differs in the last bit on ~5% of rows, moving stored p_K values.
-    return _skewness_z(n, np.mean(dd * d, axis=1)
-                       / np.array([v ** 1.5 for v in m2.tolist()]))
-
-
-def _skewness_z(n: int, g1: np.ndarray) -> np.ndarray:
+    g1 = np.mean(dd * d, axis=1) / m2 ** 1.5
     nf = float(n)
     y = g1 * np.sqrt((nf + 1.0) * (nf + 3.0) / (6.0 * (nf - 2.0)))
     beta2 = (
@@ -76,9 +72,8 @@ def _skewness_z(n: int, g1: np.ndarray) -> np.ndarray:
     return delta * np.arcsinh(y / alpha)
 
 
-def _kurtosis_denom(n: int, m4: np.ndarray, m2: np.ndarray):
-    """(a, denominator) of the kurtosis transform for fourth moments m4."""
-    b2 = m4 / (m2 * m2)
+def _kurtosis(n: int, dd: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    b2 = np.mean(dd * dd, axis=1) / (m2 * m2)
     nf = float(n)
     mean_b2 = 3.0 * (nf - 1.0) / (nf + 1.0)
     var_b2 = (
@@ -91,38 +86,23 @@ def _kurtosis_denom(n: int, m4: np.ndarray, m2: np.ndarray):
         * np.sqrt(6.0 * (nf + 3.0) * (nf + 5.0) / (nf * (nf - 2.0) * (nf - 3.0)))
     )
     a = 6.0 + 8.0 / sqrt_beta1 * (2.0 / sqrt_beta1 + np.sqrt(1.0 + 4.0 / sqrt_beta1 ** 2))
-    return a, 1.0 + x * np.sqrt(2.0 / (a - 4.0))
-
-
-def _kurtosis_z(a, denom: np.ndarray) -> np.ndarray:
-    term = np.sign(denom) * np.cbrt((1.0 - 2.0 / a) / np.abs(denom))
-    return ((1.0 - 2.0 / (9.0 * a)) - term) / np.sqrt(2.0 / (9.0 * a))
-
-
-def _kurtosis(n: int, d: np.ndarray, dd: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    a, denom = _kurtosis_denom(n, np.mean(d ** 4, axis=1), m2)
+    denom = 1.0 + x * np.sqrt(2.0 / (a - 4.0))
     if np.any(denom == 0.0):
         raise DegenerateSample("kurtosis transform denominator collapsed to zero")
-    return _kurtosis_z(a, denom)
+    term = np.sign(denom) * np.cbrt((1.0 - 2.0 / a) / np.abs(denom))
+    return ((1.0 - 2.0 / (9.0 * a)) - term) / np.sqrt(2.0 / (9.0 * a))
 
 
 def _k2_rows(rows: np.ndarray):
     # Checks in the order k2_test has always raised them: the skewness
     # transform's, then the kurtosis transform's size floor.
-    prepared = _prepare(rows, _SKEW_MIN_N, "skewness_transform")
-    _check_size(prepared[0], _KURT_MIN_N, "kurtosis_transform")
-    z_skew = _skewness(*prepared)
-    z_kurt = _kurtosis(*prepared)
+    n, d, dd, m2 = _prepare(rows, _SKEW_MIN_N, "skewness_transform")
+    _check_size(n, _KURT_MIN_N, "kurtosis_transform")
+    z_skew = _skewness(n, d, dd, m2)
+    z_kurt = _kurtosis(n, dd, m2)
     k2 = z_skew * z_skew + z_kurt * z_kurt
     # Chi-square(2) survival function, exact closed form.
     return z_skew, z_kurt, k2, np.exp(-0.5 * k2)
-
-
-def _check_rows(rows, op: str) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError(f"{op} takes a 2-D array, got shape {rows.shape}")
-    return rows
 
 
 def skewness_transform(sample) -> float:
@@ -133,8 +113,8 @@ def skewness_transform(sample) -> float:
 
 def kurtosis_transform(sample) -> float:
     """Normalized sample kurtosis; approximately N(0,1) under the null."""
-    return float(_kurtosis(*_prepare(_as_row(sample), _KURT_MIN_N,
-                                     "kurtosis_transform"))[0])
+    n, _, dd, m2 = _prepare(_as_row(sample), _KURT_MIN_N, "kurtosis_transform")
+    return float(_kurtosis(n, dd, m2)[0])
 
 
 def k2_test(sample) -> NormalityResult:
@@ -152,38 +132,8 @@ def k2_pvalues(rows) -> np.ndarray:
 
     Raises as k2_test does, for the first failing check over all rows.
     """
-    return _k2_rows(_check_rows(rows, "k2_pvalues"))[3]
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValueError(f"k2_pvalues takes a 2-D array, got shape {rows.shape}")
+    return _k2_rows(rows)[3]
 
-
-# How far an approximate p-value may sit below the threshold, or a kurtosis
-# denominator from zero, for k2_screen to still re-test the row exactly.
-# On TestK2Screen's 102,400 float32-rounded normal rows the approximation
-# stays within 2.7e-15 of the exact p.
-_SCREEN_MARGIN = 1e-9
-
-
-def k2_screen(rows, tau: float):
-    """The rows that pass the test at threshold tau: ``(indices, p)``.
-
-    The same rows and p bits as ``np.flatnonzero(k2_pvalues(rows) >= tau)``,
-    with the same errors, at less cost.  Every row is first scored with
-    ``dd*dd`` (``dd = d*d``, which also gives m2 and ``dd*d``) for
-    ``d ** 4`` and numpy's ``m2 ** 1.5``, which can move p in the last
-    bits.  Only rows that could pass -- an approximate p within the margin
-    of tau or not finite, or a kurtosis denominator within the margin of
-    zero -- go through k2_pvalues, and its exact p alone decides.
-    """
-    rows = _check_rows(rows, "k2_screen")
-    n, d, dd, m2 = _prepare(rows, _SKEW_MIN_N, "skewness_transform")
-    _check_size(n, _KURT_MIN_N, "kurtosis_transform")
-    a, denom = _kurtosis_denom(n, np.mean(dd * dd, axis=1), m2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z_kurt = _kurtosis_z(a, denom)
-    z_skew = _skewness_z(n, np.mean(dd * d, axis=1) / m2 ** 1.5)
-    approx = np.exp(-0.5 * (z_skew * z_skew + z_kurt * z_kurt))
-    recheck = np.flatnonzero(~np.isfinite(approx)
-                             | (approx >= tau - _SCREEN_MARGIN)
-                             | (np.abs(denom) <= _SCREEN_MARGIN))
-    p = k2_pvalues(rows[recheck])
-    passed = p >= tau
-    return recheck[passed], p[passed]

@@ -6,13 +6,12 @@ generation needed), then generated and screened for face presence.
 Candidate i is still sample_latent(d_lat, build_seed + i); build_pool draws
 a chunk of candidates as one array, bit for bit the same rows: numpy seeds
 each row's PCG64 from SeedSequence words hashed for the whole chunk.  The
-normality screen runs only inside build_pool: one k2_screen call per chunk,
-whose exact re-check with k2_pvalues (the row-wise code of k2_test) decides
-every acceptance, so each survivor's stored p_K equals k2_test of its
-latent bit for bit.  Survivors are generated and scored a batch of rows
-at a time.  Both the latent and its generation are cached so later
-selection stages never regenerate.  The screening facts (seed, p_K, p_D)
-are ``PoolEntry`` fields; a ``LatentCode`` carries none of them.
+normality screen runs only inside build_pool: one k2_pvalues call per
+chunk (the row-wise code of k2_test) gives the p-value that decides each
+acceptance and is stored as p_K.  Survivors are generated and scored a
+batch of rows at a time.  Both the latent and its generation are cached so
+later selection stages never regenerate.  The screening facts (seed, p_K,
+p_D) are ``PoolEntry`` fields; a ``LatentCode`` carries none of them.
 
 Pool entries are target-agnostic by construction; nothing embedding- or
 identity-specific is stored.  Because of that, the embeddings of the
@@ -48,7 +47,7 @@ from .errors import (
 from .fileio import replace_file
 from .models import (DetectorHandle, EmbedderHandle, GeneratorHandle,
                      _embedding_rows, _generated_images)
-from .normality import k2_screen
+from .normality import k2_pvalues
 
 _MAGIC = b"LPOOL"
 _FORMAT_VERSION = 1
@@ -309,9 +308,10 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
         chunk = min(_BATCH, cap - drawn)
         first_seed = build_seed + drawn
         block = _draw_block(generator.d_lat, first_seed, chunk)
-        passed, p_K = k2_screen(block, tau_K)
+        p = k2_pvalues(block)
+        passed = np.flatnonzero(p >= tau_K)
         drawn += chunk
-        survivors = list(zip(passed.tolist(), p_K.tolist()))
+        survivors = list(zip(passed.tolist(), p[passed].tolist()))
         while survivors and len(entries) < V:
             batch = survivors[:V - len(entries)]
             del survivors[:len(batch)]

@@ -258,8 +258,7 @@ def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
     scores = np.full(d, np.inf)       # untried coordinates go first
     last_visit = np.full(d, -1, dtype=np.int64)
     preferred = [1.0] * d
-    delta = np.zeros(d)
-    best_delta = delta
+    delta = np.zeros(d)      # the best point so far
     best_s = s0
     step = _GREEDY_INITIAL_STEP
     consecutive_fails = 0
@@ -279,7 +278,6 @@ def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
         gain = s - best_s
         if gain > 0:
             delta = proposal
-            best_delta = proposal
             best_s = s
             consecutive_fails = 0
         else:
@@ -301,4 +299,4 @@ def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
             stop_reason = STOP_CONFIDENCE
             break
 
-    return _result(x_G, best_delta, s0, best_s, trace, stop_reason)
+    return _result(x_G, delta, s0, best_s, trace, stop_reason)

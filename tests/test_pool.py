@@ -162,6 +162,20 @@ class TestScreenNormality:
         assert injected == [first]
         assert pool.entries[0].seed > first
 
+    def test_candidate_accepted_at_its_own_p_only(self, desk_world):
+        # The screen compares the stored p itself with tau_K: a candidate
+        # passes at its own p_K and fails one ulp above it.
+        for seed in (5, 186):
+            latent = sample_latent(desk_world.generator.d_lat, seed)
+            p_K = k2_test(latent.values).p_value
+            at = build_pool(desk_world.generator, desk_world.detector, V=1,
+                            tau_K=p_K, tau_D=0.0, build_seed=seed)
+            assert [(e.seed, e.p_K) for e in at.entries] == [(seed, p_K)]
+            above = build_pool(desk_world.generator, desk_world.detector, V=1,
+                               tau_K=np.nextafter(p_K, 2.0), tau_D=0.0,
+                               build_seed=seed)
+            assert above.entries[0].seed > seed
+
     def test_zero_threshold_accepts_everything(self, desk_world):
         pool = build_pool(desk_world.generator, desk_world.detector, V=10,
                           tau_K=0.0, tau_D=0.0, build_seed=0)
@@ -444,6 +458,8 @@ class TestPoolPersistence:
     def test_bytes_pinned_across_code_versions(self, desk_world, tmp_path):
         # Two saves by the same code cannot catch a codec rewrite that
         # drifts; these are the bytes format version 1 holds for this pool.
+        # The stored p_K bits follow numpy's SIMD dispatch, so these bytes
+        # were recorded with numpy's AVX-512 loops.
         pool = build_pool(desk_world.generator, desk_world.detector, V=8,
                           tau_K=0.5, tau_D=0.5, build_seed=7)
         first, again = tmp_path / "a.lpool", tmp_path / "b.lpool"
@@ -451,7 +467,7 @@ class TestPoolPersistence:
         data = first.read_bytes()
         assert len(data) == 26937
         assert hashlib.sha256(data).hexdigest() == (
-            "b5dd75e1421950a10a53c0ab8cc0ffc0d92e1d81f715a4f0ff3510aa287070e1")
+            "858de46d2f2861aa5d4b4ec569e0f030f0029e2c53123f6b5b42bead6362df47")
         save_pool(load_pool(first), again)
         assert again.read_bytes() == data
 
