@@ -1,16 +1,19 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embinvert.errors import DegenerateSample, SampleTooSmall
+from embinvert import pool as pool_module
+from embinvert.errors import DegenerateSample, PoolExhausted, SampleTooSmall
 from embinvert.normality import (
     k2_pvalues,
     k2_test,
     kurtosis_transform,
     skewness_transform,
 )
-from embinvert.pool import sample_latent
+from embinvert.pool import build_pool, sample_latent
 
 from oracle_normality import oracle_k2, oracle_kurt_z, oracle_skew_z
 
@@ -209,3 +212,86 @@ class TestK2PValues:
         assert np.isnan(p[:2]).all()
         assert p[2:].max() < 1e-3
 
+
+class TestK2Screen:
+    """The K² screen as build_pool runs it on each drawn chunk: the rows
+    with k2_pvalues(chunk) >= tau_K go on, each stored with that p, and a
+    chunk k2_pvalues rejects stops the build."""
+
+    TAUS = (0.0, 0.5, 0.9, 0.999, 1.0)
+
+    @staticmethod
+    def build_from(draw, monkeypatch, world, V, tau_K=0.5, max_draw_factor=1):
+        monkeypatch.setattr(pool_module, "_draw_block", draw)
+        return build_pool(world.generator, world.detector, V=V, tau_K=tau_K,
+                          tau_D=0.0, build_seed=0,
+                          max_draw_factor=max_draw_factor)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the inf rows
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_equals_k2_pvalues_on_non_normal_rows(self, tau, desk_world,
+                                                  monkeypatch):
+        rng = np.random.default_rng(9)
+        shape = (500, desk_world.generator.d_lat)
+        rows = np.concatenate([
+            rng.exponential(1.0, shape),
+            rng.standard_cauchy(shape),
+            rng.uniform(-1.0, 1.0, shape),
+            # two-point rows: the lowest kurtosis, a negative denominator
+            np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+            + 1e-3 * rng.standard_normal(shape),
+        ])
+        rows[0, 3] = np.inf
+        rows[1, 0] = 1e300
+        p = k2_pvalues(rows)
+        expected = np.flatnonzero(p >= tau)
+        assert not {0, 1} & set(expected.tolist())
+        draws = []
+
+        def draw(d_lat, first_seed, count):
+            # Candidate i is rows[i]; every build below ends in one chunk.
+            draws.append(first_seed)
+            return rows[first_seed:first_seed + count].copy()
+
+        if expected.size == 0:
+            with pytest.raises(PoolExhausted, match="accepted only 0 of 1"):
+                self.build_from(draw, monkeypatch, desk_world, V=1, tau_K=tau,
+                                max_draw_factor=len(rows))
+        else:
+            pool = self.build_from(
+                draw, monkeypatch, desk_world, V=expected.size, tau_K=tau,
+                max_draw_factor=-(-len(rows) // expected.size))
+            assert [e.seed for e in pool.entries] == expected.tolist()
+            assert [e.p_K for e in pool.entries] == p[expected].tolist()
+            for e in pool.entries:
+                assert e.latent.values.tobytes() == rows[e.seed].tobytes()
+        assert draws == [0]
+
+    @pytest.mark.parametrize("n, floor", [
+        (19, "kurtosis_transform requires n >= 20"),
+        (7, "skewness_transform requires n >= 8"),
+    ])
+    def test_rows_below_the_floors_rejected(self, n, floor):
+        # The screen raises before the generator or detector is called.
+        generator = types.SimpleNamespace(d_lat=n, generator_id="stub")
+        with pytest.raises(SampleTooSmall, match=floor):
+            build_pool(generator, None, V=5, tau_K=0.5, tau_D=0.0,
+                       build_seed=3)
+
+    def test_any_constant_row_rejected(self, desk_world, monkeypatch):
+        rows = np.random.default_rng(3).standard_normal(
+            (5, desk_world.generator.d_lat))
+        rows[2] = 1.5
+        with pytest.raises(DegenerateSample, match="zero-variance"):
+            self.build_from(lambda d_lat, first_seed, count: rows,
+                            monkeypatch, desk_world, V=5)
+
+    def test_one_dimensional_input_rejected(self, desk_world, monkeypatch):
+        # A one-candidate chunk squeezed to 1-D is not screened as one
+        # flattened sample.
+        real_draw = pool_module._draw_block
+        with pytest.raises(ValueError, match="2-D"):
+            self.build_from(
+                lambda d_lat, first_seed, count:
+                    real_draw(d_lat, first_seed, count).reshape(-1),
+                monkeypatch, desk_world, V=1)
