@@ -6,7 +6,8 @@ wall-clock fields.  ``report`` judges each model at the thresholds file's
 tau_F, else the model's own, else one calibrated as ``calibrate`` would.
 Exit codes (README.md lists the error class behind each): 0 success, 1 any
 other error (empty calibration, zero-norm embedding, target leak, ...),
-2 invalid configuration (also a calibrated tau_C outside (0, 1], a
+2 invalid configuration (also an empty path key the command needs, two
+embedders sharing a model_id, a calibrated tau_C outside (0, 1], a
 detector score outside [0, 1], an adapter tau_F that is neither None
 nor a finite number, and a success whose target-model similarity
 ``report`` does not reproduce) or unknown model, 3 pool exhaustion or
@@ -69,17 +70,7 @@ def build_backend(config: RunConfig):
         world_config = WorldConfig(**{f.name: getattr(config, f.name)
                                       for f in fields(WorldConfig)})
         return make_synthetic_world(world_config, config.seed)
-    if not config.adapter_generator or not config.adapter_embedders:
-        raise ConfigInvalid(
-            f"backend {config.backend!r} needs adapter_generator and "
-            "adapter_embedders")
-    return registry.build_adapter_backend(
-        config,
-        generator_id=config.adapter_generator,
-        embedder_ids=config.adapter_embedders,
-        detector_id=config.adapter_detector or None,
-        calibration_id=config.adapter_calibration or None,
-    )
+    return registry.build_adapter_backend(config)
 
 
 def _items(value, what: str) -> tuple:
@@ -128,8 +119,6 @@ def _eer_calibration(images_by_identity, embedder, seed: int, k: int):
 
 
 def cmd_build_pool(config: RunConfig) -> int:
-    if not config.pool_path:
-        raise ConfigInvalid("pool_path is required for build-pool")
     backend = build_backend(config)
     detector = backend.detector
     if detector is None:
@@ -153,8 +142,6 @@ def cmd_build_pool(config: RunConfig) -> int:
 
 
 def cmd_calibrate(config: RunConfig) -> int:
-    if not config.thresholds_path:
-        raise ConfigInvalid("thresholds_path is required for calibrate")
     backend = build_backend(config)
     images_by_identity = [images for _, images in _identity_groups(backend)]
     if not _has_genuine_pairs(images_by_identity):
@@ -212,10 +199,6 @@ def _make_targets(config: RunConfig, backend, embedder):
 
 
 def cmd_attack(config: RunConfig) -> int:
-    if not config.results_path:
-        raise ConfigInvalid("results_path is required for attack")
-    if not config.pool_path:
-        raise ConfigInvalid("pool_path is required for attack")
     backend = build_backend(config)
     pool = load_pool(config.pool_path)
     if pool.generator_id != backend.generator.generator_id:
@@ -286,10 +269,6 @@ def _check_reproduced(successes, rows, n_models: int):
 
 
 def cmd_report(config: RunConfig) -> int:
-    if not config.report_path:
-        raise ConfigInvalid("report_path is required for report")
-    if not config.results_path:
-        raise ConfigInvalid("results_path is required for report")
     backend = build_backend(config)
     records = read_results(config.results_path)
     groups = dict(_identity_groups(backend))
@@ -354,11 +333,12 @@ def cmd_report(config: RunConfig) -> int:
     return 0
 
 
+# command: (function, output path key, other path keys it requires)
 _COMMANDS = {
-    "build-pool": (cmd_build_pool, "pool_path"),
-    "calibrate": (cmd_calibrate, "thresholds_path"),
-    "attack": (cmd_attack, "results_path"),
-    "report": (cmd_report, "report_path"),
+    "build-pool": (cmd_build_pool, "pool_path", ()),
+    "calibrate": (cmd_calibrate, "thresholds_path", ()),
+    "attack": (cmd_attack, "results_path", ("pool_path",)),
+    "report": (cmd_report, "report_path", ("results_path",)),
 }
 
 
@@ -388,19 +368,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="override this command's output path")
     args = parser.parse_args(argv)
 
-    command, out_field = _COMMANDS[args.command]
+    command, out_key, in_keys = _COMMANDS[args.command]
+    overrides = {"seed": args.seed, "jobs": args.jobs, out_key: args.out}
     try:
-        config = load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.jobs is not None:
-            overrides["jobs"] = args.jobs
-        if args.out is not None:
-            overrides[out_field] = args.out
-        if overrides:
-            config = replace(config, **overrides)
-        config.validate()
+        config = replace(load_config(args.config), **{
+            key: value for key, value in overrides.items()
+            if value is not None}).validate()
+        for key in (out_key, *in_keys):
+            if not getattr(config, key):
+                raise ConfigInvalid(f"{key} is required for {args.command}")
         return command(config)
     except EmbinvertError as exc:
         _log(f"error: {exc}")

@@ -32,41 +32,34 @@ def _as_float_vector(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LatentCode:
+class _Vector:
+    """A 1-D float64 vector, equal only to a vector of its own kind."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _as_float_vector(self.values))
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
+
+    def __len__(self) -> int:
+        return self.values.size
+
+
+class LatentCode(_Vector):
     """A point in the generator's input space: the 1-D float64 vector alone."""
 
-    values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_float_vector(self.values))
-
-    def __eq__(self, other):
-        if not isinstance(other, LatentCode):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True, eq=False)
-class EmbeddingVector:
+class EmbeddingVector(_Vector):
     """Fixed-dimension identity representation; compared by cosine similarity."""
 
-    values: np.ndarray
-
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_float_vector(self.values))
+        super().__post_init__()
         if not np.all(np.isfinite(self.values)):
             raise ValueError("embedding entries must be finite")
-
-    def __eq__(self, other):
-        if not isinstance(other, EmbeddingVector):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-    def __len__(self) -> int:
-        return self.values.size
 
     @property
     def norm(self) -> float:

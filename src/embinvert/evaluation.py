@@ -268,7 +268,6 @@ class ModelAverage:
     type1_accuracy: float
     type2_accuracy: float
     mean_similarity: float
-    n_targets: int
 
 
 @dataclass(frozen=True)
@@ -315,42 +314,37 @@ def cross_model_report(cases: Sequence[EvaluationCase],
     # One group per case: reconstruction, target, then the alternates.
     groups = [(case.reconstruction, case.target_image, *case.alt_images)
               for case in cases]
-    scored = []
+    by_model = []
     for model in eval_models:
+        tau_F = tau_F_by_model[model.model_id]
         unit, starts = _unit_embeddings(groups, model)
         # Each row's score against its group's reconstruction.
         scores = _pair_scores(unit, np.repeat(starts[:-1], np.diff(starts)),
                               np.arange(len(unit)))
-        scored.append((scores[starts[:-1] + 1],
-                       _type2_hits(scores, starts, tau_F_by_model[model.model_id])))
-    rows = []
-    for i, case in enumerate(cases):
-        for model, (sims, hits) in zip(eval_models, scored):
-            sim = float(sims[i])
-            rows.append(ReportRow(
-                target_id=case.target_id,
-                target_model_id=case.target_model_id,
-                eval_model_id=model.model_id,
-                similarity=sim,
-                type1_hit=decide_match(sim, tau_F_by_model[model.model_id]),
-                type2_rate=int(hits[i]) / len(case.alt_images),
-                queries=case.queries,
-                wall_time=case.wall_time,
-            ))
-
-    per_model = []
-    for model in eval_models:
-        mrows = [r for r in rows if r.eval_model_id == model.model_id]
-        per_model.append(ModelAverage(
+        sims = scores[starts[:-1] + 1].tolist()
+        hits = _type2_hits(scores, starts, tau_F)
+        by_model.append([ReportRow(
+            target_id=case.target_id,
+            target_model_id=case.target_model_id,
             eval_model_id=model.model_id,
-            type1_accuracy=sum(r.type1_hit for r in mrows) / len(mrows),
-            type2_accuracy=sum(r.type2_rate for r in mrows) / len(mrows),
-            mean_similarity=sum(r.similarity for r in mrows) / len(mrows),
-            n_targets=len(mrows),
-        ))
+            similarity=sim,
+            type1_hit=decide_match(sim, tau_F),
+            type2_rate=int(n_hits) / len(case.alt_images),
+            queries=case.queries,
+            wall_time=case.wall_time,
+        ) for case, sim, n_hits in zip(cases, sims, hits)])
+
+    n = len(cases)
+    per_model = [ModelAverage(
+        eval_model_id=model.model_id,
+        type1_accuracy=sum(r.type1_hit for r in mrows) / n,
+        type2_accuracy=sum(r.type2_rate for r in mrows) / n,
+        mean_similarity=sum(r.similarity for r in mrows) / n,
+    ) for model, mrows in zip(eval_models, by_model)]
     k = len(per_model)
     return EvaluationReport(
-        rows=tuple(rows),
+        # Case by case, one row per model.
+        rows=tuple(row for case_rows in zip(*by_model) for row in case_rows),
         per_model=tuple(per_model),
         cross_model_type1=sum(m.type1_accuracy for m in per_model) / k,
         cross_model_type2=sum(m.type2_accuracy for m in per_model) / k,

@@ -28,8 +28,9 @@ evaluation whose gradient comes free.  At batch 1 most of its cost is
 the matrix-vector products: the synthetic vjps and pullbacks call
 ``ndarray.dot`` (the dgemv ``@`` reaches) and take norms with
 ``core._norm``, so every value and gradient keeps its bits.
-``_generated_images`` and
-``_embedding_rows`` check every batch result (ConfigInvalid names the handle).
+``_generated_images`` checks every ``generate_batch`` result and
+``_embedding_rows`` every ``embed_batch`` one (ConfigInvalid names the
+handle); ``pool.build_pool`` checks the ``detect_batch`` scores.
 """
 import functools
 import math

@@ -120,11 +120,9 @@ def ranked_adversary(pool: LatentPool, candidates: Sequence[RankedCandidate],
         raise AllCandidatesFailed(
             f"all {len(candidates)} candidate refinements aborted")
 
-    best_idx = 0
-    for i in range(1, len(refined)):
-        if refined[i][1].final_similarity > refined[best_idx][1].final_similarity:
-            best_idx = i
-    chosen_cand, chosen_result = refined[best_idx]
+    # max keeps the first of equal similarities: the lower rank.
+    chosen_cand, chosen_result = max(
+        refined, key=lambda pair: pair[1].final_similarity)
     return AttackResult(
         refined_latent=chosen_result.refined,
         chosen_rank=chosen_cand.rank,

@@ -311,19 +311,18 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
         p = k2_pvalues(block)
         passed = np.flatnonzero(p >= tau_K)
         drawn += chunk
-        survivors = list(zip(passed.tolist(), p[passed].tolist()))
-        while survivors and len(entries) < V:
-            batch = survivors[:V - len(entries)]
-            del survivors[:len(batch)]
+        while passed.size and len(entries) < V:
+            batch, passed = passed[:V - len(entries)], passed[V - len(entries):]
             n_norm += len(batch)
-            rows = _generated_images(generator, block[[i for i, _ in batch]])
+            rows = _generated_images(generator, block[batch])
             rows = rows.astype(np.float32).astype(np.float64)
             scores = detector.detect_batch(rows)
             if np.ndim(scores) != 1 or len(scores) != len(batch):
                 raise ConfigInvalid(
                     f"detector {name!r} returned scores of shape "
                     f"{np.shape(scores)} for {len(batch)} images")
-            for (i, p), image, p_D in zip(batch, ImageSample.stack(rows), scores):
+            for i, p_K, image, p_D in zip(batch.tolist(), p[batch].tolist(),
+                                          ImageSample.stack(rows), scores):
                 if not (isinstance(p_D, numbers.Real) and 0.0 <= p_D <= 1.0):
                     raise ConfigInvalid(
                         f"detector {name!r} returned {p_D!r}; a face-detection "
@@ -331,7 +330,7 @@ def build_pool(generator: GeneratorHandle, detector: DetectorHandle, V: int,
                 if p_D >= tau_D:
                     # A copy: a view of its row would keep the block alive.
                     latent = LatentCode(block[i].copy())
-                    entries.append(PoolEntry(latent, image, first_seed + i, p, p_D))
+                    entries.append(PoolEntry(latent, image, first_seed + i, p_K, p_D))
         if progress is not None and len(entries) < V:
             progress(drawn, len(entries))
     # The last chunk was drawn speculatively; count candidates only up to

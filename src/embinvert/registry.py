@@ -88,14 +88,22 @@ class AdapterBackend(Backend):
     identity_images: Optional[Sequence[Sequence]] = None
 
 
-def build_adapter_backend(config, generator_id: str,
-                          embedder_ids: Sequence[str],
-                          detector_id: Optional[str] = None,
-                          calibration_id: Optional[str] = None) -> AdapterBackend:
-    generator = create_generator(generator_id, config)
-    embedders = tuple(create_embedder(mid, config) for mid in embedder_ids)
-    detector = create_detector(detector_id, config) if detector_id else None
-    images = (create_calibration_source(calibration_id, config)
-              if calibration_id else None)
+def build_adapter_backend(config) -> AdapterBackend:
+    """The backend the config's ``adapter_*`` keys name; ConfigInvalid if
+    it names no generator or no embedders, or two embedders share a model_id."""
+    if not config.adapter_generator or not config.adapter_embedders:
+        raise ConfigInvalid(
+            f"backend {config.backend!r} needs adapter_generator and "
+            "adapter_embedders")
+    generator = create_generator(config.adapter_generator, config)
+    embedders = tuple(create_embedder(mid, config) for mid in config.adapter_embedders)
+    model_ids = [e.model_id for e in embedders]
+    for model_id in model_ids:
+        if model_ids.count(model_id) > 1:
+            raise ConfigInvalid(f"two embedders share model_id {model_id!r}")
+    detector = (create_detector(config.adapter_detector, config)
+                if config.adapter_detector else None)
+    images = (create_calibration_source(config.adapter_calibration, config)
+              if config.adapter_calibration else None)
     return AdapterBackend(generator=generator, embedders=embedders,
                           detector=detector, identity_images=images)

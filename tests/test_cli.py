@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -310,6 +311,19 @@ class TestBuildPoolCommand:
     def test_missing_output_path_exits_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path, pool_path="")
         assert main(["build-pool", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("command, key", [
+        ("build-pool", "pool_path"), ("calibrate", "thresholds_path"),
+        ("attack", "results_path"), ("attack", "pool_path"),
+        ("report", "report_path"), ("report", "results_path"),
+    ])
+    def test_each_required_path_left_empty_exits_2(self, tmp_path, capsys,
+                                                    command, key):
+        cfg_path, _ = write_config(tmp_path, **{key: ""})
+        assert main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: {key} is required for {command}" in err
 
     @pytest.mark.parametrize("seed", ["9223372036854775807",
                                       "18446744073709551616"])
@@ -850,6 +864,25 @@ class TestAdapterRegistry:
         assert main(["report", "--config", str(cfg_path)]) == 0
         by_model = read_thresholds(config.thresholds_path)
         assert set(by_model) == {"toy-emb-a", "toy-emb-b"}
+
+    def test_two_embedders_sharing_a_model_id_exit_2(self, tmp_path, capsys):
+        # Counted twice, the model would be calibrated twice into one
+        # thresholds entry and weigh twice in the cross-model averages.
+        register_toy_adapters(toy_identity_images)
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        for command in ("build-pool", "attack"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+        dup_path = tmp_path / "dup.cfg"
+        dup_path.write_text(emit_config(dataclasses.replace(
+            config, adapter_embedders=("toy-emb-a", "toy-emb-a", "toy-emb-b"))))
+        capsys.readouterr()
+        for command in ("build-pool", "calibrate", "attack", "report"):
+            assert main([command, "--config", str(dup_path)]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert "error: two embedders share model_id 'toy-emb-a'" in err
+        assert not os.path.exists(config.thresholds_path)
+        assert not os.path.exists(config.report_path)
 
     def test_forward_only_adapters(self, tmp_path, capsys):
         # Calibration, reporting and black-box need no gradient; white-box

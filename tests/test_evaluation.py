@@ -376,6 +376,33 @@ class TestCrossModelReport:
         with pytest.raises(LengthMismatch):
             cross_model_report([], desk_world.embedders, world_tau_F(desk_world))
 
+    def test_three_model_averages_are_in_order_sums_bit_for_bit(self):
+        world = make_synthetic_world(WorldConfig(embedder_dims=(32, 24, 16)),
+                                     DESK_SEED)
+        identities = world.identities
+        # Odd cases reconstruct another identity, so hits and misses mix.
+        cases = [EvaluationCase(
+            target_id=f"t{t}", target_model_id=world.embedders[0].model_id,
+            reconstruction=identities[t + t % 2].images[1],
+            target_image=identities[t].images[0],
+            alt_images=tuple(identities[t].images[2:]),
+            queries=t, wall_time=0.0) for t in range(13)]
+        report = cross_model_report(cases, world.embedders, world_tau_F(world))
+        assert [m.eval_model_id for m in report.per_model] == \
+            [e.model_id for e in world.embedders]
+        for avg in report.per_model:
+            rows = [r for r in report.rows if r.eval_model_id == avg.eval_model_id]
+            assert [r.target_id for r in rows] == [c.target_id for c in cases]
+            assert avg.type1_accuracy == sum(r.type1_hit for r in rows) / 13
+            assert avg.type2_accuracy == sum(r.type2_rate for r in rows) / 13
+            assert avg.mean_similarity == sum(r.similarity for r in rows) / 13
+        averages = report.per_model
+        assert report.cross_model_type1 == sum(m.type1_accuracy for m in averages) / 3
+        assert report.cross_model_type2 == sum(m.type2_accuracy for m in averages) / 3
+        assert report.cross_model_similarity == \
+            sum(m.mean_similarity for m in averages) / 3
+        assert 0.0 < report.cross_model_type1 < 1.0
+
 
 # The per-image, per-pair loops that the batched evaluation replaced, kept
 # here as the reference it must reproduce.

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from embinvert import registry
+from embinvert.config import RunConfig
 from embinvert.errors import ConfigInvalid, UnknownModel
 from embinvert.models import (
     DetectorHandle,
@@ -53,8 +54,9 @@ class TestRegistry:
     def test_backend_assembly_and_lookup(self):
         registry.register_generator("unit-gen", gen_factory)
         registry.register_embedder("unit-emb", emb_factory)
-        backend = registry.build_adapter_backend(
-            None, generator_id="unit-gen", embedder_ids=["unit-emb"])
+        backend = registry.build_adapter_backend(RunConfig(
+            backend="adapter", adapter_generator="unit-gen",
+            adapter_embedders=("unit-emb",)))
         assert backend.detector is None
         assert backend.identity_images is None
         assert backend.embedder_by_id("unit-emb").model_id == "unit-emb"
