@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import RunConfig, config_checksum, load_config
-from .core import EmbeddingVector, ImageSample, TargetSpec
+from .core import EmbeddingVector, ImageSample, TargetSpec, _norm
 from .errors import (
     BudgetTooSmall,
     ChecksumMismatch,
@@ -43,9 +43,10 @@ from .evaluation import (
     compute_eer_threshold,
     cross_model_report,
 )
-from .models import (WorldConfig, _generated_images, impostor_stream,
-                     make_synthetic_world)
-from .pipeline import MODE_BLACKBOX, AttackSettings, compute_tmax, run_attack
+from .models import (EmbedderHandle, WorldConfig, _generated_images, _overrides,
+                     impostor_stream, make_synthetic_world)
+from .pipeline import (MODE_BLACKBOX, MODE_WHITEBOX, AttackSettings,
+                       compute_tmax, run_attack)
 from .pool import build_pool, load_pool, save_pool
 from .records import (
     _is_real,
@@ -177,9 +178,16 @@ def _resolve_tau_c(config: RunConfig) -> float:
     return float(by_model[config.target_model]["tau_C"])
 
 
+# White-box refinement pulls back t/||t||, the cosine's gradient only for a
+# unit embedding, so a gradient-capable embedder's embed_vjp must return one.
+_UNIT_NORM_TOLERANCE = 1e-9
+
+
 def _make_targets(config: RunConfig, backend, embedder):
     groups = _identity_groups(backend)
     n_id = len(groups)
+    check_unit = (config.mode == MODE_WHITEBOX
+                  and _overrides(embedder, EmbedderHandle, "embed_vjp"))
     targets = []
     for idx in range(config.num_targets):
         identity_id, images = groups[idx % n_id]
@@ -189,6 +197,13 @@ def _make_targets(config: RunConfig, backend, embedder):
         if not np.isfinite(embedding).all():
             raise ConfigInvalid(f"embedder {embedder.model_id!r} returned a "
                                 "non-finite target embedding")
+        if check_unit:
+            norm = _norm(embedding)
+            if abs(norm - 1.0) > _UNIT_NORM_TOLERANCE:
+                raise ConfigInvalid(
+                    f"embedder {embedder.model_id!r}: embed_vjp returned an "
+                    f"embedding of norm {norm!r}; white-box refinement needs a "
+                    "unit-norm embedding")
         spec = TargetSpec(
             target_embedding=EmbeddingVector(embedding),
             target_model_id=config.target_model,

@@ -7,12 +7,17 @@ policy alone: candidates are refined strictly in rank order, the loop
 halts at the first that reaches the confidence bar, and otherwise the
 highest final similarity wins (ties go to the lower rank, the cheaper
 find).  The ledger adds the selection cost V to the refiners' queries.
-The attack returns the refined latent, not an image.
+In black-box mode selection's V answers are reused at no query cost: the
+slope of a linear fit of them on the pool latents is the direction each
+candidate's refinement opens its line search along.  The attack returns
+the refined latent, not an image.
 """
 import time
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import LatentCode, TargetSpec
 from .errors import AllCandidatesFailed, BudgetTooSmall, ConfigInvalid, NonFiniteLoss
@@ -177,6 +182,10 @@ def run_attack(target_spec: TargetSpec, pool: LatentPool,
     refine = partial(refine, target=target, session=session,
                      budget=settings.budget, tau_C=settings.tau_C)
 
-    selected = rank_candidates(pool, target, embedder, settings.n_top, ledger)
+    sims = None if whitebox else np.empty(pool.V)
+    selected = rank_candidates(pool, target, embedder, settings.n_top, ledger,
+                               out=sims)
+    if not whitebox:
+        refine = partial(refine, direction=pool.similarity_slope(sims))
     result = ranked_adversary(pool, selected, refine, ledger)
     return replace(result, wall_time=time.perf_counter() - started)

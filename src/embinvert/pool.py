@@ -132,6 +132,22 @@ class LatentPool:
         return stack
 
     @cached_property
+    def _slope_matrix(self) -> np.ndarray:
+        # pinv of the centred (V, d_lat) latent stack: (d_lat, V).
+        latents = np.stack([e.latent.values for e in self.entries])
+        return np.linalg.pinv(latents - latents.mean(axis=0))
+
+    def similarity_slope(self, similarities: np.ndarray) -> np.ndarray:
+        """The slope g of the least-squares fit ``s ~ a + g . x`` of one
+        target's V selection similarities (pool order) on the entry latents.
+
+        The fit matrix depends only on the latents: it is computed on first
+        use and kept, like ``image_stack``, and never written to the file.
+        A pool whose latents do not vary (V = 1) gives a zero slope.
+        """
+        return self._slope_matrix @ (similarities - similarities.mean())
+
+    @cached_property
     def _embedding_cache(self) -> dict:
         # id(handle) -> (handle, rows, norms).  Holding the handle keeps its
         # id from being reused by another object while the entry lives.

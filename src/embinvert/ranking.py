@@ -6,6 +6,9 @@ selection cost.  The real embedder work happens once per (pool, embedder
 handle): ``LatentPool.embeddings`` embeds the V cached images in one batched
 call and keeps the rows, so each target costs one matrix-vector product.
 Ties in similarity break by ascending pool index to keep runs reproducible.
+The V similarities are the answers to the V charged queries.  A caller that
+passes ``out`` keeps them, and black-box refinement reuses them at no
+further query cost (``LatentPool.similarity_slope``).
 """
 import warnings
 from dataclasses import dataclass
@@ -28,13 +31,16 @@ class RankedCandidate:
 
 def rank_candidates(pool: LatentPool, target: EmbeddingVector,
                     embedder: EmbedderHandle, n: int,
-                    ledger: Optional[QueryLedger] = None) -> List[RankedCandidate]:
+                    ledger: Optional[QueryLedger] = None,
+                    out: Optional[np.ndarray] = None) -> List[RankedCandidate]:
     """The n pool entries most similar to the target, best first.
 
     Similarities are cosines clamped to [-1, 1] and raise the same errors as
     ``cosine_similarity``.  Raises ConfigInvalid when n < 1 and clamps (with
     a warning) when n exceeds V.  Charges V selection queries to the ledger
     when one is supplied, once the rows pass ``models._embedding_rows``.
+    ``out``, a float64 array of length V, receives every entry's similarity
+    in pool order.
     """
     v = len(pool.entries)
     if n < 1:
@@ -52,7 +58,7 @@ def rank_candidates(pool: LatentPool, target: EmbeddingVector,
     t_norm = np.linalg.norm(t)
     if t_norm == 0.0:
         raise ZeroNormEmbedding("cosine similarity undefined for zero-norm embedding")
-    sims = np.clip(rows @ t / (norms * t_norm), -1.0, 1.0)
+    sims = np.clip(rows @ t / (norms * t_norm), -1.0, 1.0, out=out)
     if ledger is not None:
         ledger.charge_topn(v)
     # Keep the whole tie at the n-th best for the index tie-break below.

@@ -23,6 +23,14 @@ stop at tau_C runs no backward pass.  The black-box path is a greedy
 coordinate search driven entirely by observed objective gains; it never
 touches gradients, and picks each coordinate with one argmax over the
 scores and, on a tie, one argmin over the tied coordinates' last visits.
+Given a ``direction`` (the pipeline passes the slope of a linear fit to
+the similarities selection already paid for), the black-box path opens
+with a line search: it evaluates the projections of step * direction /
+||direction|| for the steps in _LINE_SEARCH_STEPS, stopping at the first
+point that does not improve, at tau_C or at the query cap, and the greedy
+search starts from the best point found.  Each line-search point is a
+charged query and a trace entry like any other.  A zero or non-finite
+direction, or none, skips the opening.
 Around the session's matrix-vector products each loop adds only a few
 vector operations and Python-float arithmetic; norms are ``core._norm``.
 
@@ -32,17 +40,18 @@ keys:
   * white-box: momentum 0.75; first step 0.1 * epsilon; checkpoint gaps
     start at 0.22 of t_max and shrink by 0.03 down to 0.06; success
     fraction 0.75;
-  * black-box: step 0.5, halved after d consecutive rejections (d the
-    latent size), down to 1e-3; gain decay 0.9.
+  * black-box: line-search steps 0.5, 1, 2, 4, 8, 16 and 32 along the
+    direction; then a greedy step of 0.5, halved after d consecutive
+    rejections (d the latent size), down to 1e-3; gain decay 0.9.
 """
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import EmbeddingVector, LatentCode, _norm
-from .errors import ConfigInvalid, NonFiniteLoss
+from .errors import ConfigInvalid, DimensionMismatch, NonFiniteLoss
 from .models import AttackSession
 
 NORM_L2 = "l2"
@@ -98,6 +107,8 @@ _GREEDY_INITIAL_STEP = 0.5
 _GREEDY_STEP_DECAY = 0.5
 _GREEDY_GAIN_DECAY = 0.9
 _GREEDY_MIN_STEP = 1e-3
+# Black-box opening: distances along the unit direction, tried in order.
+_LINE_SEARCH_STEPS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
 def project(delta: np.ndarray, budget: PerturbationBudget) -> np.ndarray:
@@ -240,29 +251,54 @@ def _greedy_coordinate(scores: np.ndarray, last_visit: np.ndarray) -> int:
 
 def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
                     session: AttackSession, budget: PerturbationBudget,
-                    query_cap: int, tau_C: float) -> RefineResult:
-    """Greedy coordinate search under a hard evaluation budget.
+                    query_cap: int, tau_C: float,
+                    direction: Optional[np.ndarray] = None) -> RefineResult:
+    """Greedy coordinate search under a hard evaluation budget, opened by
+    a line search along ``direction`` when one is given.
 
     Every proposal costs exactly one query; a proposal is kept only if it
     improves the best objective seen.  Gradients are never requested.
+    ``direction`` must have the latent's shape; a zero or non-finite one
+    runs the search exactly as ``direction=None`` does.
     """
     if query_cap < 1:
         raise ConfigInvalid(f"query_cap must be >= 1, got {query_cap}")
     x0 = x_G.values
     d = x0.size
+    if direction is not None:
+        direction = np.asarray(direction, dtype=np.float64)
+        if direction.shape != x0.shape:
+            raise DimensionMismatch(f"direction of shape {direction.shape} "
+                                    f"for a latent of shape {x0.shape}")
     trace = []
     s0 = _finite_or_raise(session.loss(x0, target), trace)
     if s0 >= tau_C:
         return _result(x_G, None, s0, s0, trace, STOP_CONFIDENCE)
 
+    delta = np.zeros(d)      # the best point so far
+    best_s = s0
+    queries = 1
+    length = _norm(direction) if direction is not None else 0.0
+    if 0.0 < length < math.inf:
+        unit = direction / length
+        for distance in _LINE_SEARCH_STEPS:
+            if queries >= query_cap:
+                break
+            proposal = project(distance * unit, budget)
+            s = _finite_or_raise(session.loss(x0 + proposal, target), trace)
+            queries += 1
+            trace.append(s)
+            if s <= best_s:
+                break
+            delta, best_s = proposal, s
+            if s >= tau_C:
+                return _result(x_G, delta, s0, best_s, trace, STOP_CONFIDENCE)
+
     scores = np.full(d, np.inf)       # untried coordinates go first
     last_visit = np.full(d, -1, dtype=np.int64)
     preferred = [1.0] * d
-    delta = np.zeros(d)      # the best point so far
-    best_s = s0
     step = _GREEDY_INITIAL_STEP
     consecutive_fails = 0
-    queries = 1
     stop_reason = STOP_BUDGET
 
     while queries < query_cap:

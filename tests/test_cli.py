@@ -511,9 +511,9 @@ class TestAttackCommand:
         ("whitebox", "linf",
          "dbf81511752e6c38c0412b82130e8b9a4d49062f95982aabd12b7101dfcb6f89"),
         ("blackbox", "l2",
-         "cfeb4e9212d8340b897c642ee226f78eb767db1c318088674b3ef0ed526b0218"),
+         "376b17c43d11d89c1a35a0c089b1eb9329f858f7919a5b02ba7a96f06d4e0274"),
         ("blackbox", "linf",
-         "b8d115099d0779493782a4725abcd06f9f8e95499ca0236544a60333f94b2d34"),
+         "aafbe937864141c6f13035bb7bf82d17dc01fbdb4acc266821cf694dee531f12"),
     ])
     def test_records_pinned_across_code_versions(self, tmp_path, mode, norm, digest):
         # The desk world's attack records without wall_time and the config
@@ -883,6 +883,41 @@ class TestAdapterRegistry:
             assert "error: two embedders share model_id 'toy-emb-a'" in err
         assert not os.path.exists(config.thresholds_path)
         assert not os.path.exists(config.report_path)
+
+    def test_unnormalised_embedder_exits_2_in_white_box_only(self, tmp_path,
+                                                             capsys):
+        # Its cosine is the unit model's everywhere, but white-box refinement
+        # pulls back t/||t||, the cosine's gradient only for a unit
+        # embedding: the attack stops before selection charges a query.
+        class TripledEmbedder(SyntheticEmbedder):
+            embedded = 0
+
+            def embed_batch(self, images):
+                TripledEmbedder.embedded += len(images)
+                return 3.0 * super().embed_batch(images)
+
+            def embed_vjp(self, image):
+                unit, pullback = super().embed_vjp(image)
+                return 3.0 * unit, lambda cotangent: 3.0 * pullback(cotangent)
+
+        register_toy_adapters(toy_identity_images)
+        registry.register_embedder("toy-emb-a", lambda config: TripledEmbedder(
+            24, config.image_shape, np.random.SeedSequence([1234, 1]),
+            "toy-emb-a"))
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        TripledEmbedder.embedded = 0
+        assert main(["attack", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: embedder 'toy-emb-a'" in err and "unit-norm" in err
+        assert TripledEmbedder.embedded == 0
+        assert not os.path.exists(config.results_path)
+        cfg_path, config = write_toy_adapter_config(
+            tmp_path, mode="blackbox", t_max=None, q_max=100)
+        assert main(["attack", "--config", str(cfg_path)]) == 0
+        assert all(r["error"] is None for r in read_results(config.results_path))
 
     def test_forward_only_adapters(self, tmp_path, capsys):
         # Calibration, reporting and black-box need no gradient; white-box

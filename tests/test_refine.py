@@ -6,7 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from embinvert import refine
 from embinvert.core import LatentCode
-from embinvert.errors import ConfigInvalid, GradientUnavailable, NonFiniteLoss
+from embinvert.errors import (ConfigInvalid, DimensionMismatch, GradientUnavailable,
+                              NonFiniteLoss)
 from embinvert.models import AttackSession, QueryLedger, SyntheticEmbedder
 from embinvert.pool import sample_latent
 from embinvert.ranking import rank_candidates
@@ -420,6 +421,109 @@ class TestRefineBlackbox:
         with pytest.raises(ConfigInvalid):
             refine_blackbox(x, identity_target(desk_world), session, L2(1.0),
                             query_cap=0, tau_C=0.9)
+
+
+def selection_opening(world, pool, identity=0, image=1):
+    """(target, rank-1 latent, slope of the fit to its V selection
+    similarities), as run_attack hands them to refine_blackbox."""
+    f = world.embedders[0]
+    target = identity_target(world, identity=identity, image=image)
+    sims = np.empty(pool.V)
+    (best,) = rank_candidates(pool, target, f, 1, out=sims)
+    return target, pool.entries[best.pool_index].latent, pool.similarity_slope(sims)
+
+
+def line_search_points(x, direction, budget):
+    """Every latent the opening may evaluate, in order."""
+    unit = direction / np.linalg.norm(direction)
+    return [x.values + project(step * unit, budget)
+            for step in refine._LINE_SEARCH_STEPS]
+
+
+class TestLineSearchOpening:
+    def test_opens_along_the_direction_and_charges_every_point(self, desk_world,
+                                                                desk_pool):
+        target, x, g = selection_opening(desk_world, desk_pool)
+        session = RecordingSession(make_session(desk_world, allow_gradient=False))
+        r = refine_blackbox(x, target, session, L2(35.0), query_cap=300,
+                            tau_C=0.9999, direction=g)
+        # The initial evaluation plus one query per trace entry.
+        assert session.ledger.q_adv == len(r.trace) + 1 == r.queries_used
+        assert len(session.latents) == session.ledger.q_adv
+        # Five points improve and the sixth (step 16) does not.
+        expected = line_search_points(x, g, L2(35.0))[:6]
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(session.latents[1:7], expected))
+        assert list(r.trace[:5]) == sorted(r.trace[:5])
+        assert r.trace[0] > r.initial_similarity and r.trace[5] <= r.trace[4]
+        plain = refine_blackbox(x, target,
+                                make_session(desk_world, allow_gradient=False),
+                                L2(35.0), query_cap=300, tau_C=0.9999)
+        assert r.final_similarity > plain.final_similarity
+
+    @pytest.mark.parametrize("norm, eps", [("l2", 1.0), ("l2", 35.0),
+                                           ("linf", 0.3), ("linf", 1.5)])
+    def test_every_line_search_point_is_in_the_ball(self, desk_world, desk_pool,
+                                                    norm, eps):
+        budget = PerturbationBudget(norm, eps)
+        target, x, g = selection_opening(desk_world, desk_pool, identity=5)
+        session = RecordingSession(make_session(desk_world, allow_gradient=False))
+        refine_blackbox(x, target, session, budget, query_cap=50, tau_C=0.9999,
+                        direction=g)
+        assert np.array_equal(session.latents[1],
+                              line_search_points(x, g, budget)[0])
+        for lat in session.latents:
+            delta = lat - x.values
+            size = np.linalg.norm(delta) if norm == "l2" else np.max(np.abs(delta))
+            assert size <= eps * (1 + 1e-12)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_stops_at_the_query_cap(self, desk_world, desk_pool, cap):
+        target, x, g = selection_opening(desk_world, desk_pool)
+        run = lambda cap: refine_blackbox(
+            x, target, make_session(desk_world, allow_gradient=False), L2(35.0),
+            query_cap=cap, tau_C=0.9999, direction=g)
+        full, short = run(300), run(cap)
+        assert short.queries_used == cap
+        assert short.stop_reason == STOP_BUDGET
+        assert short.trace == full.trace[:cap - 1]
+        assert short.final_similarity == max((full.initial_similarity,)
+                                             + full.trace[:cap - 1])
+
+    def test_stops_at_tau_C_on_the_first_point(self, desk_world, desk_pool):
+        target, x, g = selection_opening(desk_world, desk_pool)
+        first = refine_blackbox(x, target,
+                                make_session(desk_world, allow_gradient=False),
+                                L2(35.0), query_cap=300, tau_C=0.9999,
+                                direction=g).trace[0]
+        session = make_session(desk_world, allow_gradient=False)
+        r = refine_blackbox(x, target, session, L2(35.0), query_cap=300,
+                            tau_C=first, direction=g)
+        assert r.initial_similarity < first
+        assert r.stop_reason == STOP_CONFIDENCE
+        assert r.trace == (first,) and r.final_similarity == first
+        assert session.ledger.q_adv == 2
+        expected = line_search_points(x, g, L2(35.0))[0]
+        assert np.array_equal(r.refined.values, expected)
+
+    @pytest.mark.parametrize("where, fill", [
+        (slice(None), 0.0), (slice(None), np.nan), (7, np.nan), (7, np.inf),
+    ], ids=["zero", "all-nan", "one-nan", "one-inf"])
+    def test_zero_or_non_finite_direction_is_the_plain_search(
+            self, desk_world, desk_pool, where, fill):
+        target, x, g = selection_opening(desk_world, desk_pool)
+        direction = g.copy()
+        direction[where] = fill
+        run = lambda **kw: refine_blackbox(
+            x, target, make_session(desk_world, allow_gradient=False), L2(35.0),
+            query_cap=300, tau_C=0.9, **kw)
+        assert same_result(run(direction=direction), run())
+
+    def test_direction_of_the_wrong_shape_rejected(self, desk_world, desk_pool):
+        target, x, g = selection_opening(desk_world, desk_pool)
+        with pytest.raises(DimensionMismatch):
+            refine_blackbox(x, target, make_session(desk_world, allow_gradient=False),
+                            L2(35.0), query_cap=10, tau_C=0.9, direction=g[:-1])
 
 
 class NaNEmbedder(SyntheticEmbedder):
