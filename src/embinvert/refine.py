@@ -1,39 +1,42 @@
 """Adversarial refinement of a single latent code inside an L2 or Linf ball.
 
 Both refiners maximize the embedding-similarity objective through an
-AttackSession and share the same bookkeeping contract:
+AttackSession.  One driver, ``_drive``, owns their bookkeeping contract:
 
-  * the unperturbed latent is evaluated first (one query); refinement
-    iterations start after that,
-  * ``trace`` holds one similarity per iteration (the initial evaluation
-    is reported separately as ``initial_similarity``),
-  * every evaluated iterate has already been projected into the budget
-    ball, so feasibility holds at all times,
-  * the refiner returns at the first iterate reaching the confidence bar
-    tau_C, otherwise after the budget with the best iterate seen.
+  * the unperturbed latent is evaluated first (one query), and a start
+    already at the confidence bar tau_C is returned as it is;
+  * every later evaluation is one iteration and one ``trace`` entry (the
+    initial evaluation is reported separately as ``initial_similarity``);
+  * a non-finite objective raises NonFiniteLoss carrying the trace so far;
+  * the run returns at the first point reaching tau_C, otherwise after
+    its iteration cap, with the best point seen.
 
-The white-box path is projected gradient ascent with momentum and an
-adaptive step schedule: progress is reviewed at a thinning sequence of
-checkpoints and, when a review fails, the step is halved and the search
-restarts from the best point so far.  Each evaluated point costs one
-``session.value_and_grad`` call: one forward pass gives the charged
-similarity and a gradient closure.  The closures of the current and the
-best point are kept, so a restart reuses the best point's gradient and a
-stop at tau_C runs no backward pass.  The black-box path is a greedy
-coordinate search driven entirely by observed objective gains; it never
-touches gradients, and picks each coordinate with one argmax over the
-scores and, on a tie, one argmin over the tied coordinates' last visits.
-Given a ``direction`` (the pipeline passes the slope of a linear fit to
-the similarities selection already paid for), the black-box path opens
-with a line search: it evaluates the projections of step * direction /
-||direction|| for the steps in _LINE_SEARCH_STEPS, stopping at the first
-point that does not improve, at tau_C or at the query cap, and the greedy
-search starts from the best point found.  Each line-search point is a
-charged query and a trace entry like any other.  A zero or non-finite
-direction, or none, skips the opening.
-Around the session's matrix-vector products each loop adds only a few
+The searches are step rules: generators that yield the next perturbation,
+already projected into the budget ball so that feasibility holds at all
+times, and receive ``(s, grad_fn)`` for it.  The driver never asks a rule
+for a proposal it will not charge.  The three rules:
+
+  * ``_ascent`` (white-box): projected gradient ascent with momentum and
+    an adaptive step schedule.  Progress is reviewed at a thinning
+    sequence of checkpoints and, when a review fails, the step is halved
+    and the search restarts from the best point so far.  Each point costs
+    one ``session.value_and_grad`` call: one forward pass gives the charged
+    similarity and a gradient closure.  The closures of the current and
+    the best point are kept, so a restart reuses the best point's gradient
+    and a stop at tau_C runs no backward pass.
+  * ``_line_search`` (black-box opening): the projections of step *
+    direction / ||direction|| for the steps in _LINE_SEARCH_STEPS, where
+    the pipeline passes the slope of a linear fit to the similarities
+    selection already paid for.  It ends at the first point that does not
+    improve, or, uncharged, at a step that the ball clips onto the point
+    it holds.  A zero or non-finite direction, or none, skips it.
+  * ``_greedy_search`` (black-box): a coordinate search from the opening's
+    best point, driven by observed gains and never by gradients.  It picks
+    each coordinate with one argmax over the scores and, on a tie, one
+    argmin over the tied coordinates' last visits.
+
+Around the session's matrix-vector products each step adds only a few
 vector operations and Python-float arithmetic; norms are ``core._norm``.
-
 Both searches are fixed; their values are module constants, not config
 keys:
 
@@ -44,6 +47,7 @@ keys:
     direction; then a greedy step of 0.5, halved after d consecutive
     rejections (d the latent size), down to 1e-3; gain decay 0.9.
 """
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -145,20 +149,32 @@ def _checkpoints(t_max: int):
     return points
 
 
-def _finite_or_raise(value: float, trace):
-    if not math.isfinite(value):
-        raise NonFiniteLoss(f"objective evaluated to {value!r}", trace=trace)
-    return value
-
-
-def _result(x_G: LatentCode, best_delta, s0: float, best_s: float, trace,
-            stop_reason: str) -> RefineResult:
-    """The result of a refinement whose evaluations after the initial one
-    produced ``trace``; ``best_delta`` None means x_G itself is returned."""
-    refined = x_G if best_delta is None else LatentCode(x_G.values + best_delta)
-    return RefineResult(refined=refined, initial_similarity=s0,
-                        final_similarity=best_s, iterations_used=len(trace),
-                        stop_reason=stop_reason, trace=tuple(trace))
+def _drive(x_G: LatentCode, target: EmbeddingVector, evaluate, iterations: int,
+           tau_C: float, steps) -> RefineResult:
+    """Run the step rule ``steps`` under the contract in the module
+    docstring.  ``evaluate(latent, target)`` is one charged query returning
+    ``(s, grad_fn)``; at most ``iterations`` follow the initial one."""
+    x0 = x_G.values
+    trace = []  # the initial similarity, then one per iteration
+    latent, delta, best_s = x0, np.zeros(x0.size), -math.inf
+    next(steps)
+    for it in range(iterations + 1):
+        s, grad_fn = evaluate(latent, target)
+        if not math.isfinite(s):
+            raise NonFiniteLoss(f"objective evaluated to {s!r}", trace=trace[1:])
+        trace.append(s)
+        if s > best_s:
+            best_s, best_delta = s, delta
+        if s >= tau_C:
+            break
+        if it < iterations:
+            delta = steps.send((s, grad_fn))
+            latent = x0 + delta
+    refined = x_G if trace[0] >= tau_C else LatentCode(x0 + best_delta)
+    stop_reason = STOP_CONFIDENCE if trace[-1] >= tau_C else STOP_BUDGET
+    return RefineResult(refined=refined, initial_similarity=trace[0],
+                        final_similarity=best_s, iterations_used=len(trace) - 1,
+                        stop_reason=stop_reason, trace=tuple(trace[1:]))
 
 
 def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
@@ -167,28 +183,23 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
     """Projected gradient ascent with momentum and adaptive step halving."""
     if t_max < 1:
         raise ConfigInvalid(f"t_max must be >= 1, got {t_max}")
-    x0 = x_G.values
-    trace = []
-    s0, grad_fn = session.value_and_grad(x0, target)
-    _finite_or_raise(s0, trace)
-    if s0 >= tau_C:
-        return _result(x_G, None, s0, s0, trace, STOP_CONFIDENCE)
+    return _drive(x_G, target, session.value_and_grad, t_max, tau_C,
+                  _ascent(x_G.values.size, budget, t_max))
 
+
+def _ascent(d: int, budget: PerturbationBudget, t_max: int):
+    """White-box step rule (see the module docstring)."""
+    s_prev, grad_fn = yield
     step = _INITIAL_STEP_FACTOR * budget.epsilon
-    delta = np.zeros_like(x0)
-    delta_prev = delta
+    delta = delta_prev = np.zeros(d)
     # The gradient of each evaluated point is kept, unevaluated, so a
     # checkpoint restart from the best point runs no extra forward pass.
-    best_s, best_delta, best_grad_fn = s0, delta, grad_fn
-    s_prev = s0
-    successes = 0
+    best_s, best_delta, best_grad_fn = s_prev, delta, grad_fn
     checkpoints = _checkpoints(t_max)
-    next_cp = 0
-    window_start = 0
+    successes = next_cp = window_start = 0
     best_at_last_cp = best_s
     halved_at_last_cp = True  # suppress the stall rule before the first review
 
-    stop_reason = STOP_BUDGET
     for it in range(1, t_max + 1):
         grad = grad_fn()
         if budget.norm == NORM_L2:
@@ -202,17 +213,12 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
                             budget)
         delta_prev, delta = delta, candidate
 
-        s, grad_fn = session.value_and_grad(x0 + delta, target)
-        _finite_or_raise(s, trace)
-        trace.append(s)
+        s, grad_fn = yield delta
         if s > s_prev:
             successes += 1
         s_prev = s
         if s > best_s:
             best_s, best_delta, best_grad_fn = s, delta, grad_fn
-        if s >= tau_C:
-            stop_reason = STOP_CONFIDENCE
-            break
 
         if next_cp < len(checkpoints) and it == checkpoints[next_cp]:
             window = it - window_start
@@ -220,19 +226,14 @@ def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
             stalled = (not halved_at_last_cp) and (best_s <= best_at_last_cp)
             if too_few or stalled:
                 step *= 0.5
-                delta = best_delta
-                delta_prev = best_delta
-                grad_fn = best_grad_fn
-                s_prev = best_s
+                delta = delta_prev = best_delta
+                grad_fn, s_prev = best_grad_fn, best_s
                 halved_at_last_cp = True
             else:
                 halved_at_last_cp = False
             best_at_last_cp = best_s
-            successes = 0
-            window_start = it
+            successes, window_start = 0, it
             next_cp += 1
-
-    return _result(x_G, best_delta, s0, best_s, trace, stop_reason)
 
 
 def _greedy_coordinate(scores: np.ndarray, last_visit: np.ndarray) -> int:
@@ -264,57 +265,61 @@ def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
     if query_cap < 1:
         raise ConfigInvalid(f"query_cap must be >= 1, got {query_cap}")
     x0 = x_G.values
-    d = x0.size
     if direction is not None:
         direction = np.asarray(direction, dtype=np.float64)
         if direction.shape != x0.shape:
             raise DimensionMismatch(f"direction of shape {direction.shape} "
                                     f"for a latent of shape {x0.shape}")
-    trace = []
-    s0 = _finite_or_raise(session.loss(x0, target), trace)
-    if s0 >= tau_C:
-        return _result(x_G, None, s0, s0, trace, STOP_CONFIDENCE)
+    return _drive(x_G, target, lambda latent, t: (session.loss(latent, t), None),
+                  query_cap - 1, tau_C, _black_box(x0.size, budget, direction))
 
-    delta = np.zeros(d)      # the best point so far
-    best_s = s0
-    queries = 1
+
+def _black_box(d: int, budget: PerturbationBudget, direction: Optional[np.ndarray]):
+    """Black-box step rule: the opening along a nonzero, finite
+    ``direction``, then the greedy search from the best point it hands over."""
+    best_s, _ = yield
+    delta = np.zeros(d)
     length = _norm(direction) if direction is not None else 0.0
     if 0.0 < length < math.inf:
-        unit = direction / length
-        for distance in _LINE_SEARCH_STEPS:
-            if queries >= query_cap:
-                break
-            proposal = project(distance * unit, budget)
-            s = _finite_or_raise(session.loss(x0 + proposal, target), trace)
-            queries += 1
-            trace.append(s)
-            if s <= best_s:
-                break
-            delta, best_s = proposal, s
-            if s >= tau_C:
-                return _result(x_G, delta, s0, best_s, trace, STOP_CONFIDENCE)
+        delta, best_s = yield from _line_search(delta, best_s, direction / length,
+                                                budget)
+    yield from _greedy_search(delta, best_s, budget)
 
+
+def _line_search(delta: np.ndarray, best_s: float, unit: np.ndarray,
+                 budget: PerturbationBudget):
+    """Opening step rule; returns the best point and its similarity."""
+    for distance in _LINE_SEARCH_STEPS:
+        proposal = project(distance * unit, budget)
+        if np.array_equal(proposal, delta):
+            break
+        s, _ = yield proposal
+        if s <= best_s:
+            break
+        delta, best_s = proposal, s
+    return delta, best_s
+
+
+def _greedy_search(delta: np.ndarray, best_s: float, budget: PerturbationBudget):
+    """Greedy coordinate step rule from the point ``delta`` at ``best_s``."""
+    d = delta.size
     scores = np.full(d, np.inf)       # untried coordinates go first
     last_visit = np.full(d, -1, dtype=np.int64)
     preferred = [1.0] * d
     step = _GREEDY_INITIAL_STEP
     consecutive_fails = 0
-    stop_reason = STOP_BUDGET
 
-    while queries < query_cap:
+    for visit in itertools.count():
         coord = _greedy_coordinate(scores, last_visit)
         sign = preferred[coord]
         proposal = delta.copy()
         proposal[coord] += sign * step
         proposal = project(proposal, budget)
 
-        s = _finite_or_raise(session.loss(x0 + proposal, target), trace)
-        queries += 1
-        trace.append(s)
+        s, _ = yield proposal
         gain = s - best_s
         if gain > 0:
-            delta = proposal
-            best_s = s
+            delta, best_s = proposal, s
             consecutive_fails = 0
         else:
             preferred[coord] = -sign
@@ -329,10 +334,4 @@ def refine_blackbox(x_G: LatentCode, target: EmbeddingVector,
         else:
             scores[coord] = (_GREEDY_GAIN_DECAY * score
                              + (1.0 - _GREEDY_GAIN_DECAY) * observed)
-        last_visit[coord] = queries
-
-        if s >= tau_C:
-            stop_reason = STOP_CONFIDENCE
-            break
-
-    return _result(x_G, delta, s0, best_s, trace, stop_reason)
+        last_visit[coord] = visit

@@ -526,6 +526,52 @@ class TestLineSearchOpening:
                             L2(35.0), query_cap=10, tau_C=0.9, direction=g[:-1])
 
 
+def saturating_linf(direction):
+    """A Linf ball that the opening's first step already fills in every
+    coordinate, so every later step projects onto that first point."""
+    return LINF(0.5 * np.min(np.abs(direction / np.linalg.norm(direction))))
+
+
+class TestOpeningAtTheBoundary:
+    @pytest.mark.parametrize("make_budget", [lambda g: L2(1.0), lambda g: L2(5.0),
+                                             saturating_linf],
+                             ids=["l2-1", "l2-5", "linf-saturated"])
+    def test_a_clipped_step_is_not_charged(self, desk_world, desk_pool, make_budget):
+        target, x, g = selection_opening(desk_world, desk_pool)
+        budget = make_budget(g)
+        points = line_search_points(x, g, budget)
+        # The opening improves up to step m, whose projection repeats step m-1.
+        m = next(j for j in range(1, len(points))
+                 if np.array_equal(points[j], points[j - 1]))
+        session = RecordingSession(make_session(desk_world, allow_gradient=False))
+        r = refine_blackbox(x, target, session, budget, query_cap=m + 2, tau_C=0.9,
+                            direction=g)
+        opening = session.latents[1:m + 1]
+        assert all(np.array_equal(a, b) for a, b in zip(opening, points[:m]))
+        assert list(r.trace[:m]) == sorted(r.trace[:m])
+        assert r.trace[0] > r.initial_similarity
+        # No two consecutive points are equal, and none is charged twice:
+        # the query after the opening goes to the greedy search.
+        charged = {lat.tobytes() for lat in session.latents}
+        assert len(charged) == len(session.latents) == m + 2
+
+    @pytest.mark.parametrize("break_after", [3, 10],
+                             ids=["in-the-opening", "in-the-greedy-search"])
+    def test_nonfinite_loss_carries_the_trace(self, desk_world, desk_pool, break_after):
+        target, x, g = selection_opening(desk_world, desk_pool)
+        run = lambda session: refine_blackbox(x, target, session, L2(35.0),
+                                              query_cap=100, tau_C=0.9999, direction=g)
+        clean = run(make_session(desk_world, allow_gradient=False))
+        # Steps 0.5-8 improve and step 16 does not: queries 2-7 are the opening.
+        assert list(clean.trace[:5]) == sorted(clean.trace[:5])
+        assert clean.trace[5] <= clean.trace[4]
+        broken = BrokenSession(make_session(desk_world, allow_gradient=False),
+                               break_after=break_after)
+        with pytest.raises(NonFiniteLoss) as err:
+            run(broken)
+        assert tuple(err.value.trace) == clean.trace[:break_after - 1]
+
+
 class NaNEmbedder(SyntheticEmbedder):
     """A gradient-capable embedder whose ``embed_vjp`` returns a NaN
     embedding, with its inner embedder's pullback."""
