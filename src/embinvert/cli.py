@@ -119,8 +119,7 @@ def _eer_calibration(images_by_identity, embedder, seed: int, k: int):
     return cal, tau_f, eer
 
 
-def cmd_build_pool(config: RunConfig) -> int:
-    backend = build_backend(config)
+def cmd_build_pool(config: RunConfig, backend) -> int:
     detector = backend.detector
     if detector is None:
         raise ConfigInvalid("backend has no face detector; cannot screen candidates")
@@ -142,8 +141,7 @@ def cmd_build_pool(config: RunConfig) -> int:
     return 0
 
 
-def cmd_calibrate(config: RunConfig) -> int:
-    backend = build_backend(config)
+def cmd_calibrate(config: RunConfig, backend) -> int:
     images_by_identity = [images for _, images in _identity_groups(backend)]
     if not _has_genuine_pairs(images_by_identity):
         raise InsufficientImages(
@@ -213,8 +211,7 @@ def _make_targets(config: RunConfig, backend, embedder):
     return targets
 
 
-def cmd_attack(config: RunConfig) -> int:
-    backend = build_backend(config)
+def cmd_attack(config: RunConfig, backend) -> int:
     pool = load_pool(config.pool_path)
     if pool.generator_id != backend.generator.generator_id:
         raise ConfigInvalid(
@@ -283,8 +280,7 @@ def _check_reproduced(successes, rows, n_models: int):
                     "generator's generate_vjp and generate_batch disagree")
 
 
-def cmd_report(config: RunConfig) -> int:
-    backend = build_backend(config)
+def cmd_report(config: RunConfig, backend) -> int:
     records = read_results(config.results_path)
     groups = dict(_identity_groups(backend))
     from_file = {}
@@ -392,7 +388,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for key in (out_key, *in_keys):
             if not getattr(config, key):
                 raise ConfigInvalid(f"{key} is required for {args.command}")
-        return command(config)
+        return command(config, build_backend(config))
     except EmbinvertError as exc:
         _log(f"error: {exc}")
         return _exit_code(exc)

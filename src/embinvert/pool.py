@@ -24,7 +24,8 @@ utf-8 generator id, the entries as one packed array of ``_entry_dtype``
 (each ending in the crc32 of its other bytes), then the crc32 of
 everything before it.  Latent and image payloads are stored as IEEE-754
 32-bit floats; in-memory pools hold float32-representable values, so
-round-trips are lossless.
+round-trips are lossless.  Only ``fileio`` reads and writes the file, and
+it maps an OS failure to ``IoFailure`` (exit code 4).
 """
 import numbers
 import struct
@@ -44,7 +45,7 @@ from .errors import (
     IoFailure,
     PoolExhausted,
 )
-from .fileio import replace_file
+from .fileio import read_file, replace_file
 from .models import (DetectorHandle, EmbedderHandle, GeneratorHandle,
                      _embedding_rows, _generated_images)
 from .normality import k2_pvalues
@@ -121,17 +122,6 @@ class LatentPool:
         return self.entries[0].image.shape
 
     @cached_property
-    def image_stack(self) -> np.ndarray:
-        """Every cached generation as one read-only (V, C, H, W) array.
-
-        Stacked on first use and kept, so selection reuses it for every
-        target instead of restacking the pool.
-        """
-        stack = np.stack([e.image.values for e in self.entries])
-        stack.flags.writeable = False
-        return stack
-
-    @cached_property
     def _slope_matrix(self) -> np.ndarray:
         # pinv of the centred (V, d_lat) latent stack: (d_lat, V).
         latents = np.stack([e.latent.values for e in self.entries])
@@ -142,7 +132,7 @@ class LatentPool:
         target's V selection similarities (pool order) on the entry latents.
 
         The fit matrix depends only on the latents: it is computed on first
-        use and kept, like ``image_stack``, and never written to the file.
+        use and kept, and never written to the file.
         A pool whose latents do not vary (V = 1) gives a zero slope.
         """
         return self._slope_matrix @ (similarities - similarities.mean())
@@ -156,18 +146,19 @@ class LatentPool:
     def embeddings(self, embedder: EmbedderHandle) -> Tuple[np.ndarray, np.ndarray]:
         """Every cached generation embedded by ``embedder``: ``(rows, norms)``.
 
-        The first call for a handle makes one ``embed_batch`` call over
-        ``image_stack`` and keeps the read-only (V, d_emb) rows and their L2
-        norms; later calls return them with no embedder work.  Entries are
-        keyed by handle identity, not ``model_id``, so two handles sharing an
-        id still get their own rows.  A fill that raises caches nothing, so
+        The first call for a handle stacks the generations, makes one
+        ``embed_batch`` call over the stack and keeps only the read-only
+        (V, d_emb) rows and their L2 norms; later calls return them with no
+        embedder work.  Entries are keyed by handle identity, not
+        ``model_id``, so two handles sharing an id still get their own rows.  A fill that raises caches nothing, so
         every later call raises again.  The cache is not a field: ``==``,
         ``repr`` and the saved file ignore it.
         """
         cached = self._embedding_cache.get(id(embedder))
         if cached is not None:
             return cached[1], cached[2]
-        rows, norms = _embedding_rows(embedder, self.image_stack)
+        rows, norms = _embedding_rows(
+            embedder, np.stack([e.image.values for e in self.entries]))
         # A view, so that the array the embedder returned stays writable.
         rows = rows.view()
         rows.flags.writeable = False
@@ -388,10 +379,7 @@ def save_pool(pool: LatentPool, path):
     data += gen_id
     data += entries.data
     data += struct.pack("<I", zlib.crc32(data))
-    try:
-        replace_file(path, data)
-    except OSError as exc:
-        raise IoFailure(f"cannot write pool file {path}: {exc}") from exc
+    replace_file(path, data, "pool file")
 
 
 def load_pool(path) -> LatentPool:
@@ -403,11 +391,7 @@ def load_pool(path) -> LatentPool:
     whose contents do not make a pool, a latent value that is not finite
     among them.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read pool file {path}: {exc}") from exc
+    data = read_file(path, "pool file")
     if len(data) < len(_MAGIC) + 4 or data[:len(_MAGIC)] != _MAGIC:
         raise IoFailure(f"{path} is not a latent pool file")
     stored_crc = struct.unpack("<I", data[-4:])[0]

@@ -3,7 +3,8 @@
 Results are newline-delimited JSON, one self-describing record per target,
 with the run configuration's checksum embedded for provenance.  Reports
 are comma-separated values in a fixed column order followed by average
-rows and a commented summary block.
+rows and a commented summary block.  Only ``fileio`` reads and writes
+these files, and it maps an OS failure to ``IoFailure`` (exit code 4).
 """
 import json
 import math
@@ -12,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .errors import IoFailure
 from .evaluation import EvaluationReport
-from .fileio import replace_file
+from .fileio import read_file, replace_file
 from .pipeline import AttackResult
 
 RESULT_SCHEMA = "embinvert-result-v1"
@@ -69,12 +70,9 @@ def result_record(result: AttackResult, **header) -> dict:
 
 
 def write_results(path, records: Sequence[dict]):
-    try:
-        replace_file(path, "".join(
-            json.dumps(rec, sort_keys=True) + "\n" for rec in records
-        ).encode("utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot write results {path}: {exc}") from exc
+    replace_file(path, "".join(
+        json.dumps(rec, sort_keys=True) + "\n" for rec in records
+    ).encode("utf-8"), "results")
 
 
 def _is_real(value) -> bool:
@@ -141,11 +139,8 @@ def check_result_record(rec, where: str):
 
 def read_results(path) -> List[dict]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read results {path}: {exc}") from exc
-    except ValueError as exc:
+        lines = read_file(path, "results").decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
         raise IoFailure(f"results {path} is not UTF-8 text: {exc}") from exc
     records = []
     for number, line in enumerate(lines, 1):
@@ -162,19 +157,13 @@ def read_results(path) -> List[dict]:
 
 def write_thresholds(path, by_model: Dict[str, dict]):
     payload = {"schema": THRESHOLDS_SCHEMA, "models": by_model}
-    try:
-        replace_file(path, (json.dumps(payload, sort_keys=True, indent=2)
-                            + "\n").encode("utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot write thresholds {path}: {exc}") from exc
+    replace_file(path, (json.dumps(payload, sort_keys=True, indent=2)
+                        + "\n").encode("utf-8"), "thresholds")
 
 
 def read_thresholds(path) -> Dict[str, dict]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read thresholds {path}: {exc}") from exc
+        payload = json.loads(read_file(path, "thresholds").decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise IoFailure(f"corrupt thresholds file {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("schema") != THRESHOLDS_SCHEMA:
@@ -222,7 +211,4 @@ def format_report(report: EvaluationReport) -> str:
 
 
 def write_report(path, report: EvaluationReport):
-    try:
-        replace_file(path, format_report(report).encode("utf-8"))
-    except OSError as exc:
-        raise IoFailure(f"cannot write report {path}: {exc}") from exc
+    replace_file(path, format_report(report).encode("utf-8"), "report")

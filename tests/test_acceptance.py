@@ -38,6 +38,7 @@ from embinvert.refine import PerturbationBudget, refine_blackbox, refine_whitebo
 from oracle_loss import loss_eval, loss_gradient
 from oracle_normality import oracle_k2, oracle_kurt_z, oracle_skew_z
 from test_evaluation import TOY_TAU_F, eer_sweep_oracle, toy_cases
+from test_models import NormalisingEmbedder
 from test_refine import RecordingSession
 
 from conftest import forward, world_tau_F
@@ -251,28 +252,42 @@ def test_criterion_05_early_stop_and_fallback(transfer_world, transfer_pool):
               f"observed")
 
 
-def test_criterion_06_gradient_correctness(transfer_world):
-    world = transfer_world
-    g, f = world.generator, world.embedders[0]
+def worst_gradient_error(d_lat, d_emb, gradient, loss, h=1e-4):
+    """The largest relative error of ``gradient(x, target)`` against central
+    differences of ``loss`` over criterion 6's 20 seeded points."""
     rng = np.random.default_rng(606)
-    h = 1e-4
     worst = 0.0
     for _ in range(20):
-        lat = ei.LatentCode(rng.standard_normal(g.d_lat))
-        raw = rng.standard_normal(f.d_emb)
+        x = rng.standard_normal(d_lat)
+        raw = rng.standard_normal(d_emb)
         target = ei.EmbeddingVector(raw / np.linalg.norm(raw))
-        grad = loss_gradient(g, f, lat, target)
+        grad = gradient(x, target)
         fd = np.empty_like(grad)
-        for i in range(g.d_lat):
-            up, down = lat.values.copy(), lat.values.copy()
+        for i in range(d_lat):
+            up, down = x.copy(), x.copy()
             up[i] += h
             down[i] -= h
-            fd[i] = (loss_eval(g, f, ei.LatentCode(up), target)
-                     - loss_eval(g, f, ei.LatentCode(down), target)) / (2 * h)
-        rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
-        worst = max(worst, rel)
-        assert rel < 1e-4
-    report(6, f"20 seeded points: worst relative gradient error {worst:.2e} < 1e-4")
+            fd[i] = (loss(up, target) - loss(down, target)) / (2 * h)
+        worst = max(worst, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
+    return worst
+
+
+def test_criterion_06_gradient_correctness(transfer_world):
+    # The oracle, then the production gradient of a session over the unit
+    # synthetic embedder and over an adapter-shaped one whose embed_batch
+    # features are not unit-norm.
+    g, f = transfer_world.generator, transfer_world.embedders[0]
+    cases = {"oracle": (lambda x, t: loss_gradient(g, f, ei.LatentCode(x), t),
+                        lambda x, t: loss_eval(g, f, ei.LatentCode(x), t))}
+    for name, embedder in (("synthetic", f), ("adapter-shaped", NormalisingEmbedder(f))):
+        session = AttackSession(g, embedder, QueryLedger(), allow_gradient=True)
+        cases[name] = (lambda x, t, s=session: s.value_and_grad(x, t)[1](),
+                       session.loss)
+    for name, (gradient, loss) in cases.items():
+        worst = worst_gradient_error(g.d_lat, f.d_emb, gradient, loss)
+        assert worst < 1e-4, f"{name}: worst relative gradient error {worst:.2e}"
+        report(6, f"{name}, 20 seeded points: worst relative gradient error "
+                  f"{worst:.2e} < 1e-4")
 
 
 def test_criterion_07_end_to_end_desk_efficacy():

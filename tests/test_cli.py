@@ -39,7 +39,7 @@ from embinvert.records import read_results, read_thresholds, write_thresholds
 
 from conftest import forward
 from test_evaluation import confidence_loop_reference
-from test_models import PlainEmbedder, PlainGenerator
+from test_models import NormalisingEmbedder, PlainEmbedder, PlainGenerator
 from test_pool import reseal
 
 
@@ -919,6 +919,22 @@ class TestAdapterRegistry:
         assert main(["attack", "--config", str(cfg_path)]) == 0
         assert all(r["error"] is None for r in read_results(config.results_path))
 
+    def test_embedder_normalising_inside_its_vjp_attacks_white_box(self, tmp_path):
+        # README's rule for a model whose features are not unit-norm: its
+        # embed_batch returns them as they are, and embed_vjp normalises
+        # inside itself and its pullback.
+        register_toy_adapters(toy_identity_images)
+        registry.register_embedder("toy-emb-a", lambda config: NormalisingEmbedder(
+            SyntheticEmbedder(24, config.image_shape,
+                              np.random.SeedSequence([1234, 1]), "toy-emb-a")))
+        cfg_path, config = write_toy_adapter_config(tmp_path)
+        assert main(["build-pool", "--config", str(cfg_path)]) == 0
+        assert main(["attack", "--config", str(cfg_path)]) == 0
+        records = read_results(config.results_path)
+        assert len(records) == config.num_targets
+        assert all(r["error"] is None for r in records)
+        assert main(["report", "--config", str(cfg_path)]) == 0
+
     def test_forward_only_adapters(self, tmp_path, capsys):
         # Calibration, reporting and black-box need no gradient; white-box
         # fails each target with GradientUnavailable in its record.
@@ -1343,3 +1359,67 @@ class TestMalformedInputsExit4:
             "".join(json.dumps(rec) + "\n" for rec in records))
         assert main(["report", "--config", str(cfg_path)]) == 2
         assert "has 4 images" in capsys.readouterr().err
+
+    def test_thresholds_not_in_utf8(self, attacked, capsys):
+        # Valid JSON in UTF-16 with a byte-order mark: json.loads would take
+        # it from bytes, so the reader must decode UTF-8 itself.
+        cfg_path, config = attacked
+        Path(config.thresholds_path).write_bytes(
+            json.dumps(THRESHOLDS_OK).encode("utf-16"))
+        assert main(["report", "--config", str(cfg_path)]) == 4
+        assert "corrupt thresholds file" in capsys.readouterr().err
+        tau_cfg, _ = write_config(Path(config.pool_path).parent,
+                                  tau_c="calibrate", num_targets=1)
+        assert main(["attack", "--config", str(tau_cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "corrupt thresholds file" in err and "Traceback" not in err
+
+    def test_results_not_in_utf8(self, attacked, capsys):
+        cfg_path, config = attacked
+        with open(config.results_path, "ab") as fh:
+            fh.write(b"\xff\n")
+        assert main(["report", "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert "is not UTF-8 text" in err and "Traceback" not in err
+
+
+OUTPUT_KINDS = [("build-pool", "pool file"), ("calibrate", "thresholds"),
+                ("attack", "results"), ("report", "report")]
+
+
+class TestUnusablePathExits4:
+    @pytest.mark.parametrize("command, kind", OUTPUT_KINDS)
+    def test_output_path_that_is_a_directory(self, attacked, capsys, command, kind):
+        cfg_path, _ = attacked
+        out = cfg_path.parent / "out"
+        out.mkdir()
+        (out / "kept").write_bytes(b"kept\n")
+        siblings = sorted(p.name for p in cfg_path.parent.iterdir())
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"error: cannot write {kind} {out}: " in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in cfg_path.parent.iterdir()) == siblings
+        assert not list(cfg_path.parent.glob("*.tmp"))
+        assert [p.name for p in out.iterdir()] == ["kept"]
+        assert (out / "kept").read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("command, kind", OUTPUT_KINDS)
+    def test_output_path_holding_a_nul_byte(self, attacked, capsys, command, kind):
+        cfg_path, _ = attacked
+        siblings = sorted(p.name for p in cfg_path.parent.iterdir())
+        capsys.readouterr()
+        out = str(cfg_path.parent / "out\0")
+        assert main([command, "--config", str(cfg_path), "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert f"error: cannot write {kind} " in err and "Traceback" not in err
+        assert sorted(p.name for p in cfg_path.parent.iterdir()) == siblings
+
+    @pytest.mark.parametrize("command, key, kind", [
+        ("attack", "pool_path", "pool file"), ("report", "results_path", "results")])
+    def test_input_path_holding_a_nul_byte(self, tmp_path, capsys, command, key, kind):
+        cfg_path, _ = write_config(tmp_path, **{key: str(tmp_path / "in\0put")})
+        assert main([command, "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert f"error: cannot read {kind} " in err and "Traceback" not in err

@@ -298,6 +298,33 @@ class PlainEmbedder(EmbedderHandle):
         return np.stack([forward(self.inner, image).values for image in images])
 
 
+class NormalisingEmbedder(EmbedderHandle):
+    """An adapter-shaped embedder with gradients: ``embed_batch`` returns the
+    unnormalised features 3·W·img of its inner embedder's weight W, and
+    ``embed_vjp`` normalises them inside itself and its pullback, as the
+    README's adapter section asks of a model whose features are not unit-norm."""
+
+    def __init__(self, inner):
+        self.weight = inner.weight
+        self.d_emb = inner.d_emb
+        self.tau_F = inner.tau_F
+        self.model_id = inner.model_id
+
+    def embed_batch(self, images):
+        return 3.0 * (images.reshape(len(images), -1) @ self.weight.T)
+
+    def embed_vjp(self, image):
+        raw = 3.0 * self.weight.dot(image.reshape(-1))
+        norm = np.linalg.norm(raw)
+        unit = raw / norm
+
+        def pullback(cotangent):
+            cot_raw = (cotangent - unit.dot(cotangent) * unit) / norm
+            return 3.0 * self.weight.T.dot(cot_raw).reshape(image.shape)
+
+        return unit, pullback
+
+
 class TestValueAndGrad:
     def test_value_and_gradient_equal_the_references(self, desk_world):
         g, f = desk_world.generator, desk_world.embedders[0]

@@ -87,24 +87,24 @@ class TestResultRecords:
 class TestReplaceFile:
     def test_rewrite_leaves_only_the_new_bytes(self, tmp_path):
         path = tmp_path / "out.csv"
-        replace_file(path, b"a much longer first version\n")
-        replace_file(path, b"short\n")
+        replace_file(path, b"a much longer first version\n", "report")
+        replace_file(path, b"short\n", "report")
         assert path.read_bytes() == b"short\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_rewrite_is_a_new_file_not_a_truncation(self, tmp_path):
         path = tmp_path / "out.csv"
-        replace_file(path, b"old\n")
+        replace_file(path, b"old\n", "report")
         with open(path, "rb") as held:
-            replace_file(path, b"new\n")
+            replace_file(path, b"new\n", "report")
             assert held.read() == b"old\n"
         assert path.read_bytes() == b"new\n"
 
     def test_failure_leaves_no_temporary_file(self, tmp_path):
         target = tmp_path / "a-directory"
         target.mkdir()
-        with pytest.raises(OSError):
-            replace_file(target, b"data")
+        with pytest.raises(IoFailure):
+            replace_file(target, b"data", "report")
         assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
 
     def test_writer_maps_failure_to_io_failure(self, tmp_path):
