@@ -43,6 +43,7 @@ from .evaluation import (
     compute_eer_threshold,
     cross_model_report,
 )
+from .fileio import check_writable
 from .models import (EmbedderHandle, WorldConfig, _generated_images, _overrides,
                      impostor_stream, make_synthetic_world)
 from .pipeline import (MODE_BLACKBOX, MODE_WHITEBOX, AttackSettings,
@@ -344,12 +345,13 @@ def cmd_report(config: RunConfig, backend) -> int:
     return 0
 
 
-# command: (function, output path key, other path keys it requires)
+# command: (function, output path key, output file kind, other path keys
+# it requires)
 _COMMANDS = {
-    "build-pool": (cmd_build_pool, "pool_path", ()),
-    "calibrate": (cmd_calibrate, "thresholds_path", ()),
-    "attack": (cmd_attack, "results_path", ("pool_path",)),
-    "report": (cmd_report, "report_path", ("results_path",)),
+    "build-pool": (cmd_build_pool, "pool_path", "pool file", ()),
+    "calibrate": (cmd_calibrate, "thresholds_path", "thresholds", ()),
+    "attack": (cmd_attack, "results_path", "results", ("pool_path",)),
+    "report": (cmd_report, "report_path", "report", ("results_path",)),
 }
 
 
@@ -379,7 +381,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="override this command's output path")
     args = parser.parse_args(argv)
 
-    command, out_key, in_keys = _COMMANDS[args.command]
+    command, out_key, out_kind, in_keys = _COMMANDS[args.command]
     overrides = {"seed": args.seed, "jobs": args.jobs, out_key: args.out}
     try:
         config = replace(load_config(args.config), **{
@@ -388,6 +390,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for key in (out_key, *in_keys):
             if not getattr(config, key):
                 raise ConfigInvalid(f"{key} is required for {args.command}")
+        # An output path that cannot be written fails before any work.
+        check_writable(getattr(config, out_key), out_kind)
         return command(config, build_backend(config))
     except EmbinvertError as exc:
         _log(f"error: {exc}")

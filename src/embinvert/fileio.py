@@ -3,6 +3,8 @@
 This module alone opens those four artifacts, and it alone turns an OS
 failure, or a path the OS cannot take (one holding a NUL byte), into
 ``IoFailure`` (exit code 4), naming the file kind and path.
+``check_writable`` lets a command fail on an unusable output path before
+any work, with the error ``replace_file`` would raise at the end.
 Each file is read whole, and written under a sibling temporary name and
 then moved into place, so the path never holds a half-written file.  An
 existing file is removed before the move rather than truncated or renamed
@@ -11,6 +13,7 @@ auto_da_alloc heuristic), which stalls every rewrite for tens of
 milliseconds, by an amount set by the disk's other load.
 """
 import contextlib
+import errno
 import os
 
 from .errors import IoFailure
@@ -42,3 +45,19 @@ def replace_file(path, data: bytes, what: str) -> None:
         if isinstance(exc, (OSError, ValueError)):
             raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
         raise
+
+
+def check_writable(path, what: str) -> None:
+    """Raise the ``IoFailure`` that ``replace_file(path, ..., what)`` would,
+    now, if ``path`` is a directory or no file can be created beside it;
+    the probe file is removed again."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        with open(tmp, "wb"):
+            pass
+        os.remove(tmp)
+    except (OSError, ValueError) as exc:
+        raise IoFailure(f"cannot write {what} {path}: {exc}") from exc

@@ -17,13 +17,14 @@ times, and receive ``(s, grad_fn)`` for it.  The driver never asks a rule
 for a proposal it will not charge.  The three rules:
 
   * ``_ascent`` (white-box): projected gradient ascent with momentum and
-    an adaptive step schedule.  Progress is reviewed at a thinning
-    sequence of checkpoints and, when a review fails, the step is halved
-    and the search restarts from the best point so far.  Each point costs
-    one ``session.value_and_grad`` call: one forward pass gives the charged
-    similarity and a gradient closure.  The closures of the current and
-    the best point are kept, so a restart reuses the best point's gradient
-    and a stop at tau_C runs no backward pass.
+    backtracking.  A point above the best so far is kept and the next
+    step carries momentum; any other point halves the step, and the next
+    step starts afresh, without momentum, from the best point along its
+    direction.  Each point costs one ``session.value_and_grad`` call: one
+    forward pass gives the charged similarity and a gradient closure,
+    called only for a new best point that ``_drive`` asks to step from.
+    The best point's direction is kept, so a restart runs no backward
+    pass and no point's backward pass runs twice.
   * ``_line_search`` (black-box opening): the projections of step *
     direction / ||direction|| for the steps in _LINE_SEARCH_STEPS, where
     the pipeline passes the slope of a linear fit to the similarities
@@ -33,16 +34,18 @@ for a proposal it will not charge.  The three rules:
   * ``_greedy_search`` (black-box): a coordinate search from the opening's
     best point, driven by observed gains and never by gradients.  It picks
     each coordinate with one argmax over the scores and, on a tie, one
-    argmin over the tied coordinates' last visits.
+    argmin over the tied coordinates' last visits.  A proposal that the
+    ball clips onto the point it holds (a saturated Linf coordinate
+    pushed outward) is a rejection without a query.
 
 Around the session's matrix-vector products each step adds only a few
 vector operations and Python-float arithmetic; norms are ``core._norm``.
 Both searches are fixed; their values are module constants, not config
 keys:
 
-  * white-box: momentum 0.75; first step 0.1 * epsilon; checkpoint gaps
-    start at 0.22 of t_max and shrink by 0.03 down to 0.06; success
-    fraction 0.75;
+  * white-box: first step 0.1 * epsilon along the normalised gradient
+    (L2) or its sign (Linf); momentum 0.75 after an improving point; the
+    step halves at every other point;
   * black-box: line-search steps 0.5, 1, 2, 4, 8, 16 and 32 along the
     direction; then a greedy step of 0.5, halved after d consecutive
     rejections (d the latent size), down to 1e-3; gain decay 0.9.
@@ -92,16 +95,10 @@ class RefineResult:
         return self.iterations_used + 1
 
 
-# White-box schedule: a review at each of _checkpoints(t_max) halves the
-# step when fewer than _SUCCESS_FRACTION of its window's iterations
-# improved, or when the best value stalled and the step was not already
-# halved.
+# White-box ascent: the first step is _INITIAL_STEP_FACTOR * epsilon, and
+# every step after an improving one carries momentum _MOMENTUM.
 _MOMENTUM = 0.75
 _INITIAL_STEP_FACTOR = 0.1
-_CHECKPOINT_INITIAL = 0.22
-_CHECKPOINT_SHRINK = 0.03
-_CHECKPOINT_MIN = 0.06
-_SUCCESS_FRACTION = 0.75
 
 # Black-box search: a coordinate's priority is an exponentially decayed
 # average of the gains its proposals produced.  The step is scaled by
@@ -130,23 +127,6 @@ def project(delta: np.ndarray, budget: PerturbationBudget) -> np.ndarray:
             norm = _norm(delta)
         return delta
     return delta.clip(-budget.epsilon, budget.epsilon)
-
-
-def _checkpoints(t_max: int):
-    """Strictly increasing iteration indices of the step-review points:
-    cumulative fractions of t_max whose gaps start at _CHECKPOINT_INITIAL
-    and shrink by _CHECKPOINT_SHRINK down to _CHECKPOINT_MIN."""
-    points = []
-    p_prev, p = 0.0, _CHECKPOINT_INITIAL
-    while True:
-        w = int(math.ceil(p * t_max))
-        if w >= t_max:
-            break
-        if not points or w > points[-1]:
-            points.append(w)
-        gap = max(p - p_prev - _CHECKPOINT_SHRINK, _CHECKPOINT_MIN)
-        p_prev, p = p, p + gap
-    return points
 
 
 def _drive(x_G: LatentCode, target: EmbeddingVector, evaluate, iterations: int,
@@ -180,60 +160,41 @@ def _drive(x_G: LatentCode, target: EmbeddingVector, evaluate, iterations: int,
 def refine_whitebox(x_G: LatentCode, target: EmbeddingVector,
                     session: AttackSession, budget: PerturbationBudget,
                     t_max: int, tau_C: float) -> RefineResult:
-    """Projected gradient ascent with momentum and adaptive step halving."""
+    """Projected gradient ascent with momentum and backtracking."""
     if t_max < 1:
         raise ConfigInvalid(f"t_max must be >= 1, got {t_max}")
     return _drive(x_G, target, session.value_and_grad, t_max, tau_C,
-                  _ascent(x_G.values.size, budget, t_max))
+                  _ascent(x_G.values.size, budget))
 
 
-def _ascent(d: int, budget: PerturbationBudget, t_max: int):
+def _ascent(d: int, budget: PerturbationBudget):
     """White-box step rule (see the module docstring)."""
-    s_prev, grad_fn = yield
+    best_s, grad_fn = yield
     step = _INITIAL_STEP_FACTOR * budget.epsilon
-    delta = delta_prev = np.zeros(d)
-    # The gradient of each evaluated point is kept, unevaluated, so a
-    # checkpoint restart from the best point runs no extra forward pass.
-    best_s, best_delta, best_grad_fn = s_prev, delta, grad_fn
-    checkpoints = _checkpoints(t_max)
-    successes = next_cp = window_start = 0
-    best_at_last_cp = best_s
-    halved_at_last_cp = True  # suppress the stall rule before the first review
-
-    for it in range(1, t_max + 1):
-        grad = grad_fn()
-        if budget.norm == NORM_L2:
-            gnorm = _norm(grad)
-            direction = grad / gnorm if gnorm > 0 else grad
-        else:
-            direction = np.sign(grad)
+    best_delta = delta = delta_prev = np.zeros(d)
+    a = 1.0  # a fresh start takes no momentum
+    while True:
+        if grad_fn is not None:  # a new best point: step along its gradient
+            grad = grad_fn()
+            if budget.norm == NORM_L2:
+                gnorm = _norm(grad)
+                direction = grad / gnorm if gnorm > 0 else grad
+            else:
+                direction = np.sign(grad)
         z = project(delta + step * direction, budget)
-        a = _MOMENTUM if it > 1 else 1.0
         candidate = project(delta + a * (z - delta) + (1.0 - a) * (delta - delta_prev),
                             budget)
         delta_prev, delta = delta, candidate
 
         s, grad_fn = yield delta
-        if s > s_prev:
-            successes += 1
-        s_prev = s
         if s > best_s:
-            best_s, best_delta, best_grad_fn = s, delta, grad_fn
-
-        if next_cp < len(checkpoints) and it == checkpoints[next_cp]:
-            window = it - window_start
-            too_few = successes < _SUCCESS_FRACTION * window
-            stalled = (not halved_at_last_cp) and (best_s <= best_at_last_cp)
-            if too_few or stalled:
-                step *= 0.5
-                delta = delta_prev = best_delta
-                grad_fn, s_prev = best_grad_fn, best_s
-                halved_at_last_cp = True
-            else:
-                halved_at_last_cp = False
-            best_at_last_cp = best_s
-            successes, window_start = 0, it
-            next_cp += 1
+            best_s, best_delta, a = s, delta, _MOMENTUM
+        else:
+            # Backtrack: halve the step and start afresh from the best
+            # point along its kept direction, with no second backward pass.
+            step *= 0.5
+            delta = delta_prev = best_delta
+            a, grad_fn = 1.0, None
 
 
 def _greedy_coordinate(scores: np.ndarray, last_visit: np.ndarray) -> int:
@@ -315,8 +276,10 @@ def _greedy_search(delta: np.ndarray, best_s: float, budget: PerturbationBudget)
         proposal = delta.copy()
         proposal[coord] += sign * step
         proposal = project(proposal, budget)
-
-        s, _ = yield proposal
+        if np.array_equal(proposal, delta):
+            s = best_s  # clipped onto the held point: a rejection, uncharged
+        else:
+            s, _ = yield proposal
         gain = s - best_s
         if gain > 0:
             delta, best_s = proposal, s

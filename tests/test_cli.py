@@ -507,13 +507,13 @@ class TestAttackCommand:
 
     @pytest.mark.parametrize("mode, norm, digest", [
         ("whitebox", "l2",
-         "416300cedcfaa203fbd0f53834dcba76f2b4f2fa2394b3e13fb5775485ffb533"),
+         "a49a90abfa9f4ef446e6484e4f3d42ec6e89b1975b089a7923a61bbe2d6c6a16"),
         ("whitebox", "linf",
-         "dbf81511752e6c38c0412b82130e8b9a4d49062f95982aabd12b7101dfcb6f89"),
+         "627cec09d30c36d2ca7b849f9aa378d121e5a0a8a44d9da3004a902d40f77be0"),
         ("blackbox", "l2",
          "376b17c43d11d89c1a35a0c089b1eb9329f858f7919a5b02ba7a96f06d4e0274"),
         ("blackbox", "linf",
-         "aafbe937864141c6f13035bb7bf82d17dc01fbdb4acc266821cf694dee531f12"),
+         "4af88025618bfe2e63d41f0795ab02e148722318a628df7cb5e6f2420f576d42"),
     ])
     def test_records_pinned_across_code_versions(self, tmp_path, mode, norm, digest):
         # The desk world's attack records without wall_time and the config
@@ -1404,6 +1404,28 @@ class TestUnusablePathExits4:
         assert not list(cfg_path.parent.glob("*.tmp"))
         assert [p.name for p in out.iterdir()] == ["kept"]
         assert (out / "kept").read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("command, kind, work", [
+        ("attack", "results", "run_attack"), ("report", "report", "cross_model_report")])
+    def test_unwritable_output_fails_before_any_work(self, attacked, capsys,
+                                                     monkeypatch, where, command,
+                                                     kind, work):
+        cfg_path, _ = attacked
+        out = cfg_path.parent / "out"
+        if where == "directory":
+            out.mkdir()
+        else:
+            out = out / kind
+        calls = []
+        monkeypatch.setattr(cli, work, lambda *args, **kwargs: calls.append(args))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"error: cannot write {kind} {out}: " in err
+        assert "[attack]" not in err and "Traceback" not in err
+        assert calls == []
+        assert not list(cfg_path.parent.glob("*.tmp"))
 
     @pytest.mark.parametrize("command, kind", OUTPUT_KINDS)
     def test_output_path_holding_a_nul_byte(self, attacked, capsys, command, kind):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,23 +7,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from embinvert import refine
-from embinvert.core import LatentCode
+from embinvert.core import LatentCode, _norm
 from embinvert.errors import (ConfigInvalid, DimensionMismatch, GradientUnavailable,
                               NonFiniteLoss)
-from embinvert.models import AttackSession, QueryLedger, SyntheticEmbedder
-from embinvert.pool import sample_latent
+from embinvert.models import (AttackSession, QueryLedger, SyntheticEmbedder,
+                              SyntheticGenerator, WorldConfig, make_synthetic_world)
+from embinvert.pool import build_pool, sample_latent
 from embinvert.ranking import rank_candidates
 from embinvert.refine import (
     PerturbationBudget,
     STOP_BUDGET,
     STOP_CONFIDENCE,
-    _checkpoints,
     project,
     refine_blackbox,
     refine_whitebox,
 )
 
-from conftest import forward
+from conftest import DESK_SEED, forward
 from oracle_loss import loss_eval, loss_gradient
 
 L2 = lambda eps: PerturbationBudget("l2", eps)
@@ -181,6 +183,79 @@ def reference_greedy_coordinate(scores, last_visit):
     return max(range(scores.size), key=lambda j: (scores[j], -last_visit[j], -j))
 
 
+def reference_checkpoints(t_max):
+    """The step-review points of the checkpoint schedule: cumulative
+    fractions of t_max whose gaps start at 0.22 and shrink by 0.03 down
+    to 0.06."""
+    points = []
+    p_prev, p = 0.0, 0.22
+    while True:
+        w = math.ceil(p * t_max)
+        if w >= t_max:
+            break
+        if not points or w > points[-1]:
+            points.append(w)
+        gap = max(p - p_prev - 0.03, 0.06)
+        p_prev, p = p, p + gap
+    return points
+
+
+def reference_ascent(d, budget, t_max):
+    """The checkpoint-reviewed white-box step rule that the backtracking
+    rule replaced: the step is reviewed only at reference_checkpoints(t_max),
+    and halved, from the best point, when fewer than 0.75 of the window's
+    iterations improved on their predecessor or the best value stalled."""
+    s_prev, grad_fn = yield
+    step = refine._INITIAL_STEP_FACTOR * budget.epsilon
+    delta = delta_prev = np.zeros(d)
+    best_s, best_delta, best_grad_fn = s_prev, delta, grad_fn
+    checkpoints = reference_checkpoints(t_max)
+    successes = next_cp = window_start = 0
+    best_at_last_cp = best_s
+    halved_at_last_cp = True
+
+    for it in range(1, t_max + 1):
+        grad = grad_fn()
+        if budget.norm == "l2":
+            gnorm = _norm(grad)
+            direction = grad / gnorm if gnorm > 0 else grad
+        else:
+            direction = np.sign(grad)
+        z = project(delta + step * direction, budget)
+        a = refine._MOMENTUM if it > 1 else 1.0
+        candidate = project(delta + a * (z - delta) + (1.0 - a) * (delta - delta_prev),
+                            budget)
+        delta_prev, delta = delta, candidate
+
+        s, grad_fn = yield delta
+        if s > s_prev:
+            successes += 1
+        s_prev = s
+        if s > best_s:
+            best_s, best_delta, best_grad_fn = s, delta, grad_fn
+
+        if next_cp < len(checkpoints) and it == checkpoints[next_cp]:
+            window = it - window_start
+            too_few = successes < 0.75 * window
+            stalled = (not halved_at_last_cp) and (best_s <= best_at_last_cp)
+            if too_few or stalled:
+                step *= 0.5
+                delta = delta_prev = best_delta
+                grad_fn, s_prev = best_grad_fn, best_s
+                halved_at_last_cp = True
+            else:
+                halved_at_last_cp = False
+            best_at_last_cp = best_s
+            successes, window_start = 0, it
+            next_cp += 1
+
+
+def reference_whitebox(x, target, session, budget, t_max, tau_C):
+    """refine_whitebox run with reference_ascent as its step rule."""
+    return refine._drive(x, target, session.value_and_grad, t_max, tau_C,
+                         reference_ascent(x.values.size, budget, t_max))
+
+
 class TestRefineWhitebox:
     def test_immediate_stop_when_already_at_target(self, desk_world):
         session = make_session(desk_world)
@@ -305,12 +380,14 @@ class TestRefineWhitebox:
                 b = refine_whitebox(x, target, two_pass, budget, t_max=80, tau_C=tau_C)
                 assert same_result(a, b), (norm, eps, t)
                 assert fused.ledger.q_adv == two_pass.ledger.q_adv == a.queries_used
-                # A gradient taken at an earlier point than the latest one is
-                # a restart, which must resume from the best point so far.
+                # A gradient is taken once, at the point just evaluated, and
+                # only if that point is the best so far; every other point
+                # but the last is a restart from the best point, along the
+                # direction kept from its gradient.
                 for point, seen in two_pass.gradient_log:
-                    if point < seen - 1:
-                        restarts[norm] += 1
-                        assert two_pass.values[point] == max(two_pass.values[:seen])
+                    assert point == seen - 1
+                    assert two_pass.values[point] == max(two_pass.values[:seen])
+                restarts[norm] += two_pass.evaluated - 1 - len(two_pass.gradient_log)
         assert min(restarts.values()) >= 10, restarts
 
     def test_confident_start_runs_no_backward_pass(self, desk_world):
@@ -320,6 +397,83 @@ class TestRefineWhitebox:
         r = refine_whitebox(x, target, session, L2(35.0), t_max=50, tau_C=0.99)
         assert r.stop_reason == STOP_CONFIDENCE
         assert session.gradient_log == []
+
+
+@pytest.fixture(scope="module")
+def deep_targets():
+    """(world, [(rank-1 latent, target)]) for image 0 of identities 0-19 in
+    the desk world with two 128-d embedders and a V=100 pool screened at
+    0.99, as the first 20 targets of a white-box attack meet refinement."""
+    world = make_synthetic_world(WorldConfig(embedder_dims=(128, 128)), DESK_SEED)
+    pool = build_pool(world.generator, world.detector, V=100, tau_K=0.99,
+                      tau_D=0.99, build_seed=DESK_SEED)
+    f = world.embedders[0]
+    cases = []
+    for identity in range(20):
+        target = forward(f, world.identities[identity].images[0])
+        (best,) = rank_candidates(pool, target, f, 1)
+        cases.append((pool.entries[best.pool_index].latent, target))
+    return world, cases
+
+
+class PullbackCountingGenerator(SyntheticGenerator):
+    """A generator that numbers its forward passes and logs, for each
+    backward pass, the number of the forward pass it belongs to."""
+
+    def __init__(self, inner):
+        self.__dict__.update(inner.__dict__)
+        self.forward_passes = 0
+        self.backward_of = []
+
+    def generate_vjp(self, latent_values):
+        point = self.forward_passes
+        self.forward_passes += 1
+        image, pullback = super().generate_vjp(latent_values)
+
+        def counted(cotangent):
+            self.backward_of.append(point)
+            return pullback(cotangent)
+
+        return image, counted
+
+
+class TestBacktracking:
+    @pytest.mark.parametrize("budget", [L2(35.0), LINF(1.5)], ids=["l2-35", "linf-1.5"])
+    def test_a_run_that_always_improves_equals_the_checkpoint_rule(self, deep_targets,
+                                                                   budget):
+        world, cases = deep_targets
+        rising = 0
+        for tau_C in (0.97, 0.99, 0.999):
+            for x, target in cases:
+                reference = reference_whitebox(x, target, make_session(world), budget,
+                                               t_max=100, tau_C=tau_C)
+                values = (reference.initial_similarity,) + reference.trace
+                if all(b > a for a, b in zip(values, values[1:])):
+                    rising += 1
+                    r = refine_whitebox(x, target, make_session(world), budget,
+                                        t_max=100, tau_C=tau_C)
+                    assert same_result(r, reference), (tau_C, reference.trace)
+        assert rising >= 5
+
+    def test_mean_iterations_to_a_high_bar(self, deep_targets):
+        world, cases = deep_targets
+        iterations = [refine_whitebox(x, target, make_session(world), L2(35.0),
+                                      t_max=100, tau_C=0.999).iterations_used
+                      for x, target in cases]
+        assert np.mean(iterations) <= 35, iterations
+
+    @pytest.mark.parametrize("budget", [L2(35.0), LINF(1.5)], ids=["l2-35", "linf-1.5"])
+    def test_each_backward_pass_runs_at_most_once(self, deep_targets, budget):
+        world, cases = deep_targets
+        restarts = 0
+        for x, target in cases:
+            generator = PullbackCountingGenerator(world.generator)
+            session = AttackSession(generator, world.embedders[0], QueryLedger(), True)
+            r = refine_whitebox(x, target, session, budget, t_max=100, tau_C=0.999)
+            assert generator.forward_passes == r.queries_used
+            assert len(set(generator.backward_of)) == len(generator.backward_of)
+            restarts += r.queries_used - 1 - len(generator.backward_of)
+        assert restarts >= 20
 
 
 class TestRefineBlackbox:
@@ -572,6 +726,24 @@ class TestOpeningAtTheBoundary:
         assert tuple(err.value.trace) == clean.trace[:break_after - 1]
 
 
+class TestGreedyAtTheBoundary:
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 1.5])
+    def test_a_clipped_proposal_is_not_charged(self, desk_world, desk_pool, eps):
+        target, x, g = selection_opening(desk_world, desk_pool)
+        session = RecordingSession(make_session(desk_world, allow_gradient=False))
+        r = refine_blackbox(x, target, session, LINF(eps), query_cap=300,
+                            tau_C=0.9999, direction=g)
+        assert len(session.latents) == r.queries_used == 300
+        # No charged point repeats the point the search held when it was
+        # proposed: the best one so far.
+        values = (r.initial_similarity,) + r.trace
+        held = 0
+        for k in range(1, len(values)):
+            assert not np.array_equal(session.latents[k], session.latents[held]), k
+            if values[k] > values[held]:
+                held = k
+
+
 class NaNEmbedder(SyntheticEmbedder):
     """A gradient-capable embedder whose ``embed_vjp`` returns a NaN
     embedding, with its inner embedder's pullback."""
@@ -637,21 +809,6 @@ class TestGreedyCoordinate:
             assert same_result(a, b)
 
 
-class TestStepSchedule:
-    def test_checkpoints_thin_out(self):
-        points = _checkpoints(200)
-        assert points[0] == 44  # ceil(0.22 * 200)
-        gaps = np.diff(points)
-        assert all(g1 >= g2 for g1, g2 in zip(gaps, gaps[1:]))
-        assert min(gaps) >= int(0.06 * 200) - 1
-        assert all(p < 200 for p in points)
-
-    def test_tiny_budget_has_no_duplicate_checkpoints(self):
-        for t in (1, 2, 3, 5, 8):
-            points = _checkpoints(t)
-            assert points == sorted(set(points))
-
-
 # (refiner, norm, epsilon, seed, iterations_used, queries_used, stop_reason,
 #  float.hex(final_similarity)) of fixed runs on the desk world: the latent
 # sample_latent(d_lat, seed) refined towards image seed % 4 of identity
@@ -665,9 +822,9 @@ PINNED_RUNS = [
     ("white", "l2", 3.0, 3, 100, 101, "budget_exhausted", "0x1.a72257e0b8635p-1"),
     ("white", "l2", 3.0, 17, 100, 101, "budget_exhausted", "0x1.7414e5cc23594p-4"),
     ("white", "l2", 3.0, 41, 100, 101, "budget_exhausted", "0x1.7062dc54d54bep-1"),
-    ("white", "linf", 0.4, 3, 100, 101, "budget_exhausted", "0x1.85fabce188b5cp-1"),
-    ("white", "linf", 0.4, 17, 100, 101, "budget_exhausted", "-0x1.ab9cb4f8be3a0p-8"),
-    ("white", "linf", 0.4, 41, 100, 101, "budget_exhausted", "0x1.328830e413956p-1"),
+    ("white", "linf", 0.4, 3, 100, 101, "budget_exhausted", "0x1.85fabcecde873p-1"),
+    ("white", "linf", 0.4, 17, 100, 101, "budget_exhausted", "-0x1.ab9cb4e1c8dd1p-8"),
+    ("white", "linf", 0.4, 41, 100, 101, "budget_exhausted", "0x1.328832202ad74p-1"),
     ("white", "linf", 1.5, 3, 8, 9, "confidence_reached", "0x1.f0b7b8a57aa95p-1"),
     ("white", "linf", 1.5, 17, 25, 26, "confidence_reached", "0x1.f12a4d0f1afedp-1"),
     ("white", "linf", 1.5, 41, 11, 12, "confidence_reached", "0x1.f2e076dff9bbcp-1"),
@@ -677,12 +834,12 @@ PINNED_RUNS = [
     ("black", "l2", 3.0, 3, 1499, 1500, "budget_exhausted", "0x1.88293f3cba5b6p-1"),
     ("black", "l2", 3.0, 17, 1499, 1500, "budget_exhausted", "-0x1.b39c4a5158630p-5"),
     ("black", "l2", 3.0, 41, 1499, 1500, "budget_exhausted", "0x1.25abda79683b1p-1"),
-    ("black", "linf", 0.4, 3, 1499, 1500, "budget_exhausted", "0x1.37c48139bf26bp-1"),
+    ("black", "linf", 0.4, 3, 1499, 1500, "budget_exhausted", "0x1.386c41ac9a960p-1"),
     ("black", "linf", 0.4, 17, 1499, 1500, "budget_exhausted", "-0x1.7f8d21e64117bp-3"),
-    ("black", "linf", 0.4, 41, 1499, 1500, "budget_exhausted", "0x1.61b8cfb215373p-2"),
-    ("black", "linf", 1.5, 3, 373, 374, "confidence_reached", "0x1.ccdce6c394cafp-1"),
-    ("black", "linf", 1.5, 17, 1499, 1500, "budget_exhausted", "0x1.58deb5e9d0a9bp-1"),
-    ("black", "linf", 1.5, 41, 1499, 1500, "budget_exhausted", "0x1.b65aa7f5d2f64p-1"),
+    ("black", "linf", 0.4, 41, 1499, 1500, "budget_exhausted", "0x1.6354ce2b98588p-2"),
+    ("black", "linf", 1.5, 3, 262, 263, "confidence_reached", "0x1.ccdce6c394cafp-1"),
+    ("black", "linf", 1.5, 17, 1499, 1500, "budget_exhausted", "0x1.5aebb904b5406p-1"),
+    ("black", "linf", 1.5, 41, 1499, 1500, "budget_exhausted", "0x1.b65f00cbbcfffp-1"),
 ]
 
 
